@@ -27,7 +27,6 @@ from .config import DEFAULT_TOLS, Tolerances
 from .linalg import ConvergenceError, jacobi_eigen, newton_solve, polynomial_roots
 from .model import ModelSpec, SectorLabels, boson_occupations
 from .operators import (
-    EulerOperator,
     apply_to_monomials,
     build_hamiltonian_operator,
     extract_polynomials,
@@ -124,16 +123,22 @@ def bae_residuals(
         polys = extract_polynomials(build_hamiltonian_operator(model, sector))
     order = len(polys) - 1
 
-    res = np.zeros(n, dtype=complex)
-    for mu in range(n):
-        others = np.delete(roots, mu)
-        inv = 1.0 / (roots[mu] - others)
-        e = _elem_sym(inv, min(order - 1, inv.size))
-        val = poly_eval(polys[1], roots[mu]) if polys[1].size else 0.0
-        for i in range(2, order + 1):
-            if i - 1 <= inv.size and polys[i].size:
-                val += poly_eval(polys[i], roots[mu]) * factorial(i) * e[i - 1]
-        res[mu] = val
+    # row mu of e holds the elementary symmetric sums of 1/(a_mu - a_nu) over
+    # nu != mu; the zeroed diagonal contributes nothing
+    diff = roots[:, None] - roots[None, :]
+    np.fill_diagonal(diff, 1.0)
+    inv = 1.0 / diff
+    np.fill_diagonal(inv, 0.0)
+    upto = min(order - 1, n - 1)
+    e = np.zeros((n, upto + 1), dtype=complex)
+    e[:, 0] = 1.0
+    for col in inv.T:
+        e[:, 1:] += col[:, None] * e[:, :-1]
+
+    res = poly_eval(polys[1], roots) if polys[1].size else np.zeros(n, dtype=complex)
+    for i in range(2, upto + 2):
+        if polys[i].size:
+            res = res + poly_eval(polys[i], roots) * factorial(i) * e[:, i - 1]
     return res
 
 
@@ -211,14 +216,16 @@ def energy_from_roots(
     model: ModelSpec,
     sector: SectorLabels,
     roots: np.ndarray,
-    h_op: EulerOperator | None = None,
+    mono: np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> float:
     """Closed-form energy, cross-checked against the z^N coefficient ratio.
 
     The ratio [z^N](H psi) / [z^N]psi is computed independently from the
     operator action on monomials; disagreement beyond tolerance means a
-    transcription bug and raises.
+    transcription bug and raises.  `mono` is that action,
+    apply_to_monomials(build_hamiltonian_operator(model, sector), N); callers
+    solving many states of one sector pass it in, otherwise it is built here.
     """
     roots = np.atleast_1d(np.asarray(roots, dtype=complex))
     if roots.size != sector.n_top:
@@ -229,9 +236,9 @@ def energy_from_roots(
 
     energy = closed_form_energy(model, sector, roots_sum)
 
-    if h_op is None:
-        h_op = build_hamiltonian_operator(model, sector)
-    mono = apply_to_monomials(h_op, sector.n_top)
+    if mono is None:
+        mono = apply_to_monomials(build_hamiltonian_operator(model, sector),
+                                  sector.n_top)
     psi = poly_from_roots(roots)
     ratio = complex(mono[sector.n_top, :] @ psi)  # [z^N] psi = 1 (monic)
     scale = max(1.0, abs(energy))

@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, ValueError, RuntimeError) as exc:
+    except (ConvergenceError, OverflowError, ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

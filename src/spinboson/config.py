@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Tolerances:
     # iterative solvers
-    eigen: float = 1e-12        # Jacobi off-diagonal target, relative to ||A||_F
+    eigen: float = 1e-12        # eigenpair residual, relative to max(||A||_F, 1)
     roots: float = 1e-10        # Aberth-Ehrlich residual target, scaled
     newton: float = 1e-10       # Newton residual target (inf norm)
     # cross-checks

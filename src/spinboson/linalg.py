@@ -1,9 +1,9 @@
-"""Dense numerics: cyclic Jacobi eigensolver, Aberth-Ehrlich root finder,
-damped Newton with a forward-difference Jacobian.
+"""Dense numerics: symmetric eigensolve (LAPACK via numpy.linalg.eigh),
+Aberth-Ehrlich root polish from companion-matrix eigenvalues, damped Newton
+with a forward-difference Jacobian.
 
-All three are deliberately simple, unconditionally stable variants adequate
-for block dimensions up to a few hundred; tolerances default to the values
-in config.DEFAULT_TOLS.
+Each routine checks its own result against a tolerance, defaulting to the
+values in config.DEFAULT_TOLS, and raises ConvergenceError when it misses.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ class EigenDecomposition:
 def jacobi_eigen(
     a: np.ndarray,
     tol: float = DEFAULT_TOLS.eigen,
-    max_sweeps: int = 50,
 ) -> EigenDecomposition:
-    """Cyclic Jacobi rotations until the off-diagonal Frobenius norm is small.
+    """Symmetric eigendecomposition by LAPACK (numpy.linalg.eigh).
 
-    Raises ValueError for non-symmetric input and ConvergenceError if the
-    sweep budget is exhausted.
+    Raises ValueError for non-square or non-symmetric input and
+    ConvergenceError when the a-posteriori residual ||AV - V diag(w)||_F
+    exceeds tol * max(||A||_F, 1).  Each eigenvector is signed so that its
+    largest-magnitude component is positive.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -45,51 +46,16 @@ def jacobi_eigen(
         raise ValueError("matrix is not symmetric")
     a = (a + a.T) / 2.0
 
-    v = np.eye(n)
-    norm_a = np.linalg.norm(a)
-    if n <= 1 or norm_a == 0.0:
-        order = np.argsort(np.diag(a))
-        return EigenDecomposition(np.diag(a)[order], v[:, order])
-
-    target = tol * norm_a
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
+    values, vectors = np.linalg.eigh(a)
+    residual = np.linalg.norm(a @ vectors - vectors * values)
+    target = tol * max(np.linalg.norm(a), 1.0)
+    if residual > target:
         raise ConvergenceError(
-            f"Jacobi sweeps exhausted (off-norm {off:.3e} > {target:.3e})"
-        )
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
+            f"eigenpair residual {residual:.3e} exceeds {target:.3e}")
     # deterministic sign: largest-magnitude component of each vector positive
-    for k in range(n):
-        i = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[i, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
+    if n:
+        lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+        vectors *= np.where(lead < 0.0, -1.0, 1.0)
     return EigenDecomposition(values, vectors)
 
 
@@ -106,11 +72,11 @@ def polynomial_roots(
     max_iter: int = 200,
     cluster_rtol: float = DEFAULT_TOLS.cluster,
 ) -> RootSet:
-    """All complex roots by Aberth-Ehrlich simultaneous iteration.
+    """All complex roots: companion-matrix eigenvalues (numpy.roots)
+    polished by Aberth-Ehrlich simultaneous iteration.
 
-    Starts from a scaled circle around the root centroid; a root is frozen
-    once its correction stalls.  Residuals are measured in the backward-error
-    sense |p(z)| / sum |c_i||z|^i.
+    The polish stops once the largest correction stalls.  Residuals are
+    measured in the backward-error sense |p(z)| / sum |c_i||z|^i.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     nz = np.nonzero(c)[0]
@@ -126,19 +92,18 @@ def polynomial_roots(
 
     dc = c[1:] * np.arange(1, deg + 1)
 
-    center = -c[-2] / (deg * c[-1])
-    radius = 1.0 + np.max(np.abs(c[:-1] / c[-1]))
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = center + radius * np.exp(1j * angles)
+    z = np.roots(c[::-1]).astype(complex)
 
     for _ in range(max_iter):
         pz = poly_eval(c, z)
         dpz = poly_eval(dc, z)
         dpz = np.where(dpz == 0.0, 1e-300, dpz)
         w = pz / dpz
+        # the companion start can repeat a multiple root exactly; such pairs,
+        # like the diagonal, drop out of the Aberth sum
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
+        s = np.sum(np.divide(1.0, diff, out=np.zeros_like(diff),
+                             where=diff != 0.0), axis=1)
         denom = 1.0 - w * s
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         step = w / denom

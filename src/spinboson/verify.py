@@ -56,7 +56,7 @@ from .presets import (
     random_couplings,
     random_params,
 )
-from .representation import check_algebra, fock_oracle, sector_matrices
+from .representation import check_algebra, fock_oracle
 
 N_TOP_LIMIT = 12
 DEFAULT_SEED = 20240817
@@ -125,10 +125,14 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                 for sec in sectors:
                     n_sectors += 1
                     states = solve_sector(model, sec, tols=tols)
-                    bethe = [energy_from_roots(model, sec, st.roots, tols=tols)
+                    h_op = build_hamiltonian_operator(model, sec)
+                    mono = apply_to_monomials(h_op, sec.n_top)
+                    polys = extract_polynomials(h_op)
+                    bethe = [energy_from_roots(model, sec, st.roots,
+                                               mono=mono, tols=tols)
                              for st in states]
-                    sector_eig = jacobi_eigen(sector_matrices(model, sec).H,
-                                              tols.eigen).values
+                    # solve_sector's energies are the sector eigenvalues
+                    sector_eig = [st.energy for st in states]
                     block = blocks.get(sec)
                     if block is None:
                         failures.append(
@@ -141,7 +145,6 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                     if dev > tols.match:
                         failures.append(
                             f"match: {name} j={j} sector p={sec.p}: dev {dev:.2e}")
-                    polys = None
                     for st in states:
                         n_states += 1
                         if st.degenerate_roots:
@@ -149,9 +152,6 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                             continue
                         if st.roots.size == 0:
                             continue
-                        if polys is None:
-                            polys = extract_polynomials(
-                                build_hamiltonian_operator(model, sec))
                         scaled = st.max_residual() / residual_scale(polys, st.roots)
                         worst_residual = max(worst_residual, scaled)
                         if scaled > tols.bae:
@@ -311,7 +311,9 @@ def check_published_regression(
             for sec in enumerate_sectors(model, j, grid.max_total_bosons):
                 if sec.n_top > N_TOP_LIMIT:
                     continue
-                built = extract_polynomials(build_hamiltonian_operator(model, sec))
+                h_op = build_hamiltonian_operator(model, sec)
+                built = extract_polynomials(h_op)
+                mono = apply_to_monomials(h_op, sec.n_top)
                 pub = published_polynomials(name, model, sec)
                 if len(built) != len(pub):
                     failures.append(f"{name} j={j}: order mismatch")
@@ -332,7 +334,8 @@ def check_published_regression(
                     if st.degenerate_roots:
                         continue
                     e_pub = published_energy(name, model, sec, st.roots)
-                    e_gen = energy_from_roots(model, sec, st.roots, tols=tols)
+                    e_gen = energy_from_roots(model, sec, st.roots, mono=mono,
+                                              tols=tols)
                     dev = abs(e_pub - e_gen) / max(1.0, abs(e_gen))
                     worst_energy = max(worst_energy, dev)
                     if dev > tols.energy_cross:
@@ -407,12 +410,15 @@ def check_rotor_cross(
             model = preset("rigid_rotor", {"a": a, "b": b, "c": c, "j": j})
             energies = []
             for sec in enumerate_sectors(model, j):
-                for st in solve_sector(model, sec, tols=tols):
-                    if model.g != 0.0:
-                        energies.append(
-                            energy_from_roots(model, sec, st.roots, tols=tols))
-                    else:
-                        energies.append(st.energy)
+                states = solve_sector(model, sec, tols=tols)
+                if model.g == 0.0:
+                    energies.extend(st.energy for st in states)
+                    continue
+                mono = apply_to_monomials(
+                    build_hamiltonian_operator(model, sec), sec.n_top)
+                energies.extend(
+                    energy_from_roots(model, sec, st.roots, mono=mono, tols=tols)
+                    for st in states)
             direct = _direct_rotor_spectrum(a, b, c, j)
             dev = multiset_close(np.array(energies), direct, 1e-9)
             worst = max(worst, dev)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
 from spinboson.bethe import (
+    _elem_sym,
     bae_residuals,
     closed_form_energy,
     energy_from_roots,
@@ -14,6 +16,7 @@ from spinboson.bethe import (
     solve_sector,
     state_to_dict,
 )
+from spinboson.config import DEFAULT_TOLS
 from spinboson.linalg import jacobi_eigen
 from spinboson.model import (
     ModelSpec,
@@ -26,7 +29,9 @@ from spinboson.operators import (
     extract_polynomials,
     poly_eval,
 )
+from spinboson.presets import model_for_j, random_params
 from spinboson.representation import fock_oracle, sector_matrices
+from spinboson.verify import _sweep_presets
 
 
 def tc_model(w=1.0, gp=0.3, g=0.1):
@@ -124,6 +129,32 @@ class TestBaeResiduals:
         for idx in range(sec.dim):
             state = recover_roots(model, sec, idx)
             assert state.max_residual() < 1e-8
+
+    @pytest.mark.parametrize("mu, ns", [(-3, (3, 4)), (1, (3, 4))])
+    def test_matches_per_root_loop(self, mu, ns):
+        # reference: one root at a time, the others' reciprocal distances fed
+        # to the elementary symmetric sums; same operations in the same order,
+        # but numpy's scalar and array complex kernels may round differently,
+        # so agreement is to float64 roundoff of the largest residual
+        model = ModelSpec(M=2, r=1, s=2, k=(1, 2), w=(1.0, 1.3),
+                          g_prime=0.4, g=0.6)
+        sec = sector_from_reference(model, Fraction(3),
+                                    ReferenceState(Fraction(mu), ns))
+        polys = extract_polynomials(build_hamiltonian_operator(model, sec))
+        order = len(polys) - 1
+        rng = np.random.default_rng(mu + 10)
+        roots = rng.standard_normal(sec.n_top) + 1j * rng.standard_normal(sec.n_top)
+        expected = []
+        for mu_idx, root in enumerate(roots):
+            inv = 1.0 / (root - np.delete(roots, mu_idx))
+            e = _elem_sym(inv, min(order - 1, inv.size))
+            val = poly_eval(polys[1], root)
+            for i in range(2, min(order, inv.size + 1) + 1):
+                val += poly_eval(polys[i], root) * factorial(i) * e[i - 1]
+            expected.append(val)
+        got = bae_residuals(model, sec, roots, polys)
+        scale = float(np.max(np.abs(expected)))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * scale)
 
     def test_coincident_roots_rejected(self):
         model = two_site_model()
@@ -237,6 +268,32 @@ class TestSolveSector:
         sec = sector_from_reference(model, Fraction(2), ReferenceState(Fraction(-2)))
         energies = [st.energy for st in solve_sector(model, sec)]
         assert energies == sorted(energies)
+
+
+class TestRegressions:
+    def test_sweep_draw_matches_oracle(self):
+        # this draw's tavis_cummings j=6, p=0 sector once missed the oracle
+        # by 2.5e-8 against a 1e-8 tolerance through eigenvector inaccuracy
+        data = _sweep_presets(686310523, 1, DEFAULT_TOLS)
+        assert data["failures"] == []
+        assert data["worst_match"] <= DEFAULT_TOLS.match
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lmg_largest_sector_at_j20(self, seed):
+        # dimension 21: Aberth from a circle start did not converge here
+        j = 20
+        params = random_params("lmg", np.random.default_rng(seed))
+        model = model_for_j("lmg", params, j)
+        sec = sector_from_reference(model, Fraction(j),
+                                    ReferenceState(Fraction(-j), ()))
+        assert sec.dim == 21
+        states = solve_sector(model, sec)
+        assert len(states) == 21
+        assert all(st.verified or st.degenerate_roots for st in states)
+        ref = np.linalg.eigvalsh(sector_matrices(model, sec).H)
+        energies = np.array([st.energy for st in states])
+        assert np.max(np.abs(energies - ref)) <= DEFAULT_TOLS.match * max(
+            1.0, float(np.max(np.abs(ref))))
 
 
 class TestNewtonRefine:

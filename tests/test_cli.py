@@ -191,6 +191,19 @@ class TestUsageErrors:
         assert code == 1
 
 
+class TestNumericalFailure:
+    def test_overflow_exits_three(self, capsys):
+        # the j = 90 sector's normalization overflows a float: a numerical
+        # failure (exit 3, one line), not a usage error or a traceback
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "lmg",
+                                 "--param", "g_prime=0.3", "--param", "g=0.7",
+                                 "--j", "90", "--mu", "-90")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure:")
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestPresetList:
     def test_lists_all(self, capsys):
         code, out, _ = run_cli(capsys, "preset", "list")

@@ -70,6 +70,22 @@ class TestJacobiEigen:
         eig = jacobi_eigen(np.array([[4.0]]))
         np.testing.assert_allclose(eig.values, [4.0])
 
+    def test_sign_rule(self):
+        # largest-magnitude component of every eigenvector is positive
+        rng = np.random.default_rng(13)
+        for n in (2, 7, 30):
+            vectors = jacobi_eigen(random_symmetric(rng, n)).vectors
+            lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+            assert np.all(lead > 0.0)
+
+    def test_tolerance_is_live(self):
+        # the a-posteriori residual of a non-diagonal matrix is never exactly
+        # zero, so tol = 0 must be rejected
+        a = random_symmetric(np.random.default_rng(17), 6)
+        jacobi_eigen(a)
+        with pytest.raises(ConvergenceError):
+            jacobi_eigen(a, tol=0.0)
+
 
 class TestPolynomialRoots:
     def test_quadratic(self):
