@@ -8,7 +8,7 @@ experimenting with seeds, draw counts, and tolerances from a shell loop.
 import argparse
 import sys
 
-from spinboson.config import DEFAULT_TOLS, with_overrides
+from spinboson.cli import merged_tolerances
 from spinboson.verify import DEFAULT_SEED, errata_report, run_verification
 
 
@@ -21,8 +21,8 @@ def main() -> int:
     parser.add_argument("--tol-bae", type=float, default=None)
     args = parser.parse_args()
 
-    tols = with_overrides(DEFAULT_TOLS, match=args.tol_match, bae=args.tol_bae)
-    results = run_verification(seed=args.seed, tols=tols, n_draws=args.draws)
+    results = run_verification(seed=args.seed, tols=merged_tolerances({}, args),
+                               n_draws=args.draws)
     for res in results:
         print(res.line())
     print("\nerrata registry (printed form vs corrected form):")

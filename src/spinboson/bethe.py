@@ -25,14 +25,14 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .linalg import ConvergenceError, jacobi_eigen, newton_solve, polynomial_roots
-from .model import ModelSpec, SectorLabels, boson_occupations
+from .model import ModelSpec, SectorLabels
 from .operators import (
     apply_to_monomials,
     build_hamiltonian_operator,
     extract_polynomials,
     poly_eval,
 )
-from .representation import SectorMatrices, sector_matrices
+from .representation import SectorMatrices, sector_levels, sector_matrices
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,12 @@ def closed_form_energy(
     nbar_i is the level-N boson occupation.  Its exact form carries the
     mode-weighted combination sum_mu mu*l_mu; printed_weight=True evaluates
     the unweighted variant instead (wrong for M >= 3, kept for the erratum
-    regression).
+    regression).  The occupations, the spin power and the integer product
+    multiplying sum_i alpha_i are read from the sector's cached levels.
     """
     j, p, r = sector.j, sector.p, model.r
     n_top = sector.n_top
+    levels = sector_levels(model, sector)
 
     energy = 0.0
     if model.M > 0:
@@ -194,21 +196,14 @@ def closed_form_energy(
                              ) - Fraction(1, ki)
                 energy += wi * float(nbar)
         else:
-            occ_top = boson_occupations(model, sector, n_top)
+            occ_top = levels.occupations[n_top].tolist()
             energy += sum(wi * ni for wi, ni in zip(model.w, occ_top))
 
-    energy += model.g_prime * float((r * n_top - j + p) ** model.s)
+    energy += model.g_prime * float(levels.spin_powers[n_top])
     energy += model.constant_shift
 
     if n_top > 0:
-        coeff = Fraction(1)
-        for i in range(1, r + 1):
-            coeff *= 2 * j - p - i + 1 - r * (n_top - 1)
-        occ_prev = boson_occupations(model, sector, n_top - 1)
-        for ki, ni in zip(model.k, occ_prev):
-            for v in range(1, ki + 1):
-                coeff *= ni - v + 1
-        energy -= model.g * float(coeff) * roots_sum.real
+        energy -= model.g * levels.root_sum_coeff * roots_sum.real
     return energy
 
 

@@ -32,6 +32,10 @@ from .presets import PRESET_NAMES, PRESET_PARAMS, preset
 from .verify import DEFAULT_SEED, errata_report, run_verification
 
 
+# the Tolerances fields settable by --tol-* flags and a config's "tolerances"
+TOL_KEYS = ("eigen", "roots", "newton", "bae", "match")
+
+
 class UsageError(ValueError):
     """Bad flags or config content; maps to exit code 1."""
 
@@ -73,7 +77,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "csv"), dest="fmt")
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int)
-        for key in ("eigen", "roots", "newton", "bae", "match"):
+        for key in TOL_KEYS:
             p.add_argument(f"--tol-{key}", type=float, dest=f"tol_{key}")
 
     p_sectors = sub.add_parser("sectors", help="enumerate invariant sectors")
@@ -109,14 +113,31 @@ def _parse_params(pairs: list[str]) -> dict:
     return out
 
 
+def _read_config_file(path: str | None) -> dict:
+    """The parsed JSON config file, or {} when no --config was given."""
+    if not path:
+        return {}
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+
+
+def merged_tolerances(file_cfg: dict, args: argparse.Namespace) -> Tolerances:
+    """DEFAULT_TOLS, overridden by the config's "tolerances", then by --tol-*.
+
+    A namespace without some --tol-* flag leaves that tolerance to the file.
+    """
+    file_tols = file_cfg.get("tolerances", {})
+    tols = with_overrides(DEFAULT_TOLS,
+                          **{key: file_tols.get(key) for key in TOL_KEYS})
+    return with_overrides(tols, **{key: getattr(args, f"tol_{key}", None)
+                                   for key in TOL_KEYS})
+
+
 def _load_config(args: argparse.Namespace, need_j: bool = True) -> RunConfig:
-    file_cfg: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+    file_cfg = _read_config_file(args.config)
 
     def pick(flag, key, default=None):
         return flag if flag is not None else file_cfg.get(key, default)
@@ -163,24 +184,12 @@ def _load_config(args: argparse.Namespace, need_j: bool = True) -> RunConfig:
             occupations = tuple(int(x) for x in (n_raw or ()))
         reference = ReferenceState(parse_rational(mu_raw), occupations)
 
-    tol_file = file_cfg.get("tolerances", {})
-    tols = with_overrides(
-        DEFAULT_TOLS,
-        **{key: tol_file.get(key) for key in
-           ("eigen", "roots", "newton", "bae", "match")},
-    )
-    tols = with_overrides(
-        tols,
-        eigen=args.tol_eigen, roots=args.tol_roots, newton=args.tol_newton,
-        bae=args.tol_bae, match=args.tol_match,
-    )
-
     return RunConfig(
         model=model,
         j=j,
         reference=reference,
         max_bosons=int(pick(args.max_bosons, "max_bosons", 0)),
-        tols=tols,
+        tols=merged_tolerances(file_cfg, args),
         fmt=pick(args.fmt, "format", "json"),
         output=pick(args.output, "output"),
         seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
@@ -275,25 +284,32 @@ def cmd_roots(cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tols = with_overrides(
-        DEFAULT_TOLS,
-        eigen=args.tol_eigen, roots=args.tol_roots, newton=args.tol_newton,
-        bae=args.tol_bae, match=args.tol_match,
-    )
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    results = run_verification(seed=seed, tols=tols, n_draws=args.draws)
+    """Run the battery; flags override the config file's tolerances and seed.
+
+    An explicit --format json without --output prints only the JSON report;
+    otherwise the text report is printed (and --output receives the JSON).
+    """
+    file_cfg = _read_config_file(args.config)
+    seed = int(args.seed if args.seed is not None
+               else file_cfg.get("seed", DEFAULT_SEED))
+    results = run_verification(seed=seed, tols=merged_tolerances(file_cfg, args),
+                               n_draws=args.draws)
     errata = errata_report()
     all_passed = all(r.passed for r in results)
+    code = 0 if all_passed else 2
 
-    if (args.fmt or "json") == "json" and args.output:
-        payload = {
+    if args.fmt == "json" or (args.fmt is None and args.output):
+        payload = _dump_json({
             "passed": all_passed,
-            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+            "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail}
                        for r in results],
             "errata": errata,
-        }
+        })
+        if not args.output:
+            print(payload)
+            return code
         with open(args.output, "w") as fh:
-            fh.write(_dump_json(payload))
+            fh.write(payload)
     for r in results:
         print(r.line())
     print("errata registry:")
@@ -302,7 +318,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"  {e['key']}: {mark} (printed {e['printed_deviation']:.1e}, "
               f"corrected {e['corrected_deviation']:.1e})")
     print("verification:", "PASS" if all_passed else "FAIL")
-    return 0 if all_passed else 2
+    return code
 
 
 def cmd_preset(args: argparse.Namespace) -> int:

@@ -15,9 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rational = Fraction
+
+# Bounds of the coupling-free caches: label enumerations per (M, r, k, j, cap),
+# and per-sector data per (M, r, s, k, sector) in operators and representation.
+# One acceptance-sweep draw touches 292 sectors in 42 enumerations.
+ENUMERATION_CACHE_SIZE = 64
+SECTOR_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +212,19 @@ def sector_from_reference(
         )
     if any(n < 0 for n in ref.n_bosons):
         raise ValueError("boson occupation numbers must be non-negative")
+    return _sector_labels(model, j, int(t), ref.n_bosons)
 
-    t = int(t)
+
+def _sector_labels(
+    model: ModelSpec, j: Rational, t: int, n_bosons: tuple[int, ...]
+) -> SectorLabels:
+    """sector_from_reference without the input checks, for mu + j = t."""
     p = t % model.r
     n_spin = t // model.r
 
     q: list[Rational] = []
     m: list[int] = []
-    for ki, ni in zip(model.k, ref.n_bosons):
+    for ki, ni in zip(model.k, n_bosons):
         rho = ni % ki
         q.append(Rational(rho * ki + 1, ki * ki))
         m.append(ni // ki)
@@ -242,6 +254,25 @@ def boson_occupations(model: ModelSpec, sector: SectorLabels, n: int) -> tuple[i
     return tuple(occ)
 
 
+def level_occupations(k: tuple[int, ...], sector: SectorLabels) -> list[tuple[int, ...]]:
+    """boson_occupations at every ladder level 0..n_top, in integer arithmetic.
+
+    Level 0 is one exact evaluation; level n is then n_i(0) - k_i n, which
+    decreases with n, so checking the top level covers every level.
+    """
+    occ0 = []
+    for ki, qi, ai in zip(k, sector.q, sector.A):
+        val = ki * (ai + qi - Rational(1, ki * ki))
+        if val.denominator != 1 or val < 0:
+            raise ValueError(f"level n=0 is outside the sector (occupation {val})")
+        occ0.append(int(val))
+    for ni, ki in zip(occ0, k):
+        if ni - ki * sector.n_top < 0:
+            raise ValueError(f"level n={sector.n_top} is outside the sector "
+                             f"(occupation {ni - ki * sector.n_top})")
+    return [tuple(ni - ki * n for ni, ki in zip(occ0, k)) for n in range(sector.dim)]
+
+
 def reference_of_level(model: ModelSpec, sector: SectorLabels, n: int) -> ReferenceState:
     """The product state sitting at ladder level n of the sector."""
     mu = sector.p + model.r * n - sector.j
@@ -268,7 +299,10 @@ def enumerate_sectors(
     """All distinct sectors reachable from product states with sum(n_i) <= cap.
 
     Every mu is scanned; the result is deduplicated on the exact label tuple
-    and returned in a deterministic order (sorted by p, kappa, l, q).
+    and returned in a deterministic order (sorted by p, kappa, l, q).  The
+    labels depend only on (M, r, k, j, cap), so each such enumeration is
+    computed once and kept in a cache bounded by ENUMERATION_CACHE_SIZE;
+    every call returns a new list.
     """
     validate_model(model)
     j = parse_rational(j)
@@ -276,6 +310,14 @@ def enumerate_sectors(
         raise ValueError(f"j must be a non-negative half-integer, got {j}")
     if max_total_bosons < 0:
         raise ValueError("max_total_bosons must be >= 0")
+    return list(_enumerate_sectors(model.M, model.r, model.k, j, max_total_bosons))
+
+
+@lru_cache(maxsize=ENUMERATION_CACHE_SIZE)
+def _enumerate_sectors(
+    M: int, r: int, k: tuple[int, ...], j: Rational, max_total_bosons: int
+) -> tuple[SectorLabels, ...]:
+    shape = ModelSpec(M=M, r=r, s=1, k=k, w=(0.0,) * M, g_prime=0.0, g=0.0)
 
     def occupations(modes: int, budget: int) -> Iterable[tuple[int, ...]]:
         if modes == 0:
@@ -286,9 +328,7 @@ def enumerate_sectors(
                 yield (head,) + tail
 
     seen: set[SectorLabels] = set()
-    two_j = int(2 * j)
-    for t in range(two_j + 1):
-        mu = Rational(t) - j
-        for ns in occupations(model.M, max_total_bosons):
-            seen.add(sector_from_reference(model, j, ReferenceState(mu, ns)))
-    return sorted(seen)
+    for t in range(int(2 * j) + 1):
+        for ns in occupations(M, max_total_bosons):
+            seen.add(_sector_labels(shape, j, t, ns))
+    return tuple(sorted(seen))

@@ -15,11 +15,12 @@ on the monomial basis {1, z, z^2, ...}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
-from .model import ModelSpec, SectorLabels, boson_occupations
+from .model import SECTOR_CACHE_SIZE, ModelSpec, SectorLabels, level_occupations
 
 Poly = np.ndarray  # ascending coefficients, index = power of z
 
@@ -238,41 +239,60 @@ def build_hamiltonian_operator(model: ModelSpec, sector: SectorLabels) -> EulerO
     The z^{-1} factor is resolved by expanding the product first and checking
     that its constant part vanishes (it does for every allowed p), then
     shifting; constant_shift is added to P_0 at the end.
+
+    The couplings enter linearly, so the coupling-free operators
+    B_i = n_i(0) - k_i E, S = ((p - j) + r E)^s, L = (lowering)/z and
+    R = z (raising) are assembled once per (M, r, s, k, sector) and kept,
+    packed, in a cache bounded by model.SECTOR_CACHE_SIZE.  Each call sums
+    sum_i w_i B_i + g' S + g L + g R + constant_shift in that order, from
+    zero, which reproduces the terms of the operator-by-operator assembly
+    bit for bit.  The returned operator owns its coefficient arrays.
     """
-    j = sector.j
-    p = sector.p
-    r = model.r
+    pieces = _hamiltonian_pieces(model.M, model.r, model.s, model.k, sector)
+    packed = np.zeros(pieces.shape[1:])
+    for weight, piece in zip(model.w + (model.g_prime, model.g, model.g), pieces):
+        packed += weight * piece
+    packed[0, 0] += model.constant_shift
+    return EulerOperator(dict(enumerate(packed)))
 
-    h = EulerOperator.zero()
 
-    if model.M > 0:
-        n0 = boson_occupations(model, sector, 0)
-        for wi, ki, n0i in zip(model.w, model.k, n0):
-            h = h + wi * EulerOperator.euler_affine(float(n0i), -float(ki))
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _hamiltonian_pieces(
+    M: int, r: int, s: int, k: tuple[int, ...], sector: SectorLabels
+) -> np.ndarray:
+    """The read-only stack [B_1 .. B_M, S, L, R]; row d of a piece is its P_d."""
+    j, p = sector.j, sector.p
+    n0 = level_occupations(k, sector)[0]
+    pieces = [EulerOperator.euler_affine(float(n0i), -float(ki))
+              for ki, n0i in zip(k, n0)]
 
     spin_base = EulerOperator.euler_affine(float(Fraction(p) - j), float(r))
-    h = h + model.g_prime * _product([spin_base] * model.s)
+    pieces.append(_product([spin_base] * s))
 
     lowering = _product(
         [EulerOperator.euler_affine(float(p - i + 1), float(r)) for i in range(1, r + 1)]
     )
-    h = h + model.g * lowering.divide_by_z()
+    pieces.append(lowering.divide_by_z())
 
     raise_factors = [
         EulerOperator.euler_affine(float(2 * j - p - i + 1), -float(r))
         for i in range(1, r + 1)
     ]
-    if model.M > 0:
-        for ki, n0i in zip(model.k, n0):
-            for v in range(1, ki + 1):
-                raise_factors.append(
-                    EulerOperator.euler_affine(float(n0i - v + 1), -float(ki))
-                )
-    h = h + model.g * (EulerOperator.z_poly([0.0, 1.0]) @ _product(raise_factors))
+    for ki, n0i in zip(k, n0):
+        for v in range(1, ki + 1):
+            raise_factors.append(
+                EulerOperator.euler_affine(float(n0i - v + 1), -float(ki))
+            )
+    pieces.append(EulerOperator.z_poly([0.0, 1.0]) @ _product(raise_factors))
 
-    if model.constant_shift:
-        h = h + model.constant_shift * EulerOperator.identity()
-    return h
+    order = max(piece.order for piece in pieces)
+    width = max(c.size for piece in pieces for c in piece.terms.values())
+    packed = np.zeros((len(pieces), order + 1, width))
+    for i, piece in enumerate(pieces):
+        for d, coeffs in piece.terms.items():
+            packed[i, d, : coeffs.size] = coeffs
+    packed.flags.writeable = False
+    return packed
 
 
 def extract_polynomials(h: EulerOperator) -> list[Poly]:

@@ -28,10 +28,9 @@ from .model import (
 )
 from .operators import EulerOperator, apply_to_monomials, poly_trim
 from .representation import (
-    _pminus_band,
-    _pplus_band,
     commutator_rhs,
     fock_oracle,
+    ladder_operators,
     norm_scale,
 )
 
@@ -437,20 +436,9 @@ def _check_energy_weight() -> tuple[float, float]:
 
 
 def _commutator_dev(model: ModelSpec, sector: SectorLabels, printed: bool) -> float:
-    dim = sector.dim
-    p0_diag = np.array(
-        [float((Fraction(sector.p) - sector.j) / model.r + n - sector.kappa)
-         for n in range(dim)]
-    )
-    up = _pplus_band(model, sector)
-    down = _pminus_band(model, sector)
-    pplus = np.zeros((dim, dim))
-    pminus = np.zeros((dim, dim))
-    for n in range(dim - 1):
-        pplus[n + 1, n] = up[n]
-        pminus[n, n + 1] = down[n]
+    p0, pplus, pminus = ladder_operators(model, sector)
     comm = pplus @ pminus - pminus @ pplus
-    rhs = commutator_rhs(model, sector, p0_diag, printed_sign=printed)
+    rhs = commutator_rhs(model, sector, np.diag(p0), printed_sign=printed)
     scale = max(1.0, float(np.max(np.abs(comm))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(comm - np.diag(rhs)))) / scale
 

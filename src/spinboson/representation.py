@@ -19,11 +19,12 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .model import (
+    SECTOR_CACHE_SIZE,
     ModelSpec,
     Rational,
     ReferenceState,
     SectorLabels,
-    boson_occupations,
+    level_occupations,
     parse_rational,
     sector_from_reference,
     validate_model,
@@ -60,38 +61,71 @@ def _exact_sqrt_product(radicands: list[Fraction]) -> float:
     return sqrt(float(prod))
 
 
-def _raising_radicands(model: ModelSpec, sector: SectorLabels, n: int) -> list[Fraction]:
+def _raising_radicands(
+    model: ModelSpec, sector: SectorLabels, n: int, occ: tuple[int, ...]
+) -> list[Fraction]:
+    """Radicands of the n -> n+1 amplitude; occ holds the level-n occupations."""
     j, p, r = sector.j, sector.p, model.r
     rads = [Fraction((p + i + r * n) * (2 * j - p - i + 1 - r * n)) for i in range(1, r + 1)]
-    occ = boson_occupations(model, sector, n)
     for ki, ni in zip(model.k, occ):
         rads.extend(Fraction(ni - v + 1, ki) for v in range(1, ki + 1))
     return rads
 
 
-def _lowering_radicands(model: ModelSpec, sector: SectorLabels, n: int) -> list[Fraction]:
+def _lowering_radicands(
+    model: ModelSpec, sector: SectorLabels, n: int, occ: tuple[int, ...]
+) -> list[Fraction]:
+    """Radicands of the n -> n-1 amplitude; occ holds the level-n occupations."""
     j, p, r = sector.j, sector.p, model.r
     rads = [Fraction((p - i + 1 + r * n) * (2 * j - p + i - r * n)) for i in range(1, r + 1)]
-    occ = boson_occupations(model, sector, n)
     for ki, ni in zip(model.k, occ):
         rads.extend(Fraction(ni + v, ki) for v in range(1, ki + 1))
     return rads
 
 
+def _p0_diag(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
+    """Eigenvalues (p - j)/r + n - kappa of P0, one per ladder level."""
+    return np.array(
+        [float((Fraction(sector.p) - sector.j) / model.r + n - sector.kappa)
+         for n in range(sector.dim)]
+    )
+
+
 def _pplus_band(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
     """Sub-diagonal amplitudes of the raising operator, levels n -> n+1."""
+    occ = level_occupations(model.k, sector)
     return np.array(
-        [_exact_sqrt_product(_raising_radicands(model, sector, n))
+        [_exact_sqrt_product(_raising_radicands(model, sector, n, occ[n]))
          for n in range(sector.dim - 1)]
     )
 
 
 def _pminus_band(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
     """Super-diagonal amplitudes of the lowering operator, levels n -> n-1."""
+    occ = level_occupations(model.k, sector)
     return np.array(
-        [_exact_sqrt_product(_lowering_radicands(model, sector, n))
+        [_exact_sqrt_product(_lowering_radicands(model, sector, n, occ[n]))
          for n in range(1, sector.dim)]
     )
+
+
+def _ladder_matrices(
+    p0_diag: np.ndarray, up: np.ndarray, down: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense P0, Pplus and Pminus from the diagonal and the two bands."""
+    return np.diag(p0_diag), np.diag(up, -1), np.diag(down, 1)
+
+
+def ladder_operators(
+    model: ModelSpec, sector: SectorLabels
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P0, Pplus and Pminus on the sector, built afresh from the closed forms.
+
+    The same construction as sector_matrices, without its cache: the algebra
+    checks judge the matrix elements as the current code computes them.
+    """
+    return _ladder_matrices(_p0_diag(model, sector), _pplus_band(model, sector),
+                            _pminus_band(model, sector))
 
 
 def norm_scale(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
@@ -99,12 +133,67 @@ def norm_scale(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
     j, p, r = sector.j, sector.p, model.r
     two_j = int(2 * j)
     out = np.empty(sector.dim)
-    for n in range(sector.dim):
+    for n, occ in enumerate(level_occupations(model.k, sector)):
         prod = factorial(p + r * n) * factorial(two_j - p - r * n)
-        for ni in boson_occupations(model, sector, n):
+        for ni in occ:
             prod *= factorial(ni)
         out[n] = sqrt(float(prod))
     return out
+
+
+@dataclass(frozen=True, slots=True)
+class SectorLevels:
+    """The coupling-free data of one sector, level by level.
+
+    Every array is read-only.  occupations[n] are the boson occupations at
+    ladder level n; spin_powers[n] = (p - j + r n)^s is the eigenvalue of
+    (r (P0 + kappa))^s; root_sum_coeff is the integer product
+    prod_i (2j - p - i + 1 - r(N-1)) prod_i prod_v (n_i(N-1) - v + 1) that
+    multiplies -g sum_i alpha_i in the closed-form energy (0.0 when N = 0).
+    """
+
+    p0_diag: np.ndarray
+    pplus_band: np.ndarray
+    pminus_band: np.ndarray
+    occupations: np.ndarray
+    spin_powers: np.ndarray
+    norm_scale: np.ndarray
+    root_sum_coeff: float
+
+
+def sector_levels(model: ModelSpec, sector: SectorLabels) -> SectorLevels:
+    """The sector's SectorLevels, computed once per (M, r, s, k, sector) and
+    kept in a cache bounded by model.SECTOR_CACHE_SIZE."""
+    return _sector_levels(model.M, model.r, model.s, model.k, sector)
+
+
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _sector_levels(
+    M: int, r: int, s: int, k: tuple[int, ...], sector: SectorLabels
+) -> SectorLevels:
+    shape = ModelSpec(M=M, r=r, s=s, k=k, w=(0.0,) * M, g_prime=0.0, g=0.0)
+    j, p, n_top = sector.j, sector.p, sector.n_top
+    p0_diag = _p0_diag(shape, sector)
+    up = _pplus_band(shape, sector)
+    down = _pminus_band(shape, sector)
+    occ = level_occupations(k, sector)
+    spin_powers = np.array(
+        [float((Fraction(p) - j + r * n) ** s) for n in range(sector.dim)])
+    scale = norm_scale(shape, sector)
+
+    coeff = 0
+    if n_top > 0:
+        coeff = 1
+        for i in range(1, r + 1):
+            coeff *= int(2 * j - p - i + 1 - r * (n_top - 1))
+        for ki, ni in zip(k, occ[n_top - 1]):
+            for v in range(1, ki + 1):
+                coeff *= ni - v + 1
+
+    arrays = (p0_diag, up, down, np.array(occ, dtype=np.int64), spin_powers, scale)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return SectorLevels(*arrays, root_sum_coeff=float(coeff))
 
 
 def sector_matrices(
@@ -116,31 +205,23 @@ def sector_matrices(
 
     H = sum_i w_i N_i + g' (r(P0 + kappa))^s
         + g prod_i k_i^{k_i/2} (Pplus + Pminus) + constant_shift.
+
+    The diagonal of P0, the ladder bands, the occupations, the spin powers
+    and norm_scale come from sector_levels (cached per model shape and
+    sector); each call combines them with w, g', g and constant_shift and
+    returns arrays of its own.
     """
     validate_model(model)
-    dim = sector.dim
-    j, p, r = sector.j, sector.p, model.r
+    levels = sector_levels(model, sector)
+    P0, Pplus, Pminus = _ladder_matrices(levels.p0_diag, levels.pplus_band,
+                                         levels.pminus_band)
 
-    p0_diag = np.array(
-        [float((Fraction(p) - j) / r + n - sector.kappa) for n in range(dim)]
-    )
-    P0 = np.diag(p0_diag)
-
-    up = _pplus_band(model, sector)
-    down = _pminus_band(model, sector)
-    Pplus = np.zeros((dim, dim))
-    Pminus = np.zeros((dim, dim))
-    for n in range(dim - 1):
-        Pplus[n + 1, n] = up[n]
-        Pminus[n, n + 1] = down[n]
-
-    h = np.zeros((dim, dim))
-    for n in range(dim):
-        occ = boson_occupations(model, sector, n)
-        h[n, n] += sum(wi * ni for wi, ni in zip(model.w, occ))
-        spin_val = Fraction(p) - j + r * n  # r * (P0 + kappa) eigenvalue
-        h[n, n] += model.g_prime * float(spin_val**model.s)
-        h[n, n] += model.constant_shift
+    diag = np.zeros(sector.dim)
+    for wi, occ_i in zip(model.w, levels.occupations.T):
+        diag += wi * occ_i
+    diag += model.g_prime * levels.spin_powers
+    diag += model.constant_shift
+    h = np.diag(diag)
     coupling = model.g
     for ki in model.k:
         coupling *= float(ki) ** (ki / 2.0)
@@ -152,7 +233,7 @@ def sector_matrices(
         raise AssertionError(f"sector H asymmetry {asym:.3e} exceeds {symmetry_rtol:g}")
     h = (h + h.T) / 2.0
 
-    return SectorMatrices(P0, Pplus, Pminus, h, norm_scale(model, sector))
+    return SectorMatrices(P0, Pplus, Pminus, h, levels.norm_scale.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +313,19 @@ class AlgebraDiagnostics:
 def check_algebra(model: ModelSpec, sector: SectorLabels) -> AlgebraDiagnostics:
     """Numerically check the ladder relations and annihilation conditions."""
     validate_model(model)
-    dim = sector.dim
-    p0_diag = np.array(
-        [float((Fraction(sector.p) - sector.j) / model.r + n - sector.kappa)
-         for n in range(dim)]
-    )
-    P0 = np.diag(p0_diag)
-    up = _pplus_band(model, sector)
-    down = _pminus_band(model, sector)
-    Pplus = np.zeros((dim, dim))
-    Pminus = np.zeros((dim, dim))
-    for n in range(dim - 1):
-        Pplus[n + 1, n] = up[n]
-        Pminus[n, n + 1] = down[n]
+    P0, Pplus, Pminus = ladder_operators(model, sector)
 
     comm_pm_mat = Pplus @ Pminus - Pminus @ Pplus
-    rhs = commutator_rhs(model, sector, p0_diag)
+    rhs = commutator_rhs(model, sector, np.diag(P0))
 
     dev_plus = np.max(np.abs((P0 @ Pplus - Pplus @ P0) - Pplus), initial=0.0)
     dev_minus = np.max(np.abs((P0 @ Pminus - Pminus @ P0) + Pminus), initial=0.0)
     dev_pm = np.max(np.abs(comm_pm_mat - np.diag(rhs)), initial=0.0)
 
-    lowest = _exact_sqrt_product(_lowering_radicands(model, sector, 0))
-    highest = _exact_sqrt_product(_raising_radicands(model, sector, sector.n_top))
+    occ = level_occupations(model.k, sector)
+    lowest = _exact_sqrt_product(_lowering_radicands(model, sector, 0, occ[0]))
+    highest = _exact_sqrt_product(
+        _raising_radicands(model, sector, sector.n_top, occ[sector.n_top]))
 
     scale = max(
         1.0,

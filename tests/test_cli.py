@@ -234,6 +234,44 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL" in out
 
+    def test_config_file_tolerances_and_seed(self, capsys, monkeypatch, tmp_path):
+        import spinboson.cli as cli_mod
+        from spinboson.verify import CheckResult
+
+        seen = {}
+
+        def stub(seed, tols, n_draws):
+            seen.update(seed=seed, tols=tols)
+            return [CheckResult("stub", True, "ok")]
+
+        monkeypatch.setattr(cli_mod, "run_verification", stub)
+        monkeypatch.setattr(cli_mod, "errata_report", lambda: [])
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps({"tolerances": {"match": 1e-15}, "seed": 7}))
+        code, _, _ = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 0
+        assert seen["seed"] == 7 and seen["tols"].match == 1e-15
+        # flags still override the file
+        code, _, _ = run_cli(capsys, "verify", "--config", str(path),
+                             "--seed", "3", "--tol-match", "1e-9")
+        assert seen["seed"] == 3 and seen["tols"].match == 1e-9
+
+    def test_json_format_prints_only_the_payload(self, capsys, monkeypatch):
+        from spinboson.verify import CheckResult
+
+        import spinboson.cli as cli_mod
+
+        # checks compute their verdicts with numpy, as numpy bools
+        monkeypatch.setattr(
+            cli_mod, "run_verification",
+            lambda seed, tols, n_draws: [CheckResult("stub", np.bool_(False), "broken")])
+        monkeypatch.setattr(cli_mod, "errata_report", lambda: [])
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload == {"passed": False, "errata": [], "checks": [
+            {"name": "stub", "passed": False, "detail": "broken"}]}
+
     def test_tightened_tolerance_fails(self, capsys):
         # real run at an unreachable tolerance: controlled failure, exit 2
         code, out, _ = run_cli(capsys, "verify", "--draws", "1",
