@@ -2,8 +2,12 @@
 
 On a sector of dimension N+1 every eigenfunction is (up to scale) a monic
 polynomial psi(z) = prod_i (z - alpha_i) of degree N.  The production path
-RECOVERS the roots: diagonalize the sector matrix, rescale the eigenvector to
-monomial coefficients, and factorize.  The coupled root equations
+RECOVERS the roots: diagonalize the sector matrix, rescale the eigenvectors to
+monomial coefficients, and factorize.  All N+1 states of a sector share the
+coefficient polynomials P_d, so their roots and certificates are computed
+once per sector on a stack of states; only states whose certificate misses
+fall back, one at a time, to the recurrence and Newton paths.  The coupled
+root equations
 
     sum_{i=2}^{order} sum_{n_1<..<n_{i-1} != mu} P_i(a_mu) i! /
         ((a_mu - a_{n_1}) ... (a_mu - a_{n_{i-1}}))  +  P_1(a_mu)  =  0
@@ -56,12 +60,17 @@ class BetheState:
 
 
 def poly_from_roots(roots: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the monic polynomial prod (z - root)."""
-    coeffs = np.array([1.0 + 0.0j])
-    for root in np.atleast_1d(roots):
-        shifted = np.concatenate(([0.0 + 0.0j], coeffs))
-        shifted[:-1] -= root * coeffs
-        coeffs = shifted
+    """Ascending coefficients of the monic polynomial prod (z - root); for a
+    stack of root rows, one polynomial per row."""
+    roots = np.atleast_1d(roots)
+    n = roots.shape[-1]
+    # the product of the first k factors sits right-aligned in coeffs[n-k:],
+    # its z^m coefficient at n - k + m, so multiplying by (z - root) shifts
+    # nothing: each entry loses root times its right neighbour
+    coeffs = np.zeros(roots.shape[:-1] + (n + 1,), dtype=complex)
+    coeffs[..., n] = 1.0
+    for k in range(n):
+        coeffs[..., n - k - 1 : n] -= roots[..., k, None] * coeffs[..., n - k :]
     return coeffs
 
 
@@ -75,26 +84,35 @@ def _elem_sym(values: np.ndarray, upto: int) -> np.ndarray:
     return e
 
 
-def root_scale(roots: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(roots), initial=0.0)))
+def _per_row(values: np.ndarray):
+    """A float for one root set, the array for a stack of them."""
+    return float(values) if values.ndim == 0 else values
 
 
-def min_root_distance(roots: np.ndarray) -> float:
-    if roots.size < 2:
-        return float("inf")
-    diff = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(np.min(diff))
+def root_scale(roots: np.ndarray):
+    """max(1, max |root|), per row for a stack of root sets."""
+    return _per_row(np.maximum(1.0, np.max(np.abs(roots), axis=-1, initial=0.0)))
 
 
-def residual_scale(polys: list[np.ndarray], roots: np.ndarray) -> float:
-    """max_i sup_{|z| = scale} |P_i| used to normalize residual magnitudes."""
-    zscale = root_scale(roots)
-    best = 0.0
+def min_root_distance(roots: np.ndarray):
+    """Smallest pairwise root distance (inf below two roots), per row."""
+    n = roots.shape[-1]
+    if n < 2:
+        return _per_row(np.full(roots.shape[:-1], np.inf))
+    diff = np.abs(roots[..., :, None] - roots[..., None, :])
+    diff[..., np.arange(n), np.arange(n)] = np.inf
+    return _per_row(np.min(diff, axis=(-2, -1)))
+
+
+def residual_scale(polys: list[np.ndarray], roots: np.ndarray):
+    """max_i sup_{|z| = scale} |P_i| used to normalize residual magnitudes,
+    per row for a stack of root sets."""
+    zscale = np.asarray(root_scale(roots))
+    best = np.zeros(zscale.shape)
     for p in polys[1:]:
         if p.size:
-            best = max(best, float(poly_eval(np.abs(p), zscale).real))
-    return max(best, 1.0)
+            best = np.maximum(best, poly_eval(np.abs(p), zscale).real)
+    return _per_row(np.maximum(best, 1.0))
 
 
 def bae_residuals(
@@ -106,17 +124,21 @@ def bae_residuals(
 ) -> np.ndarray:
     """Residual of each coupled root equation at the given roots.
 
-    Requires pairwise distinct roots (the derivation assumes simple poles);
-    raises ValueError when two roots are closer than cluster_rtol x scale.
+    `roots` is one root set or a stack of them (leading batch axis); each
+    row's residuals are those of a call with that row alone.  Requires
+    pairwise distinct roots (the derivation assumes simple poles); raises
+    ValueError when two roots of a row are closer than cluster_rtol x scale.
     """
-    roots = np.atleast_1d(np.asarray(roots, dtype=complex))
-    n = roots.size
+    roots = np.asarray(roots, dtype=complex)
+    if roots.ndim == 0:
+        roots = roots[None]
+    n = roots.shape[-1]
     expected = sector.n_top
     if n != expected:
         raise ValueError(f"expected {expected} roots, got {n}")
     if n == 0:
-        return np.zeros(0, dtype=complex)
-    if min_root_distance(roots) <= cluster_rtol * root_scale(roots):
+        return np.zeros(roots.shape, dtype=complex)
+    if np.any(min_root_distance(roots) <= cluster_rtol * root_scale(roots)):
         raise ValueError("coincident roots: residuals are not defined")
 
     if polys is None:
@@ -125,20 +147,22 @@ def bae_residuals(
 
     # row mu of e holds the elementary symmetric sums of 1/(a_mu - a_nu) over
     # nu != mu; the zeroed diagonal contributes nothing
-    diff = roots[:, None] - roots[None, :]
-    np.fill_diagonal(diff, 1.0)
+    diag = (np.arange(n), np.arange(n))
+    diff = roots[..., :, None] - roots[..., None, :]
+    diff[(...,) + diag] = 1.0
     inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
+    inv[(...,) + diag] = 0.0
     upto = min(order - 1, n - 1)
-    e = np.zeros((n, upto + 1), dtype=complex)
-    e[:, 0] = 1.0
-    for col in inv.T:
-        e[:, 1:] += col[:, None] * e[:, :-1]
+    e = np.zeros(roots.shape + (upto + 1,), dtype=complex)
+    e[..., 0] = 1.0
+    for nu in range(n):
+        e[..., 1:] += inv[..., :, nu, None] * e[..., :-1]
 
-    res = poly_eval(polys[1], roots) if polys[1].size else np.zeros(n, dtype=complex)
+    res = (poly_eval(polys[1], roots) if polys[1].size
+           else np.zeros(roots.shape, dtype=complex))
     for i in range(2, upto + 2):
         if polys[i].size:
-            res = res + poly_eval(polys[i], roots) * factorial(i) * e[:, i - 1]
+            res = res + poly_eval(polys[i], roots) * factorial(i) * e[..., i - 1]
     return res
 
 
@@ -250,17 +274,21 @@ def energy_from_roots(
 # ---------------------------------------------------------------------------
 
 def _verify_eigen_equation(
-    mono: np.ndarray, psi: np.ndarray, energy: float, tol: float
-) -> bool:
+    mono: np.ndarray, psi: np.ndarray, energies: np.ndarray, tol: float
+) -> np.ndarray:
+    """Per row of psi (ascending coefficients, at most mono's width): whether
+    the monomial action reproduces energies[row] * psi within tol, relative to
+    the scales of the action, the energy and psi."""
     n_rows, n_cols = mono.shape
-    padded = np.zeros(n_cols, dtype=complex)
-    padded[: psi.size] = psi
-    image = mono @ padded
-    target = np.zeros(n_rows, dtype=complex)
-    target[:n_cols] = energy * padded
-    scale = max(1.0, float(np.max(np.abs(mono))), abs(energy))
-    dev = np.max(np.abs(image - target)) / (scale * max(1.0, float(np.max(np.abs(psi)))))
-    return bool(dev <= tol)
+    padded = np.zeros((psi.shape[0], n_cols), dtype=complex)
+    padded[:, : psi.shape[1]] = psi
+    image = padded @ mono.T
+    target = np.zeros((psi.shape[0], n_rows), dtype=complex)
+    target[:, :n_cols] = energies[:, None] * padded
+    scale = np.maximum(max(1.0, float(np.max(np.abs(mono)))), np.abs(energies))
+    dev = (np.max(np.abs(image - target), axis=1)
+           / (scale * np.maximum(1.0, np.max(np.abs(psi), axis=1))))
+    return dev <= tol
 
 
 def _recurrence_coeffs(sq: np.ndarray, energy: float, direction: int) -> np.ndarray:
@@ -290,17 +318,26 @@ def _recurrence_coeffs(sq: np.ndarray, energy: float, direction: int) -> np.ndar
     return c
 
 
-def _scaled_bae_residual(
+def _scaled_bae_residuals(
     model: ModelSpec,
     sector: SectorLabels,
     roots: np.ndarray,
     polys: list[np.ndarray],
     tols: Tolerances,
-) -> tuple[np.ndarray, float]:
-    if min_root_distance(roots) <= tols.cluster * root_scale(roots):
-        return np.full(roots.size, np.nan, dtype=complex), float("inf")
-    res = bae_residuals(model, sector, roots, polys, tols.cluster)
-    return res, float(np.max(np.abs(res))) / residual_scale(polys, roots)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and max |residual| / residual_scale of each row of roots.
+
+    A row whose roots lie within tols.cluster x scale of each other has no
+    certificate: NaN residuals and an infinite scaled residual.
+    """
+    residuals = np.full(roots.shape, np.nan, dtype=complex)
+    scaled = np.full(roots.shape[0], np.inf)
+    ok = ~(min_root_distance(roots) <= tols.cluster * root_scale(roots))
+    if np.any(ok):
+        res = bae_residuals(model, sector, roots[ok], polys, tols.cluster)
+        residuals[ok] = res
+        scaled[ok] = np.max(np.abs(res), axis=1) / residual_scale(polys, roots[ok])
+    return residuals, scaled
 
 
 def _polish_roots(
@@ -333,70 +370,127 @@ def _polish_roots(
     return refined[order]
 
 
-def _state_from_eigenpair(
+def _fallback_roots(
+    model: ModelSpec,
+    sector: SectorLabels,
+    mono: np.ndarray,
+    value: float,
+    roots: np.ndarray,
+    residuals: np.ndarray,
+    scaled: float,
+    polys: list[np.ndarray],
+    tols: Tolerances,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Roots, residuals and refined flag of one state whose certificate
+    exceeds the polish trigger.
+
+    Eigenvectors spanning many orders of magnitude leave the small
+    coefficients relatively inaccurate; rebuild the coefficients by recursion
+    from the eigenvalue and, if the certificate still shows it, polish the
+    roots directly on the root equations.  A candidate replaces the roots
+    only when its scaled residual is smaller.
+    """
+    polish_trigger = 1e-2 * tols.bae
+    refined = False
+    sq = mono[: sector.n_top + 1, :]
+    for direction in (+1, -1):
+        cand_coeffs = _recurrence_coeffs(sq, value, direction)
+        if not np.all(np.isfinite(cand_coeffs)):
+            continue
+        cand_roots = polynomial_roots(cand_coeffs, tols.roots,
+                                      cluster_rtol=tols.cluster).roots
+        cand_res, cand_scaled = _scaled_bae_residuals(
+            model, sector, cand_roots[None], polys, tols)
+        if cand_scaled[0] < scaled:
+            roots, residuals, scaled = cand_roots, cand_res[0], cand_scaled[0]
+    if np.isfinite(scaled) and scaled > polish_trigger:
+        polished = _polish_roots(model, sector, roots, polys, tols)
+        if polished is not None:
+            cand_res, cand_scaled = _scaled_bae_residuals(
+                model, sector, polished[None], polys, tols)
+            if cand_scaled[0] < scaled:
+                roots, residuals, refined = polished, cand_res[0], True
+    return roots, residuals, refined
+
+
+def _states_from_eigenpairs(
     model: ModelSpec,
     sector: SectorLabels,
     mats: SectorMatrices,
-    value: float,
-    vector: np.ndarray,
-    index: int,
+    values: np.ndarray,
+    vectors: np.ndarray,
+    indices: list[int],
     polys: list[np.ndarray],
     mono: np.ndarray,
     tols: Tolerances,
-) -> BetheState:
+) -> list[BetheState]:
+    """The states of the eigenpairs (values[i], vectors[:, i]), reported as
+    eigen_index indices[i], recovered together.
+
+    The roots and the certificate of every column come from one stacked
+    pass; only states whose scaled certificate exceeds 1e-2 * tols.bae go
+    through the recurrence and Newton fallback, one at a time.  Errors are
+    those the columns meet in order: a column whose leading monomial
+    coefficient is at roundoff raises after the columns before it.
+    """
+    values = np.asarray(values, dtype=float)
     n_top = sector.n_top
     if n_top == 0:
-        verified = bool(abs(mono[0, 0] - value) <= tols.match * max(1.0, abs(value)))
-        return BetheState(sector, index, np.zeros(0, dtype=complex), float(value),
-                          np.zeros(0, dtype=complex), False, verified)
+        return [
+            BetheState(sector, idx, np.zeros(0, dtype=complex), float(value),
+                       np.zeros(0, dtype=complex), False,
+                       bool(abs(mono[0, 0] - value)
+                            <= tols.match * max(1.0, abs(value))))
+            for idx, value in zip(indices, values)
+        ]
 
-    coeffs = vector / mats.norm_scale
-    top = coeffs[-1]
-    if abs(top) <= 1e-12 * np.max(np.abs(coeffs)):
+    coeffs = vectors.T / mats.norm_scale
+    top = coeffs[:, -1]
+    peak = np.max(np.abs(coeffs), axis=1)
+    vanishing = np.abs(top) <= 1e-12 * peak
+    stop = int(np.argmax(vanishing)) if np.any(vanishing) else values.size
+    states = (_recover_states(model, sector, values[:stop],
+                              coeffs[:stop] / top[:stop, None], indices[:stop],
+                              polys, mono, tols)
+              if stop else [])
+    if stop < values.size:
         raise RuntimeError(
-            "vanishing leading coefficient in an eigenvector of an irreducible "
-            "tridiagonal matrix; labels or couplings are inconsistent"
+            f"eigenvector {indices[stop]} has its end component at roundoff: its "
+            f"z^{n_top} monomial coefficient is {abs(top[stop]) / peak[stop]:.3e} "
+            "of its largest (limit 1e-12), so its roots cannot be recovered from it"
         )
-    rootset = polynomial_roots(coeffs / top, tols.roots, cluster_rtol=tols.cluster)
-    roots = rootset.roots
-    residuals, scaled = _scaled_bae_residual(model, sector, roots, polys, tols)
+    return states
 
-    # eigenvectors spanning many orders of magnitude leave the small
-    # coefficients relatively inaccurate; when the certificate residual shows
-    # it, rebuild the coefficients by recursion from the eigenvalue and, if
-    # needed, polish the roots directly on the root equations
-    refined = False
-    polish_trigger = 1e-2 * tols.bae
-    if np.isfinite(scaled) and scaled > polish_trigger:
-        sq = mono[: n_top + 1, :]
-        for direction in (+1, -1):
-            cand_coeffs = _recurrence_coeffs(sq, float(value), direction)
-            if not np.all(np.isfinite(cand_coeffs)):
-                continue
-            cand_roots = polynomial_roots(cand_coeffs, tols.roots,
-                                          cluster_rtol=tols.cluster).roots
-            cand_res, cand_scaled = _scaled_bae_residual(
-                model, sector, cand_roots, polys, tols)
-            if cand_scaled < scaled:
-                roots, residuals, scaled = cand_roots, cand_res, cand_scaled
-        if np.isfinite(scaled) and scaled > polish_trigger:
-            polished = _polish_roots(model, sector, roots, polys, tols)
-            if polished is not None:
-                cand_res, cand_scaled = _scaled_bae_residual(
-                    model, sector, polished, polys, tols)
-                if cand_scaled < scaled:
-                    roots, residuals, scaled = polished, cand_res, cand_scaled
-                    refined = True
 
-    spacing = min_root_distance(roots)
-    degenerate = bool(spacing <= tols.bae_guard * root_scale(roots))
-    if not degenerate and not np.all(np.isfinite(residuals.view(float))):
-        degenerate = True
+def _recover_states(
+    model: ModelSpec,
+    sector: SectorLabels,
+    values: np.ndarray,
+    monic: np.ndarray,
+    indices: list[int],
+    polys: list[np.ndarray],
+    mono: np.ndarray,
+    tols: Tolerances,
+) -> list[BetheState]:
+    """States from the rows of monic psi coefficients (leading coefficient 1)."""
+    roots = polynomial_roots(monic, tols.roots, cluster_rtol=tols.cluster).roots
+    residuals, scaled = _scaled_bae_residuals(model, sector, roots, polys, tols)
+    refined = np.zeros(values.size, dtype=bool)
+    for i in np.flatnonzero(np.isfinite(scaled) & (scaled > 1e-2 * tols.bae)):
+        roots[i], residuals[i], refined[i] = _fallback_roots(
+            model, sector, mono, float(values[i]), roots[i], residuals[i],
+            scaled[i], polys, tols)
 
-    psi = poly_from_roots(roots)
-    verified = _verify_eigen_equation(mono, psi, float(value), tols.match)
-    return BetheState(sector, index, roots, float(value), residuals,
-                      degenerate, verified, refined=refined)
+    degenerate = ((min_root_distance(roots) <= tols.bae_guard * root_scale(roots))
+                  | ~np.all(np.isfinite(residuals.view(float)), axis=1))
+    verified = _verify_eigen_equation(mono, poly_from_roots(roots), values,
+                                      tols.match)
+    return [
+        BetheState(sector, idx, roots[i].copy(), float(values[i]),
+                   residuals[i].copy(), bool(degenerate[i]), bool(verified[i]),
+                   refined=bool(refined[i]))
+        for i, idx in enumerate(indices)
+    ]
 
 
 def recover_roots(
@@ -415,10 +509,10 @@ def recover_roots(
     h_op = build_hamiltonian_operator(model, sector)
     polys = extract_polynomials(h_op)
     mono = apply_to_monomials(h_op, sector.n_top)
-    return _state_from_eigenpair(
-        model, sector, mats, eig.values[eigen_index], eig.vectors[:, eigen_index],
-        eigen_index, polys, mono, tols,
-    )
+    return _states_from_eigenpairs(
+        model, sector, mats, eig.values[[eigen_index]],
+        eig.vectors[:, [eigen_index]], [eigen_index], polys, mono, tols,
+    )[0]
 
 
 def solve_sector(
@@ -438,26 +532,21 @@ def solve_sector(
     mono = apply_to_monomials(h_op, sector.n_top)
 
     if model.g == 0.0 and sector.n_top > 0:
-        states = []
-        for k in range(sector.dim):
-            energy = float(mats.H[k, k])
-            roots = np.zeros(k, dtype=complex)
-            psi = np.zeros(k + 1, dtype=complex)
-            psi[k] = 1.0
-            verified = _verify_eigen_equation(mono, psi, energy, tols.match)
-            states.append(BetheState(
-                sector, k, roots, energy, np.full(k, np.nan, dtype=complex),
-                degenerate_roots=k >= 2, verified=verified,
-            ))
+        energies = np.diag(mats.H).copy()
+        verified = _verify_eigen_equation(
+            mono, np.eye(sector.dim, dtype=complex), energies, tols.match)
+        states = [
+            BetheState(sector, k, np.zeros(k, dtype=complex), float(energies[k]),
+                       np.full(k, np.nan, dtype=complex),
+                       degenerate_roots=k >= 2, verified=bool(verified[k]))
+            for k in range(sector.dim)
+        ]
         return sorted(states, key=lambda st: st.energy)
 
     eig = jacobi_eigen(mats.H, tols.eigen)
     polys = extract_polynomials(h_op)
-    states = [
-        _state_from_eigenpair(model, sector, mats, eig.values[i],
-                              eig.vectors[:, i], i, polys, mono, tols)
-        for i in range(sector.dim)
-    ]
+    states = _states_from_eigenpairs(model, sector, mats, eig.values, eig.vectors,
+                                     list(range(sector.dim)), polys, mono, tols)
     if refine:
         states = [newton_refine_bae(model, sector, st, tols) for st in states]
     return sorted(states, key=lambda st: st.energy)

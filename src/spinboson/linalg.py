@@ -2,6 +2,10 @@
 Aberth-Ehrlich root polish from companion-matrix eigenvalues, damped Newton
 with a forward-difference Jacobian.
 
+The root finder takes one polynomial or a stack of equal-degree ones (the
+states of one sector): a stack shares one companion eigensolve and one
+Aberth loop, and each row comes out exactly as it would alone.
+
 Each routine checks its own result against a tolerance, defaulting to the
 values in config.DEFAULT_TOLS, and raises ConvergenceError when it misses.
 """
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .operators import poly_eval
 
 
 class ConvergenceError(RuntimeError):
@@ -61,9 +64,15 @@ def jacobi_eigen(
 
 @dataclass(frozen=True)
 class RootSet:
-    roots: np.ndarray        # complex, all deg(poly) of them
-    residual_bound: float    # max over roots of |p(z)| / sum_i |c_i z^i|
-    clustered: bool          # some pair closer than cluster_rtol * scale
+    """Roots of one polynomial, or of each row of a stack of them.
+
+    For a stacked call roots has shape (S, deg) and residual_bound and
+    clustered are arrays of shape (S,), one entry per row.
+    """
+
+    roots: np.ndarray                   # complex, all deg(poly) of them
+    residual_bound: float | np.ndarray  # max over roots of |p(z)| / sum_i |c_i z^i|
+    clustered: bool | np.ndarray        # some pair closer than cluster_rtol * scale
 
 
 def polynomial_roots(
@@ -72,65 +81,130 @@ def polynomial_roots(
     max_iter: int = 200,
     cluster_rtol: float = DEFAULT_TOLS.cluster,
 ) -> RootSet:
-    """All complex roots: companion-matrix eigenvalues (numpy.roots)
-    polished by Aberth-Ehrlich simultaneous iteration.
+    """All complex roots: companion-matrix eigenvalues polished by
+    Aberth-Ehrlich simultaneous iteration.
 
-    The polish stops once the largest correction stalls.  Residuals are
-    measured in the backward-error sense |p(z)| / sum |c_i||z|^i.
+    `coeffs` holds ascending coefficients, or a 2-D stack of such rows that
+    share one degree (nonzero last column).  A stack takes one stacked
+    companion eigensolve and one Aberth loop on all its rows; each row
+    leaves the loop at the iteration where its own step test holds, so every
+    row gets exactly the roots a call with that row alone returns.  A 1-D
+    call is the one-row case.  The polish stops once the largest correction
+    stalls; ConvergenceError is raised when a row's iteration runs out with
+    its residual above sqrt(tol).  Residuals are measured in the
+    backward-error sense |p(z)| / sum |c_i||z|^i.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        raise ValueError("zero polynomial has no well-defined roots")
-    c = c[: nz[-1] + 1]
-    deg = c.size - 1
-    if deg == 0:
-        return RootSet(np.zeros(0, dtype=complex), 0.0, False)
-    if deg == 1:
-        root = np.array([-c[0] / c[1]])
-        return RootSet(root, _scaled_residual(c, root), False)
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim <= 1:
+        c = np.atleast_1d(c)
+        nz = np.nonzero(c)[0]
+        if nz.size == 0:
+            raise ValueError("zero polynomial has no well-defined roots")
+        c = c[: nz[-1] + 1]
+        deg = c.size - 1
+        if deg == 0:
+            return RootSet(np.zeros(0, dtype=complex), 0.0, False)
+        if deg == 1:
+            root = np.array([-c[0] / c[1]])
+            return RootSet(root, float(_scaled_residual_rows(c[None], root[None])[0]),
+                           False)
+        roots, residual, clustered = _aberth(c[None, :], tol, max_iter, cluster_rtol)
+        return RootSet(roots[0], float(residual[0]), bool(clustered[0]))
 
-    dc = c[1:] * np.arange(1, deg + 1)
+    if c.ndim != 2:
+        raise ValueError(f"expected one row or a 2-D stack of rows, got shape {c.shape}")
+    if np.any(c[:, -1] == 0.0):
+        raise ValueError("the rows of a stack must share one degree")
+    if c.shape[1] <= 2:
+        rows = [polynomial_roots(row, tol, max_iter, cluster_rtol) for row in c]
+        return RootSet(np.array([rs.roots for rs in rows], dtype=complex),
+                       np.array([rs.residual_bound for rs in rows]),
+                       np.array([rs.clustered for rs in rows]))
+    return RootSet(*_aberth(c, tol, max_iter, cluster_rtol))
 
-    z = np.roots(c[::-1]).astype(complex)
 
+def _companion_start(c: np.ndarray) -> np.ndarray:
+    """Starting roots of each row: the eigenvalues of numpy.roots' companion
+    matrix, stacked into one eigvals call.  Rows with a zero constant term
+    are left to numpy.roots, which deflates the zero roots first."""
+    n_rows, size = c.shape
+    deg = size - 1
+    z = np.empty((n_rows, deg), dtype=complex)
+    full = c[:, 0] != 0.0
+    if np.any(full):
+        cf = c[full]
+        comp = np.zeros((cf.shape[0], deg, deg), dtype=complex)
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        comp[:, 0, :] = -cf[:, deg - 1 :: -1] / cf[:, deg:]
+        z[full] = np.linalg.eigvals(comp)
+    for row in np.flatnonzero(~full):
+        z[row] = np.roots(c[row, ::-1]).astype(complex)
+    return z
+
+
+def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row i of c (ascending coefficients) evaluated at every entry of row i of z."""
+    result = np.repeat(c[:, -1:], z.shape[1], axis=1)
+    for k in range(c.shape[1] - 2, -1, -1):
+        result = result * z + c[:, k : k + 1]
+    return result
+
+
+def _aberth(
+    c: np.ndarray, tol: float, max_iter: int, cluster_rtol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted roots, residual bounds and cluster flags of each row of c
+    (degree >= 2, nonzero leading coefficients)."""
+    deg = c.shape[1] - 1
+    dc = c[:, 1:] * np.arange(1, deg + 1)
+    z = _companion_start(c)
+
+    # the rows still iterating, with their coefficients and current roots
+    rows = np.arange(c.shape[0])
+    ca, dca, za = c, dc, z.copy()
     for _ in range(max_iter):
-        pz = poly_eval(c, z)
-        dpz = poly_eval(dc, z)
+        pz = _horner_rows(ca, za)
+        dpz = _horner_rows(dca, za)
         dpz = np.where(dpz == 0.0, 1e-300, dpz)
         w = pz / dpz
         # the companion start can repeat a multiple root exactly; such pairs,
         # like the diagonal, drop out of the Aberth sum
-        diff = z[:, None] - z[None, :]
+        diff = za[:, :, None] - za[:, None, :]
         s = np.sum(np.divide(1.0, diff, out=np.zeros_like(diff),
-                             where=diff != 0.0), axis=1)
+                             where=diff != 0.0), axis=2)
         denom = 1.0 - w * s
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         step = w / denom
-        z = z - step
-        if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(z))):
-            break
+        za = za - step
+        done = (np.max(np.abs(step), axis=1)
+                <= tol * (1.0 + np.max(np.abs(za), axis=1)))
+        if np.any(done):
+            z[rows[done]] = za[done]
+            keep = ~done
+            rows, ca, dca, za = rows[keep], ca[keep], dca[keep], za[keep]
+            if rows.size == 0:
+                break
     else:
-        if _scaled_residual(c, z) > np.sqrt(tol):
+        z[rows] = za
+        if np.any(_scaled_residual_rows(ca, za) > np.sqrt(tol)):
             raise ConvergenceError("Aberth-Ehrlich iteration did not converge")
 
-    residual = _scaled_residual(c, z)
-    scale = max(1.0, float(np.max(np.abs(z))))
-    diff = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(diff, np.inf)
-    clustered = bool(np.min(diff) < cluster_rtol * scale)
+    residual = _scaled_residual_rows(c, z)
+    scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
+    diff = np.abs(z[:, :, None] - z[:, None, :])
+    diff[:, np.arange(deg), np.arange(deg)] = np.inf
+    clustered = np.min(diff, axis=(1, 2)) < cluster_rtol * scale
 
-    order = np.lexsort((z.imag, z.real))
-    return RootSet(z[order], residual, clustered)
+    order = np.lexsort((z.imag, z.real), axis=-1)
+    return np.take_along_axis(z, order, axis=-1), residual, clustered
 
 
-def _scaled_residual(c: np.ndarray, roots: np.ndarray) -> float:
-    if roots.size == 0:
-        return 0.0
-    num = np.abs(poly_eval(c, roots))
-    den = poly_eval(np.abs(c), np.abs(roots)).real
+def _scaled_residual_rows(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Per row: max over its roots of |p(z)| / sum |c_i||z|^i."""
+    num = np.abs(_horner_rows(c, roots))
+    den = _horner_rows(np.abs(c), np.abs(roots)).real
     den = np.where(den == 0.0, 1.0, den)
-    return float(np.max(num / den))
+    return np.max(num / den, axis=1)
 
 
 def newton_solve(

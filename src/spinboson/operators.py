@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -303,20 +303,32 @@ def extract_polynomials(h: EulerOperator) -> list[Poly]:
 def apply_to_monomials(h: EulerOperator, n_top: int) -> np.ndarray:
     """Matrix of h on {1, z, ..., z^n_top} with one overflow row.
 
-    Column n holds the coefficients of h z^n in the basis {z^0 .. z^{n_top+1}};
-    the last row carries the z^{n_top+1} coefficient, which vanishes at
-    n = n_top exactly when the subspace is invariant.
+    Column n holds the coefficients of h z^n = sum_d n!/(n-d)! P_d z^{n-d}
+    in the basis {z^0 .. z^{n_top+1}}; the last row carries the z^{n_top+1}
+    coefficient, which vanishes at n = n_top exactly when the subspace is
+    invariant.  The terms are accumulated in the order of h.terms.
     """
     if n_top < 0:
         raise ValueError("n_top must be >= 0")
-    mat = np.zeros((n_top + 2, n_top + 1))
-    for n in range(n_top + 1):
-        col = h.apply_to_coeffs(np.eye(n_top + 1)[n])
-        if col.size > n_top + 2 and np.max(np.abs(col[n_top + 2 :])) > 0.0:
+    # rows past n_top + 1 catch any violation of the degree bound
+    spill = max((p.size - 1 - d for d, p in h.terms.items()), default=0)
+    n_cols = n_top + 1
+    mat = np.zeros((max(n_top + 2, n_top + 1 + spill), n_cols))
+    flat = mat.reshape(-1)
+    for d, pd in h.terms.items():
+        if d > n_top:
+            continue
+        falls = np.array([float(perm(n, d)) for n in range(d, n_cols)])
+        # the z^m coefficient of P_d lands at (n - d + m, n): one diagonal
+        for m, coeff in enumerate(pd.tolist()):
+            start = m * n_cols + d
+            flat[start : start + (n_top - d) * (n_cols + 1) + 1 : n_cols + 1] += (
+                falls * coeff)
+    if mat.shape[0] > n_top + 2:
+        over = np.flatnonzero(np.max(np.abs(mat[n_top + 2 :]), axis=0) > 0.0)
+        if over.size:
             raise ValueError(
-                f"action on z^{n} exceeds degree {n_top + 1}; operator violates "
-                "the degree bound deg P_d <= d + 1"
+                f"action on z^{over[0]} exceeds degree {n_top + 1}; operator "
+                "violates the degree bound deg P_d <= d + 1"
             )
-        take = min(col.size, n_top + 2)
-        mat[:take, n] = col[:take]
-    return mat
+    return mat[: n_top + 2]

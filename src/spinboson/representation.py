@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, sqrt
+from math import factorial, perm, sqrt
 
 import numpy as np
 
@@ -373,36 +373,46 @@ class FockBlock:
 
 def _fock_element(
     model: ModelSpec,
-    j: Rational,
-    bra: tuple[Rational, tuple[int, ...]],
-    ket: tuple[Rational, tuple[int, ...]],
+    two_j: int,
+    bra: tuple[int, tuple[int, ...]],
+    ket: tuple[int, tuple[int, ...]],
 ) -> float:
-    """<bra| H |ket> in second quantization on the product basis."""
-    mu_b, n_b = bra
-    mu_k, n_k = ket
+    """<bra| H |ket> in second quantization on the product basis.
+
+    States are (2 mu, occupations), so the spin bookkeeping is integer
+    arithmetic; each float is one correctly rounded exact integer ratio.
+    """
+    two_mu_b, n_b = bra
+    two_mu_k, n_k = ket
     if bra == ket:
         val = sum(wi * ni for wi, ni in zip(model.w, n_k))
-        val += model.g_prime * float(mu_k**model.s)
+        val += model.g_prime * (two_mu_k**model.s / 2**model.s)
         return val + model.constant_shift
     # raising term J+^r a^k: mu up by r, each n_i down by k_i
-    if mu_b == mu_k + model.r and all(
+    if two_mu_b == two_mu_k + 2 * model.r and all(
         nb == nk - ki for nb, nk, ki in zip(n_b, n_k, model.k)
     ):
         if any(nk < ki for nk, ki in zip(n_k, model.k)):
             return 0.0
-        prod = Fraction(1)
+        # 4 (j - mu - t)(j + mu + t + 1) per spin step t
+        num = 1
         for t in range(model.r):
-            prod *= (j - mu_k - t) * (j + mu_k + t + 1)
-        if prod == 0:
+            num *= (two_j - two_mu_k - 2 * t) * (two_j + two_mu_k + 2 * t + 2)
+        if num == 0:
             return 0.0
         for nk, ki in zip(n_k, model.k):
-            prod *= Fraction(factorial(nk), factorial(nk - ki))
-        return model.g * sqrt(float(prod))
-    if mu_b == mu_k - model.r and all(
+            num *= perm(nk, ki)
+        return model.g * sqrt(num / 4**model.r)
+    if two_mu_b == two_mu_k - 2 * model.r and all(
         nb == nk + ki for nb, nk, ki in zip(n_b, n_k, model.k)
     ):
-        return _fock_element(model, j, ket, bra)
+        return _fock_element(model, two_j, ket, bra)
     return 0.0
+
+
+def _doubled(states) -> list[tuple[int, tuple[int, ...]]]:
+    """(2 mu, occupations) for each (mu, occupations) basis state."""
+    return [(int(2 * mu), ns) for mu, ns in states]
 
 
 @lru_cache(maxsize=256)
@@ -464,10 +474,11 @@ def fock_oracle(
         if not complete and not include_incomplete:
             continue
         dim = len(states)
+        two_j, doubled = int(2 * j), _doubled(states)
         h = np.empty((dim, dim))
         for a in range(dim):
             for b in range(dim):
-                h[a, b] = _fock_element(model, j, states[a], states[b])
+                h[a, b] = _fock_element(model, two_j, doubled[a], doubled[b])
         h = (h + h.T) / 2.0
         blocks.append(FockBlock(basis=states, H=h, labels=labels, complete=complete))
     return blocks
@@ -484,8 +495,9 @@ def dense_fock_hamiltonian(
         basis.extend(states)
     basis.sort()
     size = len(basis)
+    two_j, doubled = int(2 * j), _doubled(basis)
     h = np.empty((size, size))
     for a in range(size):
         for b in range(size):
-            h[a, b] = _fock_element(model, j, basis[a], basis[b])
+            h[a, b] = _fock_element(model, two_j, doubled[a], doubled[b])
     return basis, (h + h.T) / 2.0

@@ -251,6 +251,35 @@ class TestApplyToMonomials:
             assert abs(mat[n + 1, n] - expected) <= tol
         assert abs(mat[sec.n_top + 1, sec.n_top]) <= 1e-12 * np.max(np.abs(mat))
 
+    def test_equals_column_by_column_action(self):
+        # the direct build accumulates the terms in h.terms order, as
+        # apply_to_coeffs does column by column: the matrices agree bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            M = int(rng.integers(0, 3))
+            model = ModelSpec(M=M, r=int(rng.integers(1, 3)), s=int(rng.integers(1, 3)),
+                              k=tuple(int(x) for x in rng.integers(1, 3, M)),
+                              w=tuple(rng.uniform(-2, 2, M)),
+                              g_prime=float(rng.uniform(-2, 2)),
+                              g=float(rng.uniform(-2, 2)),
+                              constant_shift=float(rng.uniform(-1, 1)))
+            j = Fraction(int(rng.integers(1, 9)), 2)
+            sec = sector_from_reference(model, j, ReferenceState(-j, (3,) * M))
+            h = build_hamiltonian_operator(model, sec)
+            for n_top in (sec.n_top, sec.n_top + 2):
+                want = np.zeros((n_top + 2, n_top + 1))
+                for n in range(n_top + 1):
+                    col = act_on_monomial(h, n)
+                    want[: min(col.size, n_top + 2), n] = col[: n_top + 2]
+                assert np.array_equal(apply_to_monomials(h, n_top), want)
+
+    def test_degree_bound_violation_names_the_column(self):
+        op = EulerOperator({2: [1.0, 0.0, 0.0, 0.0, 2.0], 0: [1.0]})
+        np.testing.assert_array_equal(apply_to_monomials(op, 1),
+                                      [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"action on z\^3 exceeds degree 4"):
+            apply_to_monomials(op, 3)
+
 
 def test_poly_helpers():
     assert poly_trim([0.0, 0.0]).size == 0

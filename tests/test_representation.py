@@ -222,6 +222,41 @@ class TestFockOracle:
         for blk in fock_oracle(model, j, 8):
             assert len(blk.basis) == blk.labels.dim
 
+    def test_elements_equal_rational_arithmetic(self):
+        # the integer 2 mu bookkeeping rounds the same exact ratios as
+        # Fraction arithmetic in mu and j: the dense matrix agrees bit for bit
+        from math import factorial, sqrt
+
+        def element(model, j, bra, ket):
+            (mu_b, n_b), (mu_k, n_k) = bra, ket
+            if bra == ket:
+                val = sum(wi * ni for wi, ni in zip(model.w, n_k))
+                return val + model.g_prime * float(mu_k**model.s) + model.constant_shift
+            if mu_b == mu_k - model.r:
+                (mu_b, n_b), (mu_k, n_k) = ket, bra
+            if mu_b != mu_k + model.r or any(
+                    nb != nk - ki for nb, nk, ki in zip(n_b, n_k, model.k)):
+                return 0.0
+            prod = Fraction(1)
+            for t in range(model.r):
+                prod *= (j - mu_k - t) * (j + mu_k + t + 1)
+            for nk, ki in zip(n_k, model.k):
+                prod *= Fraction(factorial(nk), factorial(nk - ki))
+            return model.g * sqrt(float(prod))
+
+        rng = np.random.default_rng(12)
+        for model, j in (
+            (ModelSpec(M=1, r=2, s=2, k=(2,), w=(0.8,), g_prime=0.5, g=0.7,
+                       constant_shift=0.3), Fraction(3, 2)),
+            (ModelSpec(M=2, r=1, s=3, k=(1, 2), w=tuple(rng.uniform(-2, 2, 2)),
+                       g_prime=float(rng.uniform(-2, 2)),
+                       g=float(rng.uniform(-2, 2))), Fraction(5, 2)),
+            (two_site_model(0.6, 0.9), Fraction(7, 2)),
+        ):
+            basis, h = dense_fock_hamiltonian(model, j, 3)
+            want = np.array([[element(model, j, a, b) for b in basis] for a in basis])
+            assert np.array_equal(h, (want + want.T) / 2.0)
+
     def test_charge_conservation_on_dense_hamiltonian(self):
         model = ModelSpec(M=1, r=2, s=1, k=(2,), w=(0.8,), g_prime=0.5, g=0.7)
         j = Fraction(3, 2)
