@@ -107,12 +107,16 @@ def min_root_distance(roots: np.ndarray):
 def residual_scale(polys: list[np.ndarray], roots: np.ndarray):
     """max_i sup_{|z| = scale} |P_i| used to normalize residual magnitudes,
     per row for a stack of root sets."""
-    zscale = np.asarray(root_scale(roots))
+    return _per_row(_residual_scale_at(polys, np.asarray(root_scale(roots))))
+
+
+def _residual_scale_at(polys: list[np.ndarray], zscale: np.ndarray) -> np.ndarray:
+    """max(1, max_i sup_{|z| = zscale} |P_i|) at each given root_scale."""
     best = np.zeros(zscale.shape)
     for p in polys[1:]:
         if p.size:
             best = np.maximum(best, poly_eval(np.abs(p), zscale).real)
-    return _per_row(np.maximum(best, 1.0))
+    return np.maximum(best, 1.0)
 
 
 def bae_residuals(
@@ -203,6 +207,7 @@ def closed_form_energy(
     the unweighted variant instead (wrong for M >= 3, kept for the erratum
     regression).  The occupations, the spin power and the integer product
     multiplying sum_i alpha_i are read from the sector's cached levels.
+    An array of root sums gives one energy per entry.
     """
     j, p, r = sector.j, sector.p, model.r
     n_top = sector.n_top
@@ -237,7 +242,7 @@ def energy_from_roots(
     roots: np.ndarray,
     mono: np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLS,
-) -> float:
+) -> float | np.ndarray:
     """Closed-form energy, cross-checked against the z^N coefficient ratio.
 
     The ratio [z^N](H psi) / [z^N]psi is computed independently from the
@@ -245,28 +250,50 @@ def energy_from_roots(
     transcription bug and raises.  `mono` is that action,
     apply_to_monomials(build_hamiltonian_operator(model, sector), N); callers
     solving many states of one sector pass it in, otherwise it is built here.
-    """
-    roots = np.atleast_1d(np.asarray(roots, dtype=complex))
-    if roots.size != sector.n_top:
-        raise ValueError(f"expected {sector.n_top} roots, got {roots.size}")
-    roots_sum = complex(np.sum(roots)) if roots.size else 0.0 + 0.0j
-    if abs(roots_sum.imag) > 1e-9 * max(1.0, abs(roots_sum)):
-        raise ValueError(f"root sum has non-negligible imaginary part {roots_sum}")
 
-    energy = closed_form_energy(model, sector, roots_sum)
+    `roots` is one root set (a float comes back) or an (S, N) stack of them
+    (an array of S energies comes back).  Each row gets the energy a call
+    with that row alone returns, and the first row that fails raises the
+    error that call raises.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    if roots.ndim > 2:
+        raise ValueError(f"expected one root set or a 2-D stack, got shape {roots.shape}")
+    single = roots.ndim < 2
+    stack = np.ascontiguousarray(np.atleast_1d(roots)[None] if single else roots)
+    if stack.shape[1] != sector.n_top:
+        raise ValueError(f"expected {sector.n_top} roots, got {stack.shape[1]}")
+    sums = np.sum(stack, axis=1)
+    imag_bad = np.abs(sums.imag) > 1e-9 * _at_least_one(np.abs(sums))
+
+    energies = np.array(np.broadcast_to(closed_form_energy(model, sector, sums),
+                                        sums.shape), dtype=float)
 
     if mono is None:
         mono = apply_to_monomials(build_hamiltonian_operator(model, sector),
                                   sector.n_top)
-    psi = poly_from_roots(roots)
-    ratio = complex(mono[sector.n_top, :] @ psi)  # [z^N] psi = 1 (monic)
-    scale = max(1.0, abs(energy))
-    if abs(ratio - energy) > tols.energy_cross * scale:
+    top = mono[sector.n_top, :]
+    # [z^N] psi = 1 (monic); one dot per row, as a call per row computes it
+    ratios = np.array([top @ psi for psi in poly_from_roots(stack)], dtype=complex)
+    ratio_bad = (np.abs(ratios - energies)
+                 > tols.energy_cross * _at_least_one(np.abs(energies)))
+
+    bad = np.flatnonzero(imag_bad | ratio_bad)
+    if bad.size:
+        i = bad[0]
+        if imag_bad[i]:
+            raise ValueError(
+                f"root sum has non-negligible imaginary part {complex(sums[i])}")
         raise ValueError(
-            f"energy formula {energy:.12g} disagrees with coefficient ratio "
-            f"{ratio:.12g}"
+            f"energy formula {float(energies[i]):.12g} disagrees with coefficient "
+            f"ratio {complex(ratios[i]):.12g}"
         )
-    return energy
+    return float(energies[0]) if single else energies
+
+
+def _at_least_one(values: np.ndarray) -> np.ndarray:
+    """max(1.0, value) per entry, as the builtin max takes it (NaN gives 1)."""
+    return np.where(values > 1.0, values, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +351,25 @@ def _scaled_bae_residuals(
     roots: np.ndarray,
     polys: list[np.ndarray],
     tols: Tolerances,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and max |residual| / residual_scale of each row of roots.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals and max |residual| / residual_scale of each row of roots,
+    with the row's min_root_distance and root_scale.
 
-    A row whose roots lie within tols.cluster x scale of each other has no
-    certificate: NaN residuals and an infinite scaled residual.
+    The distance and scale are formed once and serve the cluster test, the
+    residual scale and the caller's degeneracy flag.  A row whose roots lie
+    within tols.cluster x scale of each other has no certificate: NaN
+    residuals and an infinite scaled residual.
     """
+    dist, zscale = min_root_distance(roots), root_scale(roots)
     residuals = np.full(roots.shape, np.nan, dtype=complex)
     scaled = np.full(roots.shape[0], np.inf)
-    ok = ~(min_root_distance(roots) <= tols.cluster * root_scale(roots))
+    ok = ~(dist <= tols.cluster * zscale)
     if np.any(ok):
         res = bae_residuals(model, sector, roots[ok], polys, tols.cluster)
         residuals[ok] = res
-        scaled[ok] = np.max(np.abs(res), axis=1) / residual_scale(polys, roots[ok])
-    return residuals, scaled
+        scaled[ok] = (np.max(np.abs(res), axis=1)
+                      / _residual_scale_at(polys, zscale[ok]))
+    return residuals, scaled, dist, zscale
 
 
 def _polish_roots(
@@ -388,7 +420,8 @@ def _fallback_roots(
     coefficients relatively inaccurate; rebuild the coefficients by recursion
     from the eigenvalue and, if the certificate still shows it, polish the
     roots directly on the root equations.  A candidate replaces the roots
-    only when its scaled residual is smaller.
+    only when its scaled residual is smaller.  A recurrence candidate that
+    is not finite, or whose roots do not converge, is dropped.
     """
     polish_trigger = 1e-2 * tols.bae
     refined = False
@@ -397,16 +430,19 @@ def _fallback_roots(
         cand_coeffs = _recurrence_coeffs(sq, value, direction)
         if not np.all(np.isfinite(cand_coeffs)):
             continue
-        cand_roots = polynomial_roots(cand_coeffs, tols.roots,
-                                      cluster_rtol=tols.cluster).roots
-        cand_res, cand_scaled = _scaled_bae_residuals(
+        try:
+            cand_roots = polynomial_roots(cand_coeffs, tols.roots,
+                                          cluster_rtol=tols.cluster).roots
+        except ConvergenceError:
+            continue
+        cand_res, cand_scaled, _, _ = _scaled_bae_residuals(
             model, sector, cand_roots[None], polys, tols)
         if cand_scaled[0] < scaled:
             roots, residuals, scaled = cand_roots, cand_res[0], cand_scaled[0]
     if np.isfinite(scaled) and scaled > polish_trigger:
         polished = _polish_roots(model, sector, roots, polys, tols)
         if polished is not None:
-            cand_res, cand_scaled = _scaled_bae_residuals(
+            cand_res, cand_scaled, _, _ = _scaled_bae_residuals(
                 model, sector, polished[None], polys, tols)
             if cand_scaled[0] < scaled:
                 roots, residuals, refined = polished, cand_res[0], True
@@ -474,14 +510,19 @@ def _recover_states(
 ) -> list[BetheState]:
     """States from the rows of monic psi coefficients (leading coefficient 1)."""
     roots = polynomial_roots(monic, tols.roots, cluster_rtol=tols.cluster).roots
-    residuals, scaled = _scaled_bae_residuals(model, sector, roots, polys, tols)
+    residuals, scaled, dist, zscale = _scaled_bae_residuals(
+        model, sector, roots, polys, tols)
     refined = np.zeros(values.size, dtype=bool)
-    for i in np.flatnonzero(np.isfinite(scaled) & (scaled > 1e-2 * tols.bae)):
+    fallback = np.flatnonzero(np.isfinite(scaled) & (scaled > 1e-2 * tols.bae))
+    for i in fallback:
         roots[i], residuals[i], refined[i] = _fallback_roots(
             model, sector, mono, float(values[i]), roots[i], residuals[i],
             scaled[i], polys, tols)
+    if fallback.size:
+        dist[fallback] = min_root_distance(roots[fallback])
+        zscale[fallback] = root_scale(roots[fallback])
 
-    degenerate = ((min_root_distance(roots) <= tols.bae_guard * root_scale(roots))
+    degenerate = ((dist <= tols.bae_guard * zscale)
                   | ~np.all(np.isfinite(residuals.view(float)), axis=1))
     verified = _verify_eigen_equation(mono, poly_from_roots(roots), values,
                                       tols.match)

@@ -67,12 +67,38 @@ class RootSet:
     """Roots of one polynomial, or of each row of a stack of them.
 
     For a stacked call roots has shape (S, deg) and residual_bound and
-    clustered are arrays of shape (S,), one entry per row.
+    clustered are arrays of shape (S,), one entry per row.  Both are
+    computed from the stored coefficients and roots when read.
     """
 
-    roots: np.ndarray                   # complex, all deg(poly) of them
-    residual_bound: float | np.ndarray  # max over roots of |p(z)| / sum_i |c_i z^i|
-    clustered: bool | np.ndarray        # some pair closer than cluster_rtol * scale
+    roots: np.ndarray         # complex, all deg(poly) of them
+    coeffs: np.ndarray        # ascending, nonzero last column; 2-D for a stack
+    cluster_rtol: float
+
+    @property
+    def residual_bound(self) -> float | np.ndarray:
+        """max over roots of |p(z)| / sum_i |c_i z^i|, per row."""
+        c, z = np.atleast_2d(self.coeffs), np.atleast_2d(self.roots)
+        if z.shape[1] == 0:
+            bound = np.zeros(z.shape[0])
+        else:
+            bound = _scaled_residual_rows(c, z)
+        return float(bound[0]) if self.roots.ndim == 1 else bound
+
+    @property
+    def clustered(self) -> bool | np.ndarray:
+        """Whether some pair of roots is closer than cluster_rtol * scale,
+        per row."""
+        z = np.atleast_2d(self.roots)
+        deg = z.shape[1]
+        if deg < 2:
+            flags = np.zeros(z.shape[0], dtype=bool)
+        else:
+            scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
+            diff = np.abs(z[:, :, None] - z[:, None, :])
+            diff[:, np.arange(deg), np.arange(deg)] = np.inf
+            flags = np.min(diff, axis=(1, 2)) < self.cluster_rtol * scale
+        return bool(flags[0]) if self.roots.ndim == 1 else flags
 
 
 def polynomial_roots(
@@ -103,24 +129,23 @@ def polynomial_roots(
         c = c[: nz[-1] + 1]
         deg = c.size - 1
         if deg == 0:
-            return RootSet(np.zeros(0, dtype=complex), 0.0, False)
-        if deg == 1:
-            root = np.array([-c[0] / c[1]])
-            return RootSet(root, float(_scaled_residual_rows(c[None], root[None])[0]),
-                           False)
-        roots, residual, clustered = _aberth(c[None, :], tol, max_iter, cluster_rtol)
-        return RootSet(roots[0], float(residual[0]), bool(clustered[0]))
+            roots = np.zeros(0, dtype=complex)
+        elif deg == 1:
+            roots = np.array([-c[0] / c[1]])
+        else:
+            roots = _aberth(c[None, :], tol, max_iter)[0]
+        return RootSet(roots, c, cluster_rtol)
 
     if c.ndim != 2:
         raise ValueError(f"expected one row or a 2-D stack of rows, got shape {c.shape}")
     if np.any(c[:, -1] == 0.0):
         raise ValueError("the rows of a stack must share one degree")
     if c.shape[1] <= 2:
-        rows = [polynomial_roots(row, tol, max_iter, cluster_rtol) for row in c]
-        return RootSet(np.array([rs.roots for rs in rows], dtype=complex),
-                       np.array([rs.residual_bound for rs in rows]),
-                       np.array([rs.clustered for rs in rows]))
-    return RootSet(*_aberth(c, tol, max_iter, cluster_rtol))
+        roots = np.array([polynomial_roots(row, tol, max_iter).roots for row in c],
+                         dtype=complex)
+    else:
+        roots = _aberth(c, tol, max_iter)
+    return RootSet(roots, c, cluster_rtol)
 
 
 def _companion_start(c: np.ndarray) -> np.ndarray:
@@ -150,11 +175,9 @@ def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return result
 
 
-def _aberth(
-    c: np.ndarray, tol: float, max_iter: int, cluster_rtol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted roots, residual bounds and cluster flags of each row of c
-    (degree >= 2, nonzero leading coefficients)."""
+def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Sorted roots of each row of c (degree >= 2, nonzero leading
+    coefficients)."""
     deg = c.shape[1] - 1
     dc = c[:, 1:] * np.arange(1, deg + 1)
     z = _companion_start(c)
@@ -189,14 +212,8 @@ def _aberth(
         if np.any(_scaled_residual_rows(ca, za) > np.sqrt(tol)):
             raise ConvergenceError("Aberth-Ehrlich iteration did not converge")
 
-    residual = _scaled_residual_rows(c, z)
-    scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
-    diff = np.abs(z[:, :, None] - z[:, None, :])
-    diff[:, np.arange(deg), np.arange(deg)] = np.inf
-    clustered = np.min(diff, axis=(1, 2)) < cluster_rtol * scale
-
     order = np.lexsort((z.imag, z.real), axis=-1)
-    return np.take_along_axis(z, order, axis=-1), residual, clustered
+    return np.take_along_axis(z, order, axis=-1)
 
 
 def _scaled_residual_rows(c: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -128,9 +128,9 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                     h_op = build_hamiltonian_operator(model, sec)
                     mono = apply_to_monomials(h_op, sec.n_top)
                     polys = extract_polynomials(h_op)
-                    bethe = [energy_from_roots(model, sec, st.roots,
-                                               mono=mono, tols=tols)
-                             for st in states]
+                    bethe = energy_from_roots(
+                        model, sec, np.array([st.roots for st in states]),
+                        mono=mono, tols=tols)
                     # solve_sector's energies are the sector eigenvalues
                     sector_eig = [st.energy for st in states]
                     block = blocks.get(sec)
@@ -145,19 +145,25 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                     if dev > tols.match:
                         failures.append(
                             f"match: {name} j={j} sector p={sec.p}: dev {dev:.2e}")
-                    for st in states:
-                        n_states += 1
-                        if st.degenerate_roots:
-                            n_degenerate += 1
-                            continue
-                        if st.roots.size == 0:
-                            continue
-                        scaled = st.max_residual() / residual_scale(polys, st.roots)
-                        worst_residual = max(worst_residual, scaled)
-                        if scaled > tols.bae:
-                            failures.append(
-                                f"residual: {name} j={j} p={sec.p} state "
-                                f"{st.eigen_index}: {scaled:.2e}")
+                    n_states += len(states)
+                    live = [st for st in states if not st.degenerate_roots]
+                    n_degenerate += len(states) - len(live)
+                    if sec.n_top == 0 or not live:
+                        continue
+                    # max_residual per state: NaN unless every residual is finite
+                    res = np.abs(np.array([st.bae_residuals for st in live]))
+                    top = np.where(np.all(np.isfinite(res), axis=1),
+                                   np.max(res, axis=1), np.nan)
+                    scaled = top / residual_scale(
+                        polys, np.array([st.roots for st in live]))
+                    # a NaN scaled residual leaves worst_residual as it is
+                    if not np.all(np.isnan(scaled)):
+                        worst_residual = max(worst_residual,
+                                             float(np.nanmax(scaled)))
+                    for i in np.flatnonzero(scaled > tols.bae):
+                        failures.append(
+                            f"residual: {name} j={j} p={sec.p} state "
+                            f"{live[i].eigen_index}: {scaled[i]:.2e}")
     return {
         "worst_match": worst_match,
         "worst_residual": worst_residual,

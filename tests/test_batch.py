@@ -1,9 +1,11 @@
-"""Root recovery of a whole sector in one stacked pass.
+"""Root recovery and checking of a whole sector in one stacked pass.
 
 The stacked routines must give every state exactly what a call with that
-state alone gives.  The per-state assembly that the batch replaced is kept
-here as the reference: it recovers, certifies and verifies one eigenpair at
-a time from the 1-D calls.
+state alone gives.  The per-state code that the batch replaced is kept here
+as the reference: the assembly that recovers, certifies and verifies one
+eigenpair at a time from the 1-D calls, the closed-form energy of one root
+set, the eager RootSet fields and the acceptance sweep's per-state checking
+loop.
 """
 
 from fractions import Fraction
@@ -11,10 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinboson import bethe
+from spinboson import bethe, verify
 from spinboson.bethe import (
     BetheState,
     bae_residuals,
+    closed_form_energy,
+    energy_from_roots,
     min_root_distance,
     poly_from_roots,
     recover_roots,
@@ -33,7 +37,7 @@ from spinboson.operators import (
     poly_eval,
 )
 from spinboson.presets import DEFAULT_GRIDS, PRESET_NAMES, model_for_j, random_params
-from spinboson.representation import sector_matrices
+from spinboson.representation import fock_oracle, sector_matrices
 
 TOLS = DEFAULT_TOLS
 
@@ -329,3 +333,277 @@ def test_roundoff_end_component_exits_three(capsys):
     assert len(lines) == 1
     assert lines[0].startswith("numerical failure: eigenvector ")
     assert "end component at roundoff" in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# a failing recurrence candidate is dropped, not fatal
+# ---------------------------------------------------------------------------
+
+def test_fallback_drops_a_recurrence_candidate_whose_roots_fail(monkeypatch):
+    # dim 25: several states reach the recurrence fallback; when the roots
+    # of its candidates do not converge, the candidates are dropped as a
+    # non-finite candidate is, and those states keep their eigenvector roots
+    # (or the Newton polish of them)
+    params = random_params("tavis_cummings", np.random.default_rng(1))
+    model = model_for_j("tavis_cummings", params, 12)
+    sec = largest_sector(model, 12)
+    mats, eig, _, _ = sector_inputs(model, sec)
+    coeffs = eig.vectors.T / mats.norm_scale
+    eigvec_roots = polynomial_roots(coeffs / coeffs[:, -1:], TOLS.roots,
+                                    cluster_rtol=TOLS.cluster).roots
+
+    stacked_roots = bethe.polynomial_roots
+    failed = []
+
+    def fail_one_row(coeffs, *args, **kwargs):
+        if np.ndim(coeffs) == 1:
+            failed.append(1)
+            raise ConvergenceError("Aberth-Ehrlich iteration did not converge")
+        return stacked_roots(coeffs, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bethe, "polynomial_roots", fail_one_row)
+        states = solve_sector(model, sec)
+    assert len(failed) >= 4
+    assert len(states) == sec.dim
+    for st in states:
+        if not st.refined:
+            assert np.array_equal(st.roots, eigvec_roots[st.eigen_index])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bethe, "_recurrence_coeffs",
+                      lambda sq, energy, direction: np.full(sq.shape[0], np.nan))
+        dropped = solve_sector(model, sec)
+    assert_same_states(states, dropped)
+
+
+# ---------------------------------------------------------------------------
+# lazy RootSet fields
+# ---------------------------------------------------------------------------
+
+def eager_fields(coeffs, roots, cluster_rtol=TOLS.cluster):
+    """residual_bound and clustered of one root set, computed row by row."""
+    c = np.asarray(coeffs, dtype=complex)
+    if roots.size == 0:
+        return 0.0, False
+    num = np.abs(poly_eval(c, roots))
+    den = poly_eval(np.abs(c), np.abs(roots)).real
+    den = np.where(den == 0.0, 1.0, den)
+    bound = float(np.max(num / den))
+    if roots.size < 2:
+        return bound, False
+    diff = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return bound, bool(np.min(diff) < cluster_rtol * max(1.0, np.max(np.abs(roots))))
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 3, 7, 12, 24])
+def test_lazy_rootset_fields_equal_the_eager_computation(deg):
+    rng = np.random.default_rng(100 + deg)
+    rows = random_rows(rng, 9, deg)
+    if deg >= 2:
+        rows[2, 0] = 0.0                 # a zero root
+        rows[5, :2] = 0.0                # a double zero root: clustered
+        # (z - 1)^2 times a random monic: clustered
+        rows[7] = np.convolve([1.0, -2.0, 1.0], random_rows(rng, 1, deg - 2)[0])
+    stacked = polynomial_roots(rows)
+    bounds, flags = stacked.residual_bound, stacked.clustered
+    assert bounds.shape == flags.shape == (9,)
+    assert bounds.dtype == float and flags.dtype == bool
+    for i, row in enumerate(rows):
+        single = polynomial_roots(row)
+        want = eager_fields(row, single.roots)
+        assert (single.residual_bound, single.clustered) == want
+        assert type(single.residual_bound) is float
+        assert type(single.clustered) is bool
+        assert (bounds[i], flags[i]) == want
+    if deg >= 2:
+        assert flags[5] and flags[7]
+
+
+def test_lazy_rootset_fields_of_trimmed_rows():
+    # trailing zeros are trimmed before the fields are computed
+    out = polynomial_roots([2.0, -1.0, 0.0, 0.0])
+    assert np.array_equal(out.roots, [2.0])
+    assert (out.residual_bound, out.clustered) == eager_fields([2.0, -1.0], out.roots)
+    out = polynomial_roots([3.0, 0.0])
+    assert (out.residual_bound, out.clustered) == (0.0, False)
+
+
+# ---------------------------------------------------------------------------
+# stacked closed-form energy
+# ---------------------------------------------------------------------------
+
+def energy_reference(model, sector, roots, mono):
+    """The closed-form energy of one root set, as the scalar code computed it."""
+    roots = np.atleast_1d(np.asarray(roots, dtype=complex))
+    if roots.size != sector.n_top:
+        raise ValueError(f"expected {sector.n_top} roots, got {roots.size}")
+    roots_sum = complex(np.sum(roots)) if roots.size else 0.0 + 0.0j
+    if abs(roots_sum.imag) > 1e-9 * max(1.0, abs(roots_sum)):
+        raise ValueError(f"root sum has non-negligible imaginary part {roots_sum}")
+    energy = closed_form_energy(model, sector, roots_sum)
+    ratio = complex(mono[sector.n_top, :] @ poly_from_roots(roots))
+    if abs(ratio - energy) > TOLS.energy_cross * max(1.0, abs(energy)):
+        raise ValueError(
+            f"energy formula {energy:.12g} disagrees with coefficient ratio "
+            f"{ratio:.12g}"
+        )
+    return energy
+
+
+def first_error(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+def test_stacked_energy_equals_row_calls_on_random_models():
+    rng = np.random.default_rng(77)
+    n_models = n_states = 0
+    for name in PRESET_NAMES:
+        for _ in range(8):
+            params = random_params(name, rng)
+            for j in DEFAULT_GRIDS[name].j_values[-2:]:
+                model = model_for_j(name, params, j)
+                sectors = sorted(enumerate_sectors(model, j, 4), key=lambda s: -s.dim)
+                for sec in sectors[:3] + sectors[-1:]:
+                    if sec.n_top > 12:
+                        continue
+                    mono = apply_to_monomials(build_hamiltonian_operator(model, sec),
+                                              sec.n_top)
+                    roots = np.array([st.roots for st in solve_sector(model, sec)])
+                    stacked = energy_from_roots(model, sec, roots, mono=mono)
+                    assert stacked.shape == (sec.dim,) and stacked.dtype == float
+                    rows = [energy_from_roots(model, sec, r, mono=mono) for r in roots]
+                    assert all(type(e) is float for e in rows)
+                    want = [energy_reference(model, sec, r, mono) for r in roots]
+                    assert np.array_equal(stacked, rows)
+                    assert np.array_equal(stacked, want)
+                    assert np.array_equal(energy_from_roots(model, sec, roots), stacked)
+                    n_states += sec.dim
+                n_models += 1
+    assert n_models >= 40
+    assert n_states > 500
+
+
+@pytest.mark.parametrize("order", ["ratio_first", "imag_first"])
+def test_stacked_energy_raises_the_first_row_error(order):
+    # the coefficient ratio is off by psi(0) once the z^0 entry of the action's
+    # top row is; a root at zero keeps a row clear of that
+    params = random_params("two_mode_tc", np.random.default_rng(8))
+    model = model_for_j("two_mode_tc", params, 2)
+    sec = max(enumerate_sectors(model, Fraction(2), 3), key=lambda s: s.dim)
+    mono = apply_to_monomials(build_hamiltonian_operator(model, sec), sec.n_top)
+    mono[sec.n_top, 0] += 1.0
+    roots = np.array([st.roots for st in solve_sector(model, sec)])
+    assert roots.shape[0] >= 5 and roots.shape[1] >= 2
+    roots[:, 0] = 0.0
+    bad_ratio, bad_imag = (2, 3) if order == "ratio_first" else (3, 2)
+    roots[bad_ratio, 0] = 0.5           # psi(0) != 0: the ratio is off
+    roots[bad_imag, 1] += 0.5j          # the root sum leaves the real axis
+    roots[4, 0] = 0.7                   # a later failure is not reported
+    row_errors = [first_error(lambda: energy_reference(model, sec, r, mono))
+                  for r in roots[2:]]
+    want = row_errors[0]
+    assert ("disagrees" if order == "ratio_first" else "imaginary") in want
+    assert first_error(lambda: energy_from_roots(model, sec, roots, mono=mono)) == want
+    # the rows before the failure pass, with the row calls' energies
+    assert np.array_equal(energy_from_roots(model, sec, roots[:2], mono=mono),
+                          [energy_reference(model, sec, r, mono) for r in roots[:2]])
+
+
+def test_stacked_energy_checks_the_root_count():
+    params = random_params("lmg", np.random.default_rng(2))
+    model = model_for_j("lmg", params, 3)
+    sec = largest_sector(model, 3)
+    with pytest.raises(ValueError, match=f"expected {sec.n_top} roots, got 2"):
+        energy_from_roots(model, sec, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        energy_from_roots(model, sec, np.zeros((2, 2, sec.n_top)))
+
+
+# ---------------------------------------------------------------------------
+# the acceptance sweep checks one sector at a time
+# ---------------------------------------------------------------------------
+
+def sweep_reference(seed, n_draws, tols):
+    """The acceptance sweep with its per-state checking loop."""
+    rng = np.random.default_rng(seed)
+    worst_match = worst_residual = 0.0
+    n_sectors = n_states = n_degenerate = 0
+    failures = []
+    for name in PRESET_NAMES:
+        grid = DEFAULT_GRIDS[name]
+        for _ in range(n_draws):
+            params = random_params(name, rng)
+            for j in grid.j_values:
+                model = model_for_j(name, params, j)
+                sectors = [sec for sec in enumerate_sectors(model, j, grid.max_total_bosons)
+                           if sec.n_top <= verify.N_TOP_LIMIT]
+                cap = verify._oracle_cap(model, sectors) if model.M > 0 else 0
+                blocks = {blk.labels: blk for blk in fock_oracle(model, j, cap)}
+                for sec in sectors:
+                    n_sectors += 1
+                    states = solve_sector(model, sec, tols=tols)
+                    h_op = build_hamiltonian_operator(model, sec)
+                    mono = apply_to_monomials(h_op, sec.n_top)
+                    polys = extract_polynomials(h_op)
+                    energies = [energy_reference(model, sec, st.roots, mono)
+                                for st in states]
+                    sector_eig = [st.energy for st in states]
+                    block = blocks.get(sec)
+                    if block is None:
+                        failures.append(f"match: {name} j={j}: no oracle block for {sec}")
+                        continue
+                    fock_eig = jacobi_eigen(block.H, tols.eigen).values
+                    dev = max(verify.multiset_close(energies, sector_eig, tols.match),
+                              verify.multiset_close(energies, fock_eig, tols.match))
+                    worst_match = max(worst_match, dev)
+                    if dev > tols.match:
+                        failures.append(
+                            f"match: {name} j={j} sector p={sec.p}: dev {dev:.2e}")
+                    for st in states:
+                        n_states += 1
+                        if st.degenerate_roots:
+                            n_degenerate += 1
+                            continue
+                        if st.roots.size == 0:
+                            continue
+                        scaled = st.max_residual() / residual_scale(polys, st.roots)
+                        worst_residual = max(worst_residual, scaled)
+                        if scaled > tols.bae:
+                            failures.append(
+                                f"residual: {name} j={j} p={sec.p} state "
+                                f"{st.eigen_index}: {scaled:.2e}")
+    return {"worst_match": worst_match, "worst_residual": worst_residual,
+            "n_sectors": n_sectors, "n_states": n_states,
+            "n_degenerate": n_degenerate, "failures": failures}
+
+
+@pytest.mark.parametrize("seed", [686310523, 101, 20240817])
+def test_sweep_equals_the_per_state_loop(seed):
+    got = verify._sweep_presets(seed, 1, TOLS)
+    want = sweep_reference(seed, 1, TOLS)
+    assert got == want
+    assert [type(got[key]) for key in sorted(got)] == [
+        type(want[key]) for key in sorted(want)]
+
+
+def test_sweep_solves_and_checks_each_sector_once(monkeypatch):
+    calls = {"solve_sector": 0, "energy_from_roots": 0}
+
+    def counted(name):
+        inner = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    data = verify._sweep_presets(7, 1, TOLS)
+    assert data["n_sectors"] > 200
+    assert calls == {"solve_sector": data["n_sectors"],
+                     "energy_from_roots": data["n_sectors"]}
