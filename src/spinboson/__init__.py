@@ -36,7 +36,6 @@ from .representation import (
 from .linalg import (
     ConvergenceError,
     EigenDecomposition,
-    RootSet,
     jacobi_eigen,
     newton_solve,
     polynomial_roots,
@@ -46,7 +45,6 @@ from .bethe import (
     bae_residuals,
     energy_from_roots,
     newton_refine_bae,
-    recover_roots,
     solve_sector,
 )
 from .presets import (

@@ -431,8 +431,7 @@ def _fallback_roots(
         if not np.all(np.isfinite(cand_coeffs)):
             continue
         try:
-            cand_roots = polynomial_roots(cand_coeffs, tols.roots,
-                                          cluster_rtol=tols.cluster).roots
+            cand_roots = polynomial_roots(cand_coeffs, tols.roots)
         except ConvergenceError:
             continue
         cand_res, cand_scaled, _, _ = _scaled_bae_residuals(
@@ -455,19 +454,18 @@ def _states_from_eigenpairs(
     mats: SectorMatrices,
     values: np.ndarray,
     vectors: np.ndarray,
-    indices: list[int],
     polys: list[np.ndarray],
     mono: np.ndarray,
     tols: Tolerances,
 ) -> list[BetheState]:
-    """The states of the eigenpairs (values[i], vectors[:, i]), reported as
-    eigen_index indices[i], recovered together.
+    """The states of the eigenpairs (values[i], vectors[:, i]), with
+    eigen_index i, recovered together.
 
     The roots and the certificate of every column come from one stacked
     pass; only states whose scaled certificate exceeds 1e-2 * tols.bae go
-    through the recurrence and Newton fallback, one at a time.  Errors are
-    those the columns meet in order: a column whose leading monomial
-    coefficient is at roundoff raises after the columns before it.
+    through the recurrence and Newton fallback, one at a time.  A column
+    whose leading monomial coefficient is at roundoff raises before any
+    roots are recovered.
     """
     values = np.asarray(values, dtype=float)
     n_top = sector.n_top
@@ -477,25 +475,22 @@ def _states_from_eigenpairs(
                        np.zeros(0, dtype=complex), False,
                        bool(abs(mono[0, 0] - value)
                             <= tols.match * max(1.0, abs(value))))
-            for idx, value in zip(indices, values)
+            for idx, value in enumerate(values)
         ]
 
     coeffs = vectors.T / mats.norm_scale
     top = coeffs[:, -1]
     peak = np.max(np.abs(coeffs), axis=1)
-    vanishing = np.abs(top) <= 1e-12 * peak
-    stop = int(np.argmax(vanishing)) if np.any(vanishing) else values.size
-    states = (_recover_states(model, sector, values[:stop],
-                              coeffs[:stop] / top[:stop, None], indices[:stop],
-                              polys, mono, tols)
-              if stop else [])
-    if stop < values.size:
+    vanishing = np.flatnonzero(np.abs(top) <= 1e-12 * peak)
+    if vanishing.size:
+        i = vanishing[0]
         raise RuntimeError(
-            f"eigenvector {indices[stop]} has its end component at roundoff: its "
-            f"z^{n_top} monomial coefficient is {abs(top[stop]) / peak[stop]:.3e} "
+            f"eigenvector {i} has its end component at roundoff: its "
+            f"z^{n_top} monomial coefficient is {abs(top[i]) / peak[i]:.3e} "
             "of its largest (limit 1e-12), so its roots cannot be recovered from it"
         )
-    return states
+    return _recover_states(model, sector, values, coeffs / top[:, None], polys,
+                           mono, tols)
 
 
 def _recover_states(
@@ -503,13 +498,13 @@ def _recover_states(
     sector: SectorLabels,
     values: np.ndarray,
     monic: np.ndarray,
-    indices: list[int],
     polys: list[np.ndarray],
     mono: np.ndarray,
     tols: Tolerances,
 ) -> list[BetheState]:
-    """States from the rows of monic psi coefficients (leading coefficient 1)."""
-    roots = polynomial_roots(monic, tols.roots, cluster_rtol=tols.cluster).roots
+    """States from the rows of monic psi coefficients (leading coefficient 1);
+    row i is eigen_index i."""
+    roots = polynomial_roots(monic, tols.roots)
     residuals, scaled, dist, zscale = _scaled_bae_residuals(
         model, sector, roots, polys, tols)
     refined = np.zeros(values.size, dtype=bool)
@@ -527,33 +522,11 @@ def _recover_states(
     verified = _verify_eigen_equation(mono, poly_from_roots(roots), values,
                                       tols.match)
     return [
-        BetheState(sector, idx, roots[i].copy(), float(values[i]),
+        BetheState(sector, i, roots[i].copy(), float(values[i]),
                    residuals[i].copy(), bool(degenerate[i]), bool(verified[i]),
                    refined=bool(refined[i]))
-        for i, idx in enumerate(indices)
+        for i in range(values.size)
     ]
-
-
-def recover_roots(
-    model: ModelSpec,
-    sector: SectorLabels,
-    eigen_index: int,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> BetheState:
-    """Roots and certificate for one eigenstate of the sector Hamiltonian."""
-    if not 0 <= eigen_index <= sector.n_top:
-        raise ValueError(f"eigen_index {eigen_index} outside 0..{sector.n_top}")
-    if model.g == 0.0 and sector.n_top > 0:
-        raise ValueError("root recovery needs g != 0; use solve_sector for g = 0")
-    mats = sector_matrices(model, sector)
-    eig = jacobi_eigen(mats.H, tols.eigen)
-    h_op = build_hamiltonian_operator(model, sector)
-    polys = extract_polynomials(h_op)
-    mono = apply_to_monomials(h_op, sector.n_top)
-    return _states_from_eigenpairs(
-        model, sector, mats, eig.values[[eigen_index]],
-        eig.vectors[:, [eigen_index]], [eigen_index], polys, mono, tols,
-    )[0]
 
 
 def solve_sector(
@@ -587,7 +560,7 @@ def solve_sector(
     eig = jacobi_eigen(mats.H, tols.eigen)
     polys = extract_polynomials(h_op)
     states = _states_from_eigenpairs(model, sector, mats, eig.values, eig.vectors,
-                                     list(range(sector.dim)), polys, mono, tols)
+                                     polys, mono, tols)
     if refine:
         states = [newton_refine_bae(model, sector, st, tols) for st in states]
     return sorted(states, key=lambda st: st.energy)

@@ -235,7 +235,7 @@ def cmd_sectors(cfg: RunConfig) -> int:
     return 0
 
 
-def _spectrum_payload(cfg: RunConfig, only_state: int | None = None) -> dict:
+def _spectrum_payload(cfg: RunConfig, only_state: int | None) -> dict:
     report = []
     for sector in _select_sectors(cfg):
         states = solve_sector(cfg.model, sector, refine=cfg.refine, tols=cfg.tols)
@@ -270,14 +270,8 @@ def _spectrum_csv(payload: dict) -> str:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    payload = _spectrum_payload(cfg)
-    _emit(cfg, _dump_json(payload) if cfg.fmt == "json"
-          else _spectrum_csv(payload))
-    return 0
-
-
-def cmd_roots(cfg: RunConfig) -> int:
-    payload = _spectrum_payload(cfg, only_state=cfg.state or 0)
+    """`spectrum`, or `roots` when cfg.state selects one state per sector."""
+    payload = _spectrum_payload(cfg, only_state=cfg.state)
     _emit(cfg, _dump_json(payload) if cfg.fmt == "json"
           else _spectrum_csv(payload))
     return 0
@@ -338,10 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
         if args.command == "sectors":
             return cmd_sectors(cfg)
-        if args.command == "spectrum":
+        if args.command in ("spectrum", "roots"):
             return cmd_spectrum(cfg)
-        if args.command == "roots":
-            return cmd_roots(cfg)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

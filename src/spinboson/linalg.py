@@ -62,90 +62,45 @@ def jacobi_eigen(
     return EigenDecomposition(values, vectors)
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of one polynomial, or of each row of a stack of them.
-
-    For a stacked call roots has shape (S, deg) and residual_bound and
-    clustered are arrays of shape (S,), one entry per row.  Both are
-    computed from the stored coefficients and roots when read.
-    """
-
-    roots: np.ndarray         # complex, all deg(poly) of them
-    coeffs: np.ndarray        # ascending, nonzero last column; 2-D for a stack
-    cluster_rtol: float
-
-    @property
-    def residual_bound(self) -> float | np.ndarray:
-        """max over roots of |p(z)| / sum_i |c_i z^i|, per row."""
-        c, z = np.atleast_2d(self.coeffs), np.atleast_2d(self.roots)
-        if z.shape[1] == 0:
-            bound = np.zeros(z.shape[0])
-        else:
-            bound = _scaled_residual_rows(c, z)
-        return float(bound[0]) if self.roots.ndim == 1 else bound
-
-    @property
-    def clustered(self) -> bool | np.ndarray:
-        """Whether some pair of roots is closer than cluster_rtol * scale,
-        per row."""
-        z = np.atleast_2d(self.roots)
-        deg = z.shape[1]
-        if deg < 2:
-            flags = np.zeros(z.shape[0], dtype=bool)
-        else:
-            scale = np.maximum(1.0, np.max(np.abs(z), axis=1))
-            diff = np.abs(z[:, :, None] - z[:, None, :])
-            diff[:, np.arange(deg), np.arange(deg)] = np.inf
-            flags = np.min(diff, axis=(1, 2)) < self.cluster_rtol * scale
-        return bool(flags[0]) if self.roots.ndim == 1 else flags
-
-
 def polynomial_roots(
     coeffs,
     tol: float = DEFAULT_TOLS.roots,
     max_iter: int = 200,
-    cluster_rtol: float = DEFAULT_TOLS.cluster,
-) -> RootSet:
-    """All complex roots: companion-matrix eigenvalues polished by
+) -> np.ndarray:
+    """All complex roots, sorted: companion-matrix eigenvalues polished by
     Aberth-Ehrlich simultaneous iteration.
 
     `coeffs` holds ascending coefficients, or a 2-D stack of such rows that
-    share one degree (nonzero last column).  A stack takes one stacked
-    companion eigensolve and one Aberth loop on all its rows; each row
-    leaves the loop at the iteration where its own step test holds, so every
-    row gets exactly the roots a call with that row alone returns.  A 1-D
-    call is the one-row case.  The polish stops once the largest correction
-    stalls; ConvergenceError is raised when a row's iteration runs out with
-    its residual above sqrt(tol).  Residuals are measured in the
-    backward-error sense |p(z)| / sum |c_i||z|^i.
+    share one degree (nonzero last column); the roots come back with shape
+    (deg,) or (S, deg).  A stack takes one stacked companion eigensolve and
+    one Aberth loop on all its rows; each row leaves the loop at the
+    iteration where its own step test holds, so every row gets exactly the
+    roots a call with that row alone returns.  A 1-D call drops trailing
+    zeros and is the one-row case.  The polish stops once the largest
+    correction stalls; ConvergenceError is raised when a row's iteration
+    runs out with its residual above sqrt(tol).  Residuals are measured in
+    the backward-error sense |p(z)| / sum |c_i||z|^i.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim <= 1:
+    single = c.ndim <= 1
+    if single:
         c = np.atleast_1d(c)
         nz = np.nonzero(c)[0]
         if nz.size == 0:
             raise ValueError("zero polynomial has no well-defined roots")
-        c = c[: nz[-1] + 1]
-        deg = c.size - 1
-        if deg == 0:
-            roots = np.zeros(0, dtype=complex)
-        elif deg == 1:
-            roots = np.array([-c[0] / c[1]])
-        else:
-            roots = _aberth(c[None, :], tol, max_iter)[0]
-        return RootSet(roots, c, cluster_rtol)
-
-    if c.ndim != 2:
+        c = c[None, : nz[-1] + 1]
+    elif c.ndim != 2:
         raise ValueError(f"expected one row or a 2-D stack of rows, got shape {c.shape}")
-    if np.any(c[:, -1] == 0.0):
+    elif np.any(c[:, -1] == 0.0):
         raise ValueError("the rows of a stack must share one degree")
-    if c.shape[1] <= 2:
-        roots = np.array([polynomial_roots(row, tol, max_iter).roots for row in c],
-                         dtype=complex)
+    deg = c.shape[1] - 1
+    if deg == 0:
+        roots = np.zeros((c.shape[0], 0), dtype=complex)
+    elif deg == 1:
+        roots = -c[:, :1] / c[:, 1:]
     else:
         roots = _aberth(c, tol, max_iter)
-    return RootSet(roots, c, cluster_rtol)
+    return roots[0] if single else roots
 
 
 def _companion_start(c: np.ndarray) -> np.ndarray:

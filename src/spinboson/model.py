@@ -13,10 +13,11 @@ compare exactly; floats appear only once matrices are assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 Rational = Fraction
 
@@ -273,12 +274,6 @@ def level_occupations(k: tuple[int, ...], sector: SectorLabels) -> list[tuple[in
     return [tuple(ni - ki * n for ni, ki in zip(occ0, k)) for n in range(sector.dim)]
 
 
-def reference_of_level(model: ModelSpec, sector: SectorLabels, n: int) -> ReferenceState:
-    """The product state sitting at ladder level n of the sector."""
-    mu = sector.p + model.r * n - sector.j
-    return ReferenceState(mu=mu, n_bosons=boson_occupations(model, sector, n))
-
-
 def sector_to_dict(sector: SectorLabels) -> dict:
     """JSON form of the labels; rationals appear as ints or "num/den" strings."""
     return {
@@ -291,6 +286,12 @@ def sector_to_dict(sector: SectorLabels) -> dict:
         "A": [format_rational(x) for x in sector.A],
         "dim": sector.dim,
     }
+
+
+def occupation_grid(M: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every occupation tuple of M modes with each n_i <= cap, in
+    lexicographic order (one empty tuple for M = 0)."""
+    return itertools.product(range(cap + 1), repeat=M)
 
 
 def enumerate_sectors(
@@ -318,17 +319,10 @@ def _enumerate_sectors(
     M: int, r: int, k: tuple[int, ...], j: Rational, max_total_bosons: int
 ) -> tuple[SectorLabels, ...]:
     shape = ModelSpec(M=M, r=r, s=1, k=k, w=(0.0,) * M, g_prime=0.0, g=0.0)
-
-    def occupations(modes: int, budget: int) -> Iterable[tuple[int, ...]]:
-        if modes == 0:
-            yield ()
-            return
-        for head in range(budget + 1):
-            for tail in occupations(modes - 1, budget - head):
-                yield (head,) + tail
-
+    simplex = [ns for ns in occupation_grid(M, max_total_bosons)
+               if sum(ns) <= max_total_bosons]
     seen: set[SectorLabels] = set()
     for t in range(int(2 * j) + 1):
-        for ns in occupations(M, max_total_bosons):
+        for ns in simplex:
             seen.add(_sector_labels(shape, j, t, ns))
     return tuple(sorted(seen))

@@ -74,10 +74,6 @@ class EulerOperator:
         return EulerOperator({0: coeffs})
 
     @staticmethod
-    def derivative(order: int = 1) -> "EulerOperator":
-        return EulerOperator({order: [1.0]})
-
-    @staticmethod
     def euler_affine(const: float, slope: float) -> "EulerOperator":
         """const + slope * z D."""
         return EulerOperator({0: [const], 1: [0.0, slope]})
@@ -182,30 +178,9 @@ class EulerOperator:
                 return False
         return True
 
-    def to_dict(self) -> dict[str, list[float]]:
-        """JSON form: derivative order (as string) -> coefficient list."""
-        return {str(d): [float(c) for c in p] for d, p in sorted(self.terms.items())}
-
-    @staticmethod
-    def from_dict(data: dict[str, list[float]]) -> "EulerOperator":
-        return EulerOperator({int(d): np.asarray(p, dtype=float) for d, p in data.items()})
-
     def __repr__(self) -> str:
         parts = [f"D^{d}: {list(p)}" for d, p in sorted(self.terms.items())]
         return f"EulerOperator({'; '.join(parts) or '0'})"
-
-
-# module-level aliases for the three primitive operations
-def compose(a: EulerOperator, b: EulerOperator) -> EulerOperator:
-    return a @ b
-
-
-def add(a: EulerOperator, b: EulerOperator) -> EulerOperator:
-    return a + b
-
-
-def scale(c: float, a: EulerOperator) -> EulerOperator:
-    return c * a
 
 
 # ---------------------------------------------------------------------------

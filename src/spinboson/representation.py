@@ -25,6 +25,7 @@ from .model import (
     ReferenceState,
     SectorLabels,
     level_occupations,
+    occupation_grid,
     parse_rational,
     sector_from_reference,
     validate_model,
@@ -34,17 +35,14 @@ from .operators import apply_to_monomials, build_hamiltonian_operator
 
 @dataclass(frozen=True)
 class SectorMatrices:
-    """Ladder operators and H on one sector, plus the monomial change of basis.
+    """H on one sector, plus the monomial change of basis.
 
-    All matrices are (dim x dim) in the orthonormal ladder basis; H is exactly
-    symmetric.  norm_scale[n] is the normalization denominator of the level-n
-    basis state under the monomial map, so diag(norm_scale) conjugates the
+    H is (dim x dim) in the orthonormal ladder basis and exactly symmetric.
+    norm_scale[n] is the normalization denominator of the level-n basis state
+    under the monomial map, so diag(norm_scale) conjugates the
     monomial-basis action into this basis.
     """
 
-    P0: np.ndarray
-    Pplus: np.ndarray
-    Pminus: np.ndarray
     H: np.ndarray
     norm_scale: np.ndarray
 
@@ -83,14 +81,6 @@ def _lowering_radicands(
     return rads
 
 
-def _p0_diag(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
-    """Eigenvalues (p - j)/r + n - kappa of P0, one per ladder level."""
-    return np.array(
-        [float((Fraction(sector.p) - sector.j) / model.r + n - sector.kappa)
-         for n in range(sector.dim)]
-    )
-
-
 def _pplus_band(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
     """Sub-diagonal amplitudes of the raising operator, levels n -> n+1."""
     occ = level_occupations(model.k, sector)
@@ -109,23 +99,19 @@ def _pminus_band(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
     )
 
 
-def _ladder_matrices(
-    p0_diag: np.ndarray, up: np.ndarray, down: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense P0, Pplus and Pminus from the diagonal and the two bands."""
-    return np.diag(p0_diag), np.diag(up, -1), np.diag(down, 1)
-
-
 def ladder_operators(
     model: ModelSpec, sector: SectorLabels
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """P0, Pplus and Pminus on the sector, built afresh from the closed forms.
 
-    The same construction as sector_matrices, without its cache: the algebra
+    P0 is diagonal with the eigenvalues (p - j)/r + n - kappa; the ladder
+    bands are the ones sector_matrices reads, without its cache: the algebra
     checks judge the matrix elements as the current code computes them.
     """
-    return _ladder_matrices(_p0_diag(model, sector), _pplus_band(model, sector),
-                            _pminus_band(model, sector))
+    p0_diag = [float((Fraction(sector.p) - sector.j) / model.r + n - sector.kappa)
+               for n in range(sector.dim)]
+    return (np.diag(p0_diag), np.diag(_pplus_band(model, sector), -1),
+            np.diag(_pminus_band(model, sector), 1))
 
 
 def norm_scale(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
@@ -152,7 +138,6 @@ class SectorLevels:
     multiplies -g sum_i alpha_i in the closed-form energy (0.0 when N = 0).
     """
 
-    p0_diag: np.ndarray
     pplus_band: np.ndarray
     pminus_band: np.ndarray
     occupations: np.ndarray
@@ -173,7 +158,6 @@ def _sector_levels(
 ) -> SectorLevels:
     shape = ModelSpec(M=M, r=r, s=s, k=k, w=(0.0,) * M, g_prime=0.0, g=0.0)
     j, p, n_top = sector.j, sector.p, sector.n_top
-    p0_diag = _p0_diag(shape, sector)
     up = _pplus_band(shape, sector)
     down = _pminus_band(shape, sector)
     occ = level_occupations(k, sector)
@@ -190,7 +174,7 @@ def _sector_levels(
             for v in range(1, ki + 1):
                 coeff *= ni - v + 1
 
-    arrays = (p0_diag, up, down, np.array(occ, dtype=np.int64), spin_powers, scale)
+    arrays = (up, down, np.array(occ, dtype=np.int64), spin_powers, scale)
     for arr in arrays:
         arr.flags.writeable = False
     return SectorLevels(*arrays, root_sum_coeff=float(coeff))
@@ -201,20 +185,18 @@ def sector_matrices(
     sector: SectorLabels,
     symmetry_rtol: float = DEFAULT_TOLS.symmetry,
 ) -> SectorMatrices:
-    """Build P0, the ladder pair, and the symmetric H on the sector.
+    """The symmetric H on the sector.
 
     H = sum_i w_i N_i + g' (r(P0 + kappa))^s
         + g prod_i k_i^{k_i/2} (Pplus + Pminus) + constant_shift.
 
-    The diagonal of P0, the ladder bands, the occupations, the spin powers
-    and norm_scale come from sector_levels (cached per model shape and
-    sector); each call combines them with w, g', g and constant_shift and
-    returns arrays of its own.
+    The ladder bands, the occupations, the spin powers and norm_scale come
+    from sector_levels (cached per model shape and sector); each call
+    combines them with w, g', g and constant_shift and returns arrays of
+    its own.
     """
     validate_model(model)
     levels = sector_levels(model, sector)
-    P0, Pplus, Pminus = _ladder_matrices(levels.p0_diag, levels.pplus_band,
-                                         levels.pminus_band)
 
     diag = np.zeros(sector.dim)
     for wi, occ_i in zip(model.w, levels.occupations.T):
@@ -225,7 +207,8 @@ def sector_matrices(
     coupling = model.g
     for ki in model.k:
         coupling *= float(ki) ** (ki / 2.0)
-    h += coupling * (Pplus + Pminus)
+    h += coupling * (np.diag(levels.pplus_band, -1)
+                     + np.diag(levels.pminus_band, 1))
 
     scale = max(np.max(np.abs(h)), 1.0)
     asym = np.max(np.abs(h - h.T), initial=0.0)
@@ -233,7 +216,7 @@ def sector_matrices(
         raise AssertionError(f"sector H asymmetry {asym:.3e} exceeds {symmetry_rtol:g}")
     h = (h + h.T) / 2.0
 
-    return SectorMatrices(P0, Pplus, Pminus, h, levels.norm_scale.copy())
+    return SectorMatrices(h, levels.norm_scale.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +405,9 @@ def _grouped_basis(
     """Charge-block decomposition of the truncated basis (couplings irrelevant)."""
     shape = ModelSpec(M=M, r=r, s=1, k=k, w=(0.0,) * M, g_prime=0.0, g=0.0)
     groups: dict[SectorLabels, list[tuple[Rational, tuple[int, ...]]]] = {}
-    two_j = int(2 * j)
-
-    def occupations(modes: int):
-        if modes == 0:
-            yield ()
-            return
-        for head in range(boson_cap + 1):
-            for tail in occupations(modes - 1):
-                yield (head,) + tail
-
-    for t in range(two_j + 1):
+    for t in range(int(2 * j) + 1):
         mu = Fraction(t) - j
-        for ns in occupations(M):
+        for ns in occupation_grid(M, boson_cap):
             labels = sector_from_reference(shape, j, ReferenceState(mu, ns))
             groups.setdefault(labels, []).append((mu, ns))
 

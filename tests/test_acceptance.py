@@ -29,7 +29,7 @@ def _report(result):
 
 
 def test_oracle_equivalence(sweep):
-    result = verify.check_oracle_equivalence(n_draws=N_DRAWS, _cache=sweep)
+    result = verify.check_oracle_equivalence(sweep, n_draws=N_DRAWS)
     result.elapsed = sweep["elapsed"]
     _report(result)
     assert sweep["elapsed"] < 60.0, (
@@ -37,7 +37,7 @@ def test_oracle_equivalence(sweep):
 
 
 def test_bae_certificate(sweep):
-    _report(verify.check_bae_certificate(n_draws=N_DRAWS, _cache=sweep))
+    _report(verify.check_bae_certificate(sweep))
 
 
 def test_algebra_identities():

@@ -4,8 +4,7 @@ The stacked routines must give every state exactly what a call with that
 state alone gives.  The per-state code that the batch replaced is kept here
 as the reference: the assembly that recovers, certifies and verifies one
 eigenpair at a time from the 1-D calls, the closed-form energy of one root
-set, the eager RootSet fields and the acceptance sweep's per-state checking
-loop.
+set and the acceptance sweep's per-state checking loop.
 """
 
 from fractions import Fraction
@@ -21,7 +20,6 @@ from spinboson.bethe import (
     energy_from_roots,
     min_root_distance,
     poly_from_roots,
-    recover_roots,
     residual_scale,
     root_scale,
     solve_sector,
@@ -96,7 +94,7 @@ def state_reference(model, sector, mats, value, vector, index, polys, mono):
     top = coeffs[-1]
     if abs(top) <= 1e-12 * np.max(np.abs(coeffs)):
         raise RuntimeError("vanishing leading coefficient")
-    roots = polynomial_roots(coeffs / top, TOLS.roots, cluster_rtol=TOLS.cluster).roots
+    roots = polynomial_roots(coeffs / top, TOLS.roots)
     residuals, scaled = scaled_residual_reference(model, sector, roots, polys)
 
     refined = False
@@ -107,8 +105,7 @@ def state_reference(model, sector, mats, value, vector, index, polys, mono):
             cand = bethe._recurrence_coeffs(sq, float(value), direction)
             if not np.all(np.isfinite(cand)):
                 continue
-            cand_roots = polynomial_roots(cand, TOLS.roots,
-                                          cluster_rtol=TOLS.cluster).roots
+            cand_roots = polynomial_roots(cand, TOLS.roots)
             cand_res, cand_scaled = scaled_residual_reference(
                 model, sector, cand_roots, polys)
             if cand_scaled < scaled:
@@ -167,8 +164,7 @@ def compare_sector(model, sector):
 
     def batch():
         return bethe._states_from_eigenpairs(
-            model, sector, mats, eig.values, eig.vectors, list(range(sector.dim)),
-            polys, mono, TOLS)
+            model, sector, mats, eig.values, eig.vectors, polys, mono, TOLS)
 
     want, got = outcome(per_state), outcome(batch)
     if isinstance(want, type):
@@ -226,22 +222,28 @@ def test_batch_matches_per_state_through_the_fallbacks(name, j, seed):
 ], ids=["eigenvector0", "eigenvector22", "eigenvector28"])
 def test_batch_raises_what_the_per_state_loop_meets_first(j, params):
     # the roundoff end component sits in eigenvector 0, 22 and 28 of the
-    # three sectors; the columns before it are recovered first
+    # three sectors; the per-state loop meets it after recovering the columns
+    # before it, the batch before recovering any
     model = model_for_j("bose_hubbard", params, j)
     assert compare_sector(model, largest_sector(model, j)) is RuntimeError
 
 
 def test_error_of_an_earlier_column_comes_first(monkeypatch):
-    # eigenvector 22 of this sector has its end component at roundoff; a
-    # root failure of the columns before it is what the caller sees
+    # eigenvector 22 of this sector has its end component at roundoff; every
+    # column is checked for that before any roots are recovered, so a root
+    # failure of the columns before it never happens
+    calls = []
+
     def fail(*args, **kwargs):
+        calls.append(1)
         raise ConvergenceError("Aberth-Ehrlich iteration did not converge")
 
     params = random_params("bose_hubbard", np.random.default_rng(5))
     model = model_for_j("bose_hubbard", params, 12)
     monkeypatch.setattr(bethe, "polynomial_roots", fail)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(RuntimeError, match=r"eigenvector 22 has its end component"):
         solve_sector(model, largest_sector(model, 12))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +257,44 @@ def random_rows(rng, n_rows, deg):
     return rows
 
 
-@pytest.mark.parametrize("deg", [2, 3, 7, 12, 24])
+def row_roots_reference(row):
+    """The roots of one row as the 1-D call computed them before it ran as a
+    one-row stack."""
+    c = np.asarray(row, dtype=complex)
+    if c.size == 1:
+        return np.zeros(0, dtype=complex)
+    if c.size == 2:
+        return np.array([-c[0] / c[1]])
+    return roots_reference(c)
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 3, 7, 12, 24])
 def test_stacked_roots_equal_row_calls(deg):
     rng = np.random.default_rng(deg)
-    rows = random_rows(rng, 9, deg)
-    rows[2, 0] = 0.0           # numpy.roots deflates this row's zero root
-    rows[5, :2] = 0.0          # and this row's double zero root
+    rows = random_rows(rng, 9, deg).astype(complex)
+    rows[1] += 1j * random_rows(rng, 1, deg)[0]  # a complex row
+    if deg >= 1:
+        rows[2, 0] = 0.0       # numpy.roots deflates this row's zero root
+    if deg >= 2:
+        rows[5, :2] = 0.0      # and this row's double zero root
+        # (z - 1)^2 times a random monic: a cluster
+        rows[7] = np.convolve([1.0, -2.0, 1.0], random_rows(rng, 1, deg - 2)[0])
     stacked = polynomial_roots(rows)
-    assert stacked.roots.shape == (9, deg)
+    assert stacked.shape == (9, deg) and stacked.dtype == complex
     for i, row in enumerate(rows):
         single = polynomial_roots(row)
-        assert np.array_equal(stacked.roots[i], single.roots)
-        assert stacked.residual_bound[i] == single.residual_bound
-        assert stacked.clustered[i] == single.clustered
-        assert np.array_equal(single.roots, roots_reference(row))
+        assert single.shape == (deg,) and single.dtype == complex
+        assert np.array_equal(stacked[i], single)
+        assert np.array_equal(single, row_roots_reference(row))
+        # trailing zeros of a 1-D call are dropped first
+        padded = np.concatenate([row, np.zeros(2)])
+        assert np.array_equal(polynomial_roots(padded), single)
 
 
 def test_stacked_roots_low_degree_and_rejects_mixed_degrees():
     rows = np.array([[6.0, -2.0], [1.0, 4.0]])
     stacked = polynomial_roots(rows)
-    assert np.array_equal(stacked.roots, [[3.0], [-0.25]])
+    assert np.array_equal(stacked, [[3.0], [-0.25]])
     with pytest.raises(ValueError):
         polynomial_roots(np.array([[1.0, 2.0, 1.0], [1.0, 2.0, 0.0]]))
 
@@ -299,13 +319,14 @@ def test_stacked_bae_residuals_equal_row_calls():
                           np.array([poly_from_roots(row) for row in roots]))
 
 
-def test_recover_roots_equals_solve_sector_state():
-    params = random_params("lmg", np.random.default_rng(5))
-    model = model_for_j("lmg", params, 6)
-    sec = largest_sector(model, 6)
-    by_index = {st.eigen_index: st for st in solve_sector(model, sec)}
-    for i in range(sec.dim):
-        assert_same_states([recover_roots(model, sec, i)], [by_index[i]])
+def test_eigen_index_is_the_column_index():
+    # solve_sector sorts by energy, and the eigensolve's columns ascend in
+    # energy (g != 0 in these models)
+    for name, j, seed in [("lmg", 6, 5), ("two_mode_tc", 2, 3), ("rigid_rotor", 4, 1)]:
+        model = model_for_j(name, random_params(name, np.random.default_rng(seed)), j)
+        for sec in enumerate_sectors(model, j, 3):
+            states = solve_sector(model, sec)
+            assert [st.eigen_index for st in states] == list(range(sec.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +370,7 @@ def test_fallback_drops_a_recurrence_candidate_whose_roots_fail(monkeypatch):
     sec = largest_sector(model, 12)
     mats, eig, _, _ = sector_inputs(model, sec)
     coeffs = eig.vectors.T / mats.norm_scale
-    eigvec_roots = polynomial_roots(coeffs / coeffs[:, -1:], TOLS.roots,
-                                    cluster_rtol=TOLS.cluster).roots
+    eigvec_roots = polynomial_roots(coeffs / coeffs[:, -1:], TOLS.roots)
 
     stacked_roots = bethe.polynomial_roots
     failed = []
@@ -375,59 +395,6 @@ def test_fallback_drops_a_recurrence_candidate_whose_roots_fail(monkeypatch):
                       lambda sq, energy, direction: np.full(sq.shape[0], np.nan))
         dropped = solve_sector(model, sec)
     assert_same_states(states, dropped)
-
-
-# ---------------------------------------------------------------------------
-# lazy RootSet fields
-# ---------------------------------------------------------------------------
-
-def eager_fields(coeffs, roots, cluster_rtol=TOLS.cluster):
-    """residual_bound and clustered of one root set, computed row by row."""
-    c = np.asarray(coeffs, dtype=complex)
-    if roots.size == 0:
-        return 0.0, False
-    num = np.abs(poly_eval(c, roots))
-    den = poly_eval(np.abs(c), np.abs(roots)).real
-    den = np.where(den == 0.0, 1.0, den)
-    bound = float(np.max(num / den))
-    if roots.size < 2:
-        return bound, False
-    diff = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return bound, bool(np.min(diff) < cluster_rtol * max(1.0, np.max(np.abs(roots))))
-
-
-@pytest.mark.parametrize("deg", [0, 1, 2, 3, 7, 12, 24])
-def test_lazy_rootset_fields_equal_the_eager_computation(deg):
-    rng = np.random.default_rng(100 + deg)
-    rows = random_rows(rng, 9, deg)
-    if deg >= 2:
-        rows[2, 0] = 0.0                 # a zero root
-        rows[5, :2] = 0.0                # a double zero root: clustered
-        # (z - 1)^2 times a random monic: clustered
-        rows[7] = np.convolve([1.0, -2.0, 1.0], random_rows(rng, 1, deg - 2)[0])
-    stacked = polynomial_roots(rows)
-    bounds, flags = stacked.residual_bound, stacked.clustered
-    assert bounds.shape == flags.shape == (9,)
-    assert bounds.dtype == float and flags.dtype == bool
-    for i, row in enumerate(rows):
-        single = polynomial_roots(row)
-        want = eager_fields(row, single.roots)
-        assert (single.residual_bound, single.clustered) == want
-        assert type(single.residual_bound) is float
-        assert type(single.clustered) is bool
-        assert (bounds[i], flags[i]) == want
-    if deg >= 2:
-        assert flags[5] and flags[7]
-
-
-def test_lazy_rootset_fields_of_trimmed_rows():
-    # trailing zeros are trimmed before the fields are computed
-    out = polynomial_roots([2.0, -1.0, 0.0, 0.0])
-    assert np.array_equal(out.roots, [2.0])
-    assert (out.residual_bound, out.clustered) == eager_fields([2.0, -1.0], out.roots)
-    out = polynomial_roots([3.0, 0.0])
-    assert (out.residual_bound, out.clustered) == (0.0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +546,22 @@ def sweep_reference(seed, n_draws, tols):
     return {"worst_match": worst_match, "worst_residual": worst_residual,
             "n_sectors": n_sectors, "n_states": n_states,
             "n_degenerate": n_degenerate, "failures": failures}
+
+
+def test_oracle_cap_equals_the_occupation_formula():
+    # the largest level-0 occupation k_i (A_i + q_i - 1/k_i^2) of any sector
+    rng = np.random.default_rng(3)
+    for name in PRESET_NAMES:
+        grid = DEFAULT_GRIDS[name]
+        params = random_params(name, rng)
+        for j in grid.j_values:
+            model = model_for_j(name, params, j)
+            sectors = enumerate_sectors(model, j, grid.max_total_bosons)
+            want = max((int(ki * (ai + qi - Fraction(1, ki * ki)))
+                        for sec in sectors
+                        for ki, qi, ai in zip(model.k, sec.q, sec.A)), default=0)
+            assert verify._oracle_cap(model, sectors) == want
+            assert verify._oracle_cap(model, []) == 0
 
 
 @pytest.mark.parametrize("seed", [686310523, 101, 20240817])

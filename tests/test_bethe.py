@@ -12,7 +12,6 @@ from spinboson.bethe import (
     liouville_ratio,
     newton_refine_bae,
     poly_from_roots,
-    recover_roots,
     solve_sector,
     state_to_dict,
 )
@@ -53,7 +52,7 @@ class TestRecoverRoots:
         model = tc_model(w, gp, g)
         sec = tc_doublet_sector(model)
         disc = np.sqrt((w - gp) ** 2 + 4 * g * g)
-        upper = recover_roots(model, sec, 1)
+        upper = solve_sector(model, sec)[1]
         assert upper.energy == pytest.approx((w + disc) / 2, rel=1e-12)
         alpha_minus = ((gp - w) - disc) / (2 * g)
         np.testing.assert_allclose(upper.roots, [alpha_minus], atol=1e-10)
@@ -66,7 +65,7 @@ class TestRecoverRoots:
         model = tc_model(w=1.0, gp=0.3)
         sec = sector_from_reference(model, Fraction(1, 2),
                                     ReferenceState(Fraction(-1, 2), (0,)))
-        state = recover_roots(model, sec, 0)
+        state = solve_sector(model, sec)[0]
         assert state.roots.size == 0
         assert state.energy == pytest.approx(-0.15)
         assert state.verified
@@ -76,8 +75,7 @@ class TestRecoverRoots:
         model = two_site_model(gp=0.0, g=g)
         sec = sector_from_reference(model, Fraction(1, 2),
                                     ReferenceState(Fraction(-1, 2)))
-        low = recover_roots(model, sec, 0)
-        high = recover_roots(model, sec, 1)
+        low, high = solve_sector(model, sec)
         assert low.energy == pytest.approx(-g)
         assert high.energy == pytest.approx(+g)
         np.testing.assert_allclose(low.roots, [1.0], atol=1e-10)
@@ -90,16 +88,10 @@ class TestRecoverRoots:
         model = two_site_model()
         sec = sector_from_reference(model, Fraction(5, 2),
                                     ReferenceState(Fraction(-5, 2)))
-        for idx in range(sec.dim):
-            assert recover_roots(model, sec, idx).roots.size == sec.n_top
-        with pytest.raises(ValueError):
-            recover_roots(model, sec, sec.dim)
-
-    def test_rejects_zero_coupling(self):
-        model = two_site_model(g=0.0)
-        sec = sector_from_reference(model, Fraction(1), ReferenceState(Fraction(-1)))
-        with pytest.raises(ValueError, match="g != 0"):
-            recover_roots(model, sec, 0)
+        states = solve_sector(model, sec)
+        assert [st.eigen_index for st in states] == list(range(sec.dim))
+        for st in states:
+            assert st.roots.size == sec.n_top
 
 
 class TestBaeResiduals:
@@ -116,7 +108,7 @@ class TestBaeResiduals:
         w, gp, g = 1.0, 0.45, 0.2
         model = tc_model(w, gp, g)
         sec = tc_doublet_sector(model)
-        state = recover_roots(model, sec, 0)
+        state = solve_sector(model, sec)[0]
         alpha = state.roots[0]
         # P_1(z) = -g z^2 + (g' - w) z + g vanishes at the root
         val = -g * alpha**2 + (gp - w) * alpha + g
@@ -126,8 +118,7 @@ class TestBaeResiduals:
     def test_two_site_triplet_residuals(self):
         model = two_site_model(0.7, 0.4)
         sec = sector_from_reference(model, Fraction(1), ReferenceState(Fraction(-1)))
-        for idx in range(sec.dim):
-            state = recover_roots(model, sec, idx)
+        for state in solve_sector(model, sec):
             assert state.max_residual() < 1e-8
 
     @pytest.mark.parametrize("mu, ns", [(-3, (3, 4)), (1, (3, 4))])
@@ -301,7 +292,7 @@ class TestNewtonRefine:
         model = two_site_model(0.7, 0.4)
         sec = sector_from_reference(model, Fraction(3, 2),
                                     ReferenceState(Fraction(-3, 2)))
-        state = recover_roots(model, sec, 1)
+        state = solve_sector(model, sec)[1]
         refined = newton_refine_bae(model, sec, state)
         assert refined.refined
         np.testing.assert_allclose(
@@ -313,7 +304,7 @@ class TestNewtonRefine:
 
         model = two_site_model(0.7, 0.4)
         sec = sector_from_reference(model, Fraction(1), ReferenceState(Fraction(-1)))
-        state = recover_roots(model, sec, 0)
+        state = solve_sector(model, sec)[0]
         perturbed = dataclasses.replace(state, roots=state.roots + 1e-3)
         refined = newton_refine_bae(model, sec, perturbed)
         assert refined.refined
@@ -325,7 +316,7 @@ class TestNewtonRefine:
         model = tc_model()
         sec = sector_from_reference(model, Fraction(1, 2),
                                     ReferenceState(Fraction(-1, 2), (0,)))
-        state = recover_roots(model, sec, 0)
+        state = solve_sector(model, sec)[0]
         assert newton_refine_bae(model, sec, state) is state
 
     def test_solve_sector_with_refinement(self):
@@ -370,7 +361,7 @@ def test_poly_from_roots_roundtrip():
 def test_state_serialization():
     model = tc_model(1.0, 0.45, 0.2)
     sec = tc_doublet_sector(model)
-    state = recover_roots(model, sec, 1)
+    state = solve_sector(model, sec)[1]
     d = state_to_dict(state)
     assert set(d) == {"E", "roots", "residual", "verified", "degenerate_roots",
                       "refined"}

@@ -122,6 +122,34 @@ class TestRoots:
         assert code == 1
         assert "state" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_state_equals_the_spectrum_entry(self, capsys, fmt):
+        common = ("--preset", "lmg", "--param", "g_prime=0.9", "--param", "g=0.7",
+                  "--j", "3", "--format", fmt)
+        code, out, _ = run_cli(capsys, "spectrum", *common)
+        assert code == 0
+        if fmt == "json":
+            spectrum = json.loads(out)["sectors"]
+            assert [len(entry["states"]) for entry in spectrum] == [4, 3]
+        else:
+            header, *rows = out.splitlines()
+            assert len(rows) == 7
+        for i in range(3):
+            code, out, _ = run_cli(capsys, "roots", *common, "--state", str(i))
+            assert code == 0
+            if fmt == "json":
+                assert json.loads(out)["sectors"] == [
+                    {"labels": entry["labels"], "states": [entry["states"][i]]}
+                    for entry in spectrum]
+            else:
+                # the index column restarts at 0 in each sector
+                picked = [row.split(",") for row in rows
+                          if row.split(",")[5] == str(i)]
+                got = [row.split(",") for row in out.splitlines()[1:]]
+                assert len(got) == 2
+                assert [g[:5] + g[6:] for g in got] == [p[:5] + p[6:] for p in picked]
+                assert out.splitlines()[0] == header
+
 
 class TestConfigFile:
     def test_config_file_model(self, capsys, tmp_path):

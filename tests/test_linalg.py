@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinboson.bethe import min_root_distance, root_scale
+from spinboson.config import DEFAULT_TOLS
 from spinboson.linalg import (
     ConvergenceError,
     jacobi_eigen,
@@ -61,7 +63,7 @@ class TestJacobiEigen:
             c = -np.trace(m) / k
             coeffs[n - k] = c
             m += c * np.eye(n)
-        roots = polynomial_roots(coeffs).roots
+        roots = polynomial_roots(coeffs)
         assert np.max(np.abs(roots.imag)) < 1e-7
         np.testing.assert_allclose(np.sort(roots.real), jacobi_eigen(a).values,
                                    rtol=1e-7, atol=1e-7)
@@ -87,17 +89,21 @@ class TestJacobiEigen:
             jacobi_eigen(a, tol=0.0)
 
 
+def clustered(roots):
+    """The cluster test the solver applies to a root set."""
+    return min_root_distance(roots) <= DEFAULT_TOLS.cluster * root_scale(roots)
+
+
 class TestPolynomialRoots:
     def test_quadratic(self):
         out = polynomial_roots([-1.0, 0.0, 1.0])
-        np.testing.assert_allclose(np.sort(out.roots.real), [-1.0, 1.0],
-                                   atol=1e-10)
-        assert not out.clustered
+        np.testing.assert_allclose(np.sort(out.real), [-1.0, 1.0], atol=1e-10)
+        assert not clustered(out)
 
     def test_double_root_flagged(self):
         out = polynomial_roots([1.0, -2.0, 1.0])  # (z - 1)^2
-        np.testing.assert_allclose(out.roots.real, [1.0, 1.0], atol=1e-4)
-        assert out.clustered
+        np.testing.assert_allclose(out.real, [1.0, 1.0], atol=1e-4)
+        assert clustered(out)
 
     def test_recovers_known_factors(self):
         rng = np.random.default_rng(5)
@@ -107,7 +113,7 @@ class TestPolynomialRoots:
             shifted = np.concatenate(([0.0 + 0.0j], coeffs))
             shifted[:-1] -= root * coeffs
             coeffs = shifted
-        got = polynomial_roots(coeffs).roots
+        got = polynomial_roots(coeffs)
         order = np.lexsort((true.imag, true.real))
         np.testing.assert_allclose(got, true[order], atol=1e-9)
 
@@ -116,10 +122,14 @@ class TestPolynomialRoots:
             polynomial_roots([0.0, 0.0])
 
     def test_constant_has_no_roots(self):
-        assert polynomial_roots([3.0]).roots.size == 0
+        assert polynomial_roots([3.0]).shape == (0,)
 
     def test_linear(self):
-        np.testing.assert_allclose(polynomial_roots([6.0, -2.0]).roots, [3.0])
+        np.testing.assert_allclose(polynomial_roots([6.0, -2.0]), [3.0])
+
+    def test_rejects_what_is_not_a_row_or_a_stack(self):
+        with pytest.raises(ValueError, match="2-D stack"):
+            polynomial_roots(np.ones((2, 3, 4)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,7 +151,7 @@ def test_vieta_relations(roots):
         shifted = np.concatenate(([0.0 + 0.0j], coeffs))
         shifted[:-1] -= root * coeffs
         coeffs = shifted
-    got = polynomial_roots(coeffs).roots
+    got = polynomial_roots(coeffs)
     n = roots.size
     scale = max(1.0, float(np.max(np.abs(roots))) ** n)
     # sum = -c_{n-1}/c_n, product = (-1)^n c_0 / c_n

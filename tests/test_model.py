@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spinboson.model import (
     ModelSpec,
+    _sector_labels,
     ReferenceState,
     enumerate_sectors,
     format_rational,
@@ -16,6 +17,7 @@ from spinboson.model import (
     sector_to_dict,
     validate_model,
 )
+from spinboson.representation import _grouped_basis
 
 
 def tc_model(w=1.0, gp=0.5, g=0.1):
@@ -152,6 +154,50 @@ class TestEnumerateSectors:
     def test_deterministic_order(self):
         secs = enumerate_sectors(tc_model(), Fraction(3, 2), 4)
         assert secs == sorted(secs)
+
+
+def recursive_simplex(modes, budget):
+    """The per-module recursive generator enumerate_sectors used to run:
+    occupations with sum <= budget, in lexicographic order."""
+    if modes == 0:
+        yield ()
+        return
+    for head in range(budget + 1):
+        for tail in recursive_simplex(modes - 1, budget - head):
+            yield (head,) + tail
+
+
+def recursive_grid(modes, cap):
+    """The recursive generator the Fock oracle's basis used to run: every
+    occupation with each n_i <= cap, in lexicographic order."""
+    if modes == 0:
+        yield ()
+        return
+    for head in range(cap + 1):
+        for tail in recursive_grid(modes - 1, cap):
+            yield (head,) + tail
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 3])
+def test_one_occupation_generator_equals_the_recursive_ones(M):
+    for r, k, two_j, cap in [(1, (1, 2, 1), 3, 3), (2, (2, 1, 3), 4, 2),
+                             (3, (1, 1, 2), 5, 4)]:
+        shape = ModelSpec(M=M, r=r, s=1, k=k[:M], w=(0.0,) * M,
+                          g_prime=0.0, g=0.0)
+        j = Fraction(two_j, 2)
+        labels = {_sector_labels(shape, j, t, ns)
+                  for t in range(two_j + 1) for ns in recursive_simplex(M, cap)}
+        assert enumerate_sectors(shape, j, cap) == sorted(labels)
+
+        groups = {}
+        for t in range(two_j + 1):
+            mu = Fraction(t) - j
+            for ns in recursive_grid(M, cap):
+                sec = sector_from_reference(shape, j, ReferenceState(mu, ns))
+                groups.setdefault(sec, []).append((mu, ns))
+        want = tuple((sec, tuple(sorted(groups[sec], key=lambda st: st[0])))
+                     for sec in sorted(groups))
+        assert _grouped_basis(M, r, k[:M], j, cap) == want
 
 
 @settings(max_examples=60, deadline=None)

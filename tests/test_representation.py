@@ -17,6 +17,7 @@ from spinboson.representation import (
     check_algebra,
     dense_fock_hamiltonian,
     fock_oracle,
+    ladder_operators,
     monomial_conjugation_check,
     sector_matrices,
 )
@@ -66,9 +67,11 @@ class TestSectorMatrices:
                                     ReferenceState(Fraction(-3), (5, 4)))
         mats = sector_matrices(model, sec)
         assert np.array_equal(mats.H, mats.H.T)
-        np.testing.assert_allclose(mats.Pminus, mats.Pplus.T, atol=1e-12)
-        assert np.count_nonzero(np.diag(mats.Pplus)) == 0
-        assert np.count_nonzero(mats.P0 - np.diag(np.diag(mats.P0))) == 0
+        assert np.count_nonzero(np.triu(mats.H, 2)) == 0
+        P0, Pplus, Pminus = ladder_operators(model, sec)
+        np.testing.assert_allclose(Pminus, Pplus.T, atol=1e-12)
+        assert np.count_nonzero(np.diag(Pplus)) == 0
+        assert np.count_nonzero(P0 - np.diag(np.diag(P0))) == 0
 
     def test_simple_spectrum_for_nonzero_coupling(self):
         model = two_site_model(0.5, 0.8)
@@ -88,9 +91,9 @@ class TestCheckAlgebra:
         model = two_site_model()
         sec = sector_from_reference(model, Fraction(3, 2),
                                     ReferenceState(Fraction(-3, 2)))
-        mats = sector_matrices(model, sec)
-        comm = mats.Pplus @ mats.Pminus - mats.Pminus @ mats.Pplus
-        np.testing.assert_allclose(comm, 2.0 * mats.P0, atol=1e-12)
+        P0, Pplus, Pminus = ladder_operators(model, sec)
+        comm = Pplus @ Pminus - Pminus @ Pplus
+        np.testing.assert_allclose(comm, 2.0 * P0, atol=1e-12)
         assert check_algebra(model, sec).max_relative() < 1e-12
 
     def test_trivial_sector(self):
