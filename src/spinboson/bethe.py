@@ -2,12 +2,13 @@
 
 On a sector of dimension N+1 every eigenfunction is (up to scale) a monic
 polynomial psi(z) = prod_i (z - alpha_i) of degree N.  The production path
-RECOVERS the roots: diagonalize the sector matrix, rescale the eigenvectors to
-monomial coefficients, and factorize.  All N+1 states of a sector share the
-coefficient polynomials P_d, so their roots and certificates are computed
-once per sector on a stack of states; only states whose certificate misses
-fall back, one at a time, to the recurrence and Newton paths.  The coupled
-root equations
+RECOVERS the roots: diagonalize the sector matrix for its eigenvalues, get
+each eigenvalue's monomial coefficients from a twisted ratio recurrence on
+the tridiagonal monomial action, and factorize.  All N+1 states of a sector
+share the coefficient polynomials P_d, so their coefficients, roots and
+certificates are computed once per sector on a stack of states; only states
+whose certificate misses, or whose roots do not verify, fall back, one at a
+time, to Newton on the root equations.  The coupled root equations
 
     sum_{i=2}^{order} sum_{n_1<..<n_{i-1} != mu} P_i(a_mu) i! /
         ((a_mu - a_{n_1}) ... (a_mu - a_{n_{i-1}}))  +  P_1(a_mu)  =  0
@@ -36,7 +37,7 @@ from .operators import (
     extract_polynomials,
     poly_eval,
 )
-from .representation import SectorMatrices, sector_levels, sector_matrices
+from .representation import sector_levels, sector_matrices
 
 
 @dataclass(frozen=True)
@@ -318,31 +319,44 @@ def _verify_eigen_equation(
     return dev <= tol
 
 
-def _recurrence_coeffs(sq: np.ndarray, energy: float, direction: int) -> np.ndarray:
-    """Monic psi coefficients from the three-term recurrence of the action.
+def _twisted_coeffs(sq: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Monic psi coefficients, one row per eigenvalue, from the twisted
+    factorization of sq - E.
 
-    Row m of the square monomial action couples c_{m-1}, c_m, c_{m+1}; given
-    the eigenvalue, the coefficients follow by recursion from either end.
-    Each direction is numerically stable only when it runs toward the
-    dominant coefficients, so callers try both and keep the better one.
+    The square monomial action sq is tridiagonal: row m couples c_{m-1}, c_m
+    and c_{m+1}.  Eliminating sq - E from the top gives pivots D+ and the
+    ratios c_m / c_{m+1} = -sq[m, m+1] / D+_m; eliminating from the bottom
+    gives D- and c_{m+1} / c_m = -sq[m+1, m] / D-_{m+1}.  Each is used on its
+    own side of the twist k that minimises |gamma_k| = |D+_k + D-_k -
+    (sq[k, k] - E)|, so every coefficient comes to relative accuracy from the
+    eigenvalue alone (Fernando's twisted factorization: Parlett & Dhillon,
+    LAA 267, 1997).  A pivot below eps * max|sq| is replaced by that bound,
+    as in LAPACK.  Each row is what a call with that eigenvalue alone gives.
     """
     n = sq.shape[0] - 1
-    c = np.zeros(n + 1)
-    if direction > 0:
-        c[0] = 1.0
-        for m in range(n):
-            val = (energy - sq[m, m]) * c[m]
-            if m > 0:
-                val -= sq[m, m - 1] * c[m - 1]
-            c[m + 1] = val / sq[m, m + 1]
-        return c / c[n]
-    c[n] = 1.0
-    for m in range(n, 0, -1):
-        val = (energy - sq[m, m]) * c[m]
-        if m < n:
-            val -= sq[m, m + 1] * c[m + 1]
-        c[m - 1] = val / sq[m, m - 1]
-    return c
+    shifted = np.diag(sq)[:, None] - np.asarray(values, dtype=float)
+    sup, sub = np.diag(sq, 1)[:, None], np.diag(sq, -1)[:, None]
+    pivmin = np.finfo(float).eps * np.max(np.abs(sq))
+    # step i eliminates row i from the top and row n - i from the bottom
+    steps = np.stack([shifted, shifted[::-1]], axis=1)
+    couple = sub * sup
+    couple = np.stack([couple, couple[::-1]], axis=1)
+    pivots = np.empty_like(steps)
+    pivot = steps[0]
+    for i in range(n + 1):
+        if i:
+            pivot = steps[i] - couple[i - 1] / pivot
+        pivot = np.where(np.abs(pivot) < pivmin, pivmin, pivot)
+        pivots[i] = pivot
+    top, bottom = pivots[:, 0], pivots[::-1, 1]
+    twist = np.argmin(np.abs(top + bottom - shifted), axis=0)
+    # c_m / c_{m+1} comes from the top elimination for m < k and from the
+    # bottom one for m >= k; the monic row is their product from z^N down
+    ratio = np.where(np.arange(n)[:, None] < twist,
+                     -sup / top[:-1], -bottom[1:] / sub)
+    monic = np.ones((n + 1, shifted.shape[1]))
+    monic[:n] = np.cumprod(ratio[::-1], axis=0)[::-1]
+    return monic.T
 
 
 def _scaled_bae_residuals(
@@ -402,70 +416,39 @@ def _polish_roots(
     return refined[order]
 
 
-def _fallback_roots(
+def _verified(
     model: ModelSpec,
     sector: SectorLabels,
-    mono: np.ndarray,
-    value: float,
     roots: np.ndarray,
-    residuals: np.ndarray,
-    scaled: float,
-    polys: list[np.ndarray],
+    values: np.ndarray,
+    mono: np.ndarray,
     tols: Tolerances,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Roots, residuals and refined flag of one state whose certificate
-    exceeds the polish trigger.
-
-    Eigenvectors spanning many orders of magnitude leave the small
-    coefficients relatively inaccurate; rebuild the coefficients by recursion
-    from the eigenvalue and, if the certificate still shows it, polish the
-    roots directly on the root equations.  A candidate replaces the roots
-    only when its scaled residual is smaller.  A recurrence candidate that
-    is not finite, or whose roots do not converge, is dropped.
-    """
-    polish_trigger = 1e-2 * tols.bae
-    refined = False
-    sq = mono[: sector.n_top + 1, :]
-    for direction in (+1, -1):
-        cand_coeffs = _recurrence_coeffs(sq, value, direction)
-        if not np.all(np.isfinite(cand_coeffs)):
-            continue
-        try:
-            cand_roots = polynomial_roots(cand_coeffs, tols.roots)
-        except ConvergenceError:
-            continue
-        cand_res, cand_scaled, _, _ = _scaled_bae_residuals(
-            model, sector, cand_roots[None], polys, tols)
-        if cand_scaled[0] < scaled:
-            roots, residuals, scaled = cand_roots, cand_res[0], cand_scaled[0]
-    if np.isfinite(scaled) and scaled > polish_trigger:
-        polished = _polish_roots(model, sector, roots, polys, tols)
-        if polished is not None:
-            cand_res, cand_scaled, _, _ = _scaled_bae_residuals(
-                model, sector, polished[None], polys, tols)
-            if cand_scaled[0] < scaled:
-                roots, residuals, refined = polished, cand_res[0], True
-    return roots, residuals, refined
+) -> np.ndarray:
+    """Per row of roots: whether prod (z - root) reproduces H psi = E psi and
+    its closed-form energy lies within tols.match of E (the energy pin)."""
+    pinned = (np.abs(closed_form_energy(model, sector, np.sum(roots, axis=1))
+                     - values)
+              <= tols.match * np.maximum(1.0, np.abs(values)))
+    return pinned & _verify_eigen_equation(mono, poly_from_roots(roots), values,
+                                           tols.match)
 
 
-def _states_from_eigenpairs(
+def _recover_states(
     model: ModelSpec,
     sector: SectorLabels,
-    mats: SectorMatrices,
     values: np.ndarray,
-    vectors: np.ndarray,
     polys: list[np.ndarray],
     mono: np.ndarray,
     tols: Tolerances,
 ) -> list[BetheState]:
-    """The states of the eigenpairs (values[i], vectors[:, i]), with
-    eigen_index i, recovered together.
+    """The states of the eigenvalues values[i], with eigen_index i, recovered
+    together.
 
-    The roots and the certificate of every column come from one stacked
-    pass; only states whose scaled certificate exceeds 1e-2 * tols.bae go
-    through the recurrence and Newton fallback, one at a time.  A column
-    whose leading monomial coefficient is at roundoff raises before any
-    roots are recovered.
+    The coefficients, roots, certificate and verification of every state come
+    from one stacked pass.  Only a state whose scaled certificate exceeds
+    1e-2 * tols.bae, or whose roots do not verify, is polished by Newton on
+    the root equations, one at a time; it keeps the polished roots when their
+    scaled residual is smaller.
     """
     values = np.asarray(values, dtype=float)
     n_top = sector.n_top
@@ -478,49 +461,27 @@ def _states_from_eigenpairs(
             for idx, value in enumerate(values)
         ]
 
-    coeffs = vectors.T / mats.norm_scale
-    top = coeffs[:, -1]
-    peak = np.max(np.abs(coeffs), axis=1)
-    vanishing = np.flatnonzero(np.abs(top) <= 1e-12 * peak)
-    if vanishing.size:
-        i = vanishing[0]
-        raise RuntimeError(
-            f"eigenvector {i} has its end component at roundoff: its "
-            f"z^{n_top} monomial coefficient is {abs(top[i]) / peak[i]:.3e} "
-            "of its largest (limit 1e-12), so its roots cannot be recovered from it"
-        )
-    return _recover_states(model, sector, values, coeffs / top[:, None], polys,
-                           mono, tols)
-
-
-def _recover_states(
-    model: ModelSpec,
-    sector: SectorLabels,
-    values: np.ndarray,
-    monic: np.ndarray,
-    polys: list[np.ndarray],
-    mono: np.ndarray,
-    tols: Tolerances,
-) -> list[BetheState]:
-    """States from the rows of monic psi coefficients (leading coefficient 1);
-    row i is eigen_index i."""
-    roots = polynomial_roots(monic, tols.roots)
+    roots = polynomial_roots(_twisted_coeffs(mono[: n_top + 1], values),
+                             tols.roots)
     residuals, scaled, dist, zscale = _scaled_bae_residuals(
         model, sector, roots, polys, tols)
+    verified = _verified(model, sector, roots, values, mono, tols)
     refined = np.zeros(values.size, dtype=bool)
-    fallback = np.flatnonzero(np.isfinite(scaled) & (scaled > 1e-2 * tols.bae))
-    for i in fallback:
-        roots[i], residuals[i], refined[i] = _fallback_roots(
-            model, sector, mono, float(values[i]), roots[i], residuals[i],
-            scaled[i], polys, tols)
-    if fallback.size:
-        dist[fallback] = min_root_distance(roots[fallback])
-        zscale[fallback] = root_scale(roots[fallback])
+    retry = np.isfinite(scaled) & ((scaled > 1e-2 * tols.bae) | ~verified)
+    for i in np.flatnonzero(retry):
+        polished = _polish_roots(model, sector, roots[i], polys, tols)
+        if polished is None:
+            continue
+        cand_res, cand_scaled, cand_dist, cand_zscale = _scaled_bae_residuals(
+            model, sector, polished[None], polys, tols)
+        if cand_scaled[0] < scaled[i]:
+            roots[i], residuals[i], refined[i] = polished, cand_res[0], True
+            dist[i], zscale[i] = cand_dist[0], cand_zscale[0]
+            verified[i] = _verified(model, sector, polished[None], values[i : i + 1],
+                                    mono, tols)[0]
 
     degenerate = ((dist <= tols.bae_guard * zscale)
                   | ~np.all(np.isfinite(residuals.view(float)), axis=1))
-    verified = _verify_eigen_equation(mono, poly_from_roots(roots), values,
-                                      tols.match)
     return [
         BetheState(sector, i, roots[i].copy(), float(values[i]),
                    residuals[i].copy(), bool(degenerate[i]), bool(verified[i]),
@@ -558,9 +519,8 @@ def solve_sector(
         return sorted(states, key=lambda st: st.energy)
 
     eig = jacobi_eigen(mats.H, tols.eigen)
-    polys = extract_polynomials(h_op)
-    states = _states_from_eigenpairs(model, sector, mats, eig.values, eig.vectors,
-                                     polys, mono, tols)
+    states = _recover_states(model, sector, eig.values,
+                             extract_polynomials(h_op), mono, tols)
     if refine:
         states = [newton_refine_bae(model, sector, st, tols) for st in states]
     return sorted(states, key=lambda st: st.energy)

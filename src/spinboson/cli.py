@@ -236,18 +236,20 @@ def cmd_sectors(cfg: RunConfig) -> int:
 
 
 def _spectrum_payload(cfg: RunConfig, only_state: int | None) -> dict:
-    report = []
+    """The report of every selected sector; with only_state, each sector
+    lists its state of that index, or none when it has fewer states."""
+    report, longest = [], 0
     for sector in _select_sectors(cfg):
         states = solve_sector(cfg.model, sector, refine=cfg.refine, tols=cfg.tols)
+        longest = max(longest, len(states))
         if only_state is not None:
-            if not 0 <= only_state < len(states):
-                raise UsageError(
-                    f"--state {only_state} outside 0..{len(states) - 1}")
-            states = [states[only_state]]
+            states = [states[only_state]] if 0 <= only_state < len(states) else []
         report.append({
             "labels": sector_to_dict(sector),
             "states": [state_to_dict(st) for st in states],
         })
+    if only_state is not None and report and not 0 <= only_state < longest:
+        raise UsageError(f"--state {only_state} outside 0..{longest - 1}")
     return {"sectors": report}
 
 

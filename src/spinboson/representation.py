@@ -35,16 +35,10 @@ from .operators import apply_to_monomials, build_hamiltonian_operator
 
 @dataclass(frozen=True)
 class SectorMatrices:
-    """H on one sector, plus the monomial change of basis.
-
-    H is (dim x dim) in the orthonormal ladder basis and exactly symmetric.
-    norm_scale[n] is the normalization denominator of the level-n basis state
-    under the monomial map, so diag(norm_scale) conjugates the
-    monomial-basis action into this basis.
-    """
+    """H on one sector: (dim x dim) in the orthonormal ladder basis and
+    exactly symmetric."""
 
     H: np.ndarray
-    norm_scale: np.ndarray
 
 
 def _exact_sqrt_product(radicands: list[Fraction]) -> float:
@@ -115,7 +109,9 @@ def ladder_operators(
 
 
 def norm_scale(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
-    """Monomial-map denominators sqrt((p+rn)! (2j-p-rn)! prod_i n_i!) per level."""
+    """Monomial-map denominators sqrt((p+rn)! (2j-p-rn)! prod_i n_i!) per level:
+    diag(norm_scale) conjugates the monomial-basis action into the
+    orthonormal sector basis."""
     j, p, r = sector.j, sector.p, model.r
     two_j = int(2 * j)
     out = np.empty(sector.dim)
@@ -142,7 +138,6 @@ class SectorLevels:
     pminus_band: np.ndarray
     occupations: np.ndarray
     spin_powers: np.ndarray
-    norm_scale: np.ndarray
     root_sum_coeff: float
 
 
@@ -163,7 +158,6 @@ def _sector_levels(
     occ = level_occupations(k, sector)
     spin_powers = np.array(
         [float((Fraction(p) - j + r * n) ** s) for n in range(sector.dim)])
-    scale = norm_scale(shape, sector)
 
     coeff = 0
     if n_top > 0:
@@ -174,7 +168,7 @@ def _sector_levels(
             for v in range(1, ki + 1):
                 coeff *= ni - v + 1
 
-    arrays = (up, down, np.array(occ, dtype=np.int64), spin_powers, scale)
+    arrays = (up, down, np.array(occ, dtype=np.int64), spin_powers)
     for arr in arrays:
         arr.flags.writeable = False
     return SectorLevels(*arrays, root_sum_coeff=float(coeff))
@@ -190,8 +184,8 @@ def sector_matrices(
     H = sum_i w_i N_i + g' (r(P0 + kappa))^s
         + g prod_i k_i^{k_i/2} (Pplus + Pminus) + constant_shift.
 
-    The ladder bands, the occupations, the spin powers and norm_scale come
-    from sector_levels (cached per model shape and sector); each call
+    The ladder bands, the occupations and the spin powers come from
+    sector_levels (cached per model shape and sector); each call
     combines them with w, g', g and constant_shift and returns arrays of
     its own.
     """
@@ -216,7 +210,7 @@ def sector_matrices(
         raise AssertionError(f"sector H asymmetry {asym:.3e} exceeds {symmetry_rtol:g}")
     h = (h + h.T) / 2.0
 
-    return SectorMatrices(h, levels.norm_scale.copy())
+    return SectorMatrices(h)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +320,11 @@ def monomial_conjugation_check(model: ModelSpec, sector: SectorLabels) -> float:
     exactly similar; the return value is the absolute deviation (callers
     judge it against tolerance x matrix scale).
     """
-    mats = sector_matrices(model, sector)
     h_op = build_hamiltonian_operator(model, sector)
     mono = apply_to_monomials(h_op, sector.n_top)[: sector.dim, :]
-    d = mats.norm_scale
+    d = norm_scale(model, sector)
     conj = (d[:, None] * mono) / d[None, :]
-    return float(np.max(np.abs(conj - mats.H), initial=0.0))
+    return float(np.max(np.abs(conj - sector_matrices(model, sector).H), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

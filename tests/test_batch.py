@@ -3,10 +3,13 @@
 The stacked routines must give every state exactly what a call with that
 state alone gives.  The per-state code that the batch replaced is kept here
 as the reference: the assembly that recovers, certifies and verifies one
-eigenpair at a time from the 1-D calls, the closed-form energy of one root
-set and the acceptance sweep's per-state checking loop.
+eigenvalue at a time from the 1-D calls, the closed-form energy of one root
+set and the acceptance sweep's per-state checking loop.  The twisted ratio
+recurrence that gives the coefficients is checked against the eigen
+equation and the eigenvectors.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +38,7 @@ from spinboson.operators import (
     poly_eval,
 )
 from spinboson.presets import DEFAULT_GRIDS, PRESET_NAMES, model_for_j, random_params
-from spinboson.representation import fock_oracle, sector_matrices
+from spinboson.representation import fock_oracle, norm_scale, sector_matrices
 
 TOLS = DEFAULT_TOLS
 
@@ -87,58 +90,45 @@ def verify_reference(mono, psi, energy):
     return bool(dev <= TOLS.match)
 
 
-def state_reference(model, sector, mats, value, vector, index, polys, mono):
-    """One eigenpair at a time, as the solver did before the batch."""
-    n_top = sector.n_top
-    coeffs = vector / mats.norm_scale
-    top = coeffs[-1]
-    if abs(top) <= 1e-12 * np.max(np.abs(coeffs)):
-        raise RuntimeError("vanishing leading coefficient")
-    roots = polynomial_roots(coeffs / top, TOLS.roots)
+def state_reference(model, sector, value, index, polys, mono):
+    """One eigenvalue at a time, as the solver did before the batch."""
+    coeffs = bethe._twisted_coeffs(mono[: sector.n_top + 1], [value])[0]
+    roots = polynomial_roots(coeffs, TOLS.roots)
     residuals, scaled = scaled_residual_reference(model, sector, roots, polys)
 
-    refined = False
-    trigger = 1e-2 * TOLS.bae
-    if np.isfinite(scaled) and scaled > trigger:
-        sq = mono[: n_top + 1, :]
-        for direction in (+1, -1):
-            cand = bethe._recurrence_coeffs(sq, float(value), direction)
-            if not np.all(np.isfinite(cand)):
-                continue
-            cand_roots = polynomial_roots(cand, TOLS.roots)
+    def verified(roots):
+        pinned = (abs(closed_form_energy(model, sector, complex(np.sum(roots))) - value)
+                  <= TOLS.match * max(1.0, abs(value)))
+        return pinned and verify_reference(mono, poly_from_roots(roots), float(value))
+
+    refined, ok = False, verified(roots)
+    if np.isfinite(scaled) and (scaled > 1e-2 * TOLS.bae or not ok):
+        polished = bethe._polish_roots(model, sector, roots, polys, TOLS)
+        if polished is not None:
             cand_res, cand_scaled = scaled_residual_reference(
-                model, sector, cand_roots, polys)
+                model, sector, polished, polys)
             if cand_scaled < scaled:
-                roots, residuals, scaled = cand_roots, cand_res, cand_scaled
-        if np.isfinite(scaled) and scaled > trigger:
-            polished = bethe._polish_roots(model, sector, roots, polys, TOLS)
-            if polished is not None:
-                cand_res, cand_scaled = scaled_residual_reference(
-                    model, sector, polished, polys)
-                if cand_scaled < scaled:
-                    roots, residuals, scaled = polished, cand_res, cand_scaled
-                    refined = True
+                roots, residuals, refined = polished, cand_res, True
+                ok = verified(roots)
 
     degenerate = bool(min_root_distance(roots) <= TOLS.bae_guard * root_scale(roots))
     if not np.all(np.isfinite(residuals.view(float))):
         degenerate = True
-    verified = verify_reference(mono, poly_from_roots(roots), float(value))
     return BetheState(sector, index, roots, float(value), residuals,
-                      degenerate, verified, refined=refined)
+                      degenerate, ok, refined=refined)
 
 
 def sector_inputs(model, sector):
-    mats = sector_matrices(model, sector)
-    eig = jacobi_eigen(mats.H, TOLS.eigen)
+    values = jacobi_eigen(sector_matrices(model, sector).H, TOLS.eigen).values
     h_op = build_hamiltonian_operator(model, sector)
-    return mats, eig, extract_polynomials(h_op), apply_to_monomials(h_op, sector.n_top)
+    return values, extract_polynomials(h_op), apply_to_monomials(h_op, sector.n_top)
 
 
 def outcome(fn):
     """The states, or the type of the error raised on the way."""
     try:
         return fn()
-    except (ConvergenceError, RuntimeError) as exc:
+    except ConvergenceError as exc:
         return type(exc)
 
 
@@ -155,16 +145,14 @@ def assert_same_states(got, want):
 
 def compare_sector(model, sector):
     """Batch against the per-state reference; returns the reference states."""
-    mats, eig, polys, mono = sector_inputs(model, sector)
+    values, polys, mono = sector_inputs(model, sector)
 
     def per_state():
-        return [state_reference(model, sector, mats, eig.values[i],
-                                eig.vectors[:, i], i, polys, mono)
+        return [state_reference(model, sector, values[i], i, polys, mono)
                 for i in range(sector.dim)]
 
     def batch():
-        return bethe._states_from_eigenpairs(
-            model, sector, mats, eig.values, eig.vectors, polys, mono, TOLS)
+        return bethe._recover_states(model, sector, values, polys, mono, TOLS)
 
     want, got = outcome(per_state), outcome(batch)
     if isinstance(want, type):
@@ -204,46 +192,15 @@ def test_batch_matches_per_state_on_random_models():
 
 
 @pytest.mark.parametrize("name,j,seed", [("tavis_cummings", 12, 1),
-                                         ("bose_hubbard", 12, 2)])
+                                         ("bose_hubbard", 12, 3)])
 def test_batch_matches_per_state_through_the_fallbacks(name, j, seed):
-    # dim 25: some states leave the eigenvector roots for the recurrence
-    # and Newton fallback, and some of those keep the Newton roots
+    # dim 25: some states leave the recurrence roots for the Newton polish
+    # and keep the polished roots
     params = random_params(name, np.random.default_rng(seed))
     model = model_for_j(name, params, j)
     states = compare_sector(model, largest_sector(model, j))
     assert not isinstance(states, type)
     assert sum(st.refined for st in states) >= 2
-
-
-@pytest.mark.parametrize("j,params", [
-    (12, random_params("bose_hubbard", np.random.default_rng(0))),
-    (12, random_params("bose_hubbard", np.random.default_rng(5))),
-    (14, {"g_prime": -0.27342595831299005, "g": -0.5100683731015935}),
-], ids=["eigenvector0", "eigenvector22", "eigenvector28"])
-def test_batch_raises_what_the_per_state_loop_meets_first(j, params):
-    # the roundoff end component sits in eigenvector 0, 22 and 28 of the
-    # three sectors; the per-state loop meets it after recovering the columns
-    # before it, the batch before recovering any
-    model = model_for_j("bose_hubbard", params, j)
-    assert compare_sector(model, largest_sector(model, j)) is RuntimeError
-
-
-def test_error_of_an_earlier_column_comes_first(monkeypatch):
-    # eigenvector 22 of this sector has its end component at roundoff; every
-    # column is checked for that before any roots are recovered, so a root
-    # failure of the columns before it never happens
-    calls = []
-
-    def fail(*args, **kwargs):
-        calls.append(1)
-        raise ConvergenceError("Aberth-Ehrlich iteration did not converge")
-
-    params = random_params("bose_hubbard", np.random.default_rng(5))
-    model = model_for_j("bose_hubbard", params, 12)
-    monkeypatch.setattr(bethe, "polynomial_roots", fail)
-    with pytest.raises(RuntimeError, match=r"eigenvector 22 has its end component"):
-        solve_sector(model, largest_sector(model, 12))
-    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -330,71 +287,117 @@ def test_eigen_index_is_the_column_index():
 
 
 # ---------------------------------------------------------------------------
-# the roundoff end component is reported as such
+# the twisted ratio recurrence
 # ---------------------------------------------------------------------------
 
-def test_roundoff_end_component_is_named():
-    params = random_params("bose_hubbard", np.random.default_rng(0))
-    model = model_for_j("bose_hubbard", params, 12)
-    with pytest.raises(RuntimeError, match=r"end component at roundoff") as info:
-        solve_sector(model, largest_sector(model, 12))
-    assert "inconsistent" not in str(info.value)
-    assert "of its largest (limit 1e-12)" in str(info.value)
+def twisted_inputs(name, j_values=(2, 4, 6)):
+    """(model, sector, square monomial action, eigenvalues) of the largest
+    sector at each j, for three coupling draws."""
+    for seed in range(3):
+        params = random_params(name, np.random.default_rng(seed))
+        for j in j_values:
+            model = model_for_j(name, params, j)
+            sec = largest_sector(model, j)
+            sq = apply_to_monomials(build_hamiltonian_operator(model, sec), sec.n_top)
+            values = np.linalg.eigvalsh(sector_matrices(model, sec).H)
+            yield model, sec, sq[: sec.n_top + 1], values
 
 
-def test_roundoff_end_component_exits_three(capsys):
-    params = random_params("bose_hubbard", np.random.default_rng(0))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_twisted_rows_solve_the_eigen_equation(name):
+    # componentwise: each equation's residual against the magnitudes of its
+    # own terms; the eigenvalue is exact only to the matrix scale, so the
+    # E c_m term is weighed with max(|E|, max|sq|)
+    for _, sec, sq, values in twisted_inputs(name):
+        coeffs = bethe._twisted_coeffs(sq, values)
+        assert coeffs.shape == (values.size, sec.dim)
+        assert np.all(coeffs[:, -1] == 1.0)
+        residual = np.abs(coeffs @ sq.T - values[:, None] * coeffs)
+        weight = np.maximum(np.abs(values), np.max(np.abs(sq)))[:, None]
+        terms = np.abs(coeffs) @ np.abs(sq).T + weight * np.abs(coeffs)
+        assert np.max(residual / terms) <= 4 * sec.dim * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "bose_hubbard"])
+def test_twisted_rows_equal_the_eigenvector_coefficients(name):
+    # on small sectors with a modest coefficient range the rescaled
+    # eigenvector components carry the same monic coefficients
+    for model, sec, sq, values in twisted_inputs(name, (1, 2, 3, 4)):
+        vectors = np.linalg.eigh(sector_matrices(model, sec).H)[1]
+        want = vectors.T / norm_scale(model, sec)
+        want /= want[:, -1:]
+        got = bethe._twisted_coeffs(sq, values)
+        peak = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.max(np.abs(got - want) / peak) <= 1e-10
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_stacked_twisted_rows_equal_row_calls(name):
+    for _, _, sq, values in twisted_inputs(name):
+        stacked = bethe._twisted_coeffs(sq, values)
+        for value, row in zip(values, stacked):
+            assert np.array_equal(bethe._twisted_coeffs(sq, [value])[0], row)
+
+
+# ---------------------------------------------------------------------------
+# sectors whose eigenvectors have an end component at roundoff
+# ---------------------------------------------------------------------------
+
+ROUNDOFF_SECTORS = [
+    (12, random_params("bose_hubbard", np.random.default_rng(0))),
+    (12, random_params("bose_hubbard", np.random.default_rng(5))),
+    (14, {"g_prime": -0.27342595831299005, "g": -0.5100683731015935}),
+]
+
+
+@pytest.mark.parametrize("j,params", ROUNDOFF_SECTORS,
+                         ids=["eigenvector0", "eigenvector22", "eigenvector28"])
+def test_sectors_with_a_roundoff_eigenvector_end_solve(j, params):
+    # eigenvector 0, 22 and 28 of these sectors have their z^N component at
+    # roundoff; the coefficients come from the eigenvalues alone
+    model = model_for_j("bose_hubbard", params, j)
+    sec = largest_sector(model, j)
+    states = solve_sector(model, sec)
+    assert len(states) == sec.dim
+    assert all(st.verified or st.degenerate_roots for st in states)
+    ref = np.linalg.eigvalsh(sector_matrices(model, sec).H)
+    energies = np.array([st.energy for st in states])
+    assert np.max(np.abs(energies - ref)) <= TOLS.match * max(
+        1.0, float(np.max(np.abs(ref))))
+
+
+def test_spectrum_of_a_roundoff_eigenvector_sector_exits_zero(capsys):
+    j, params = ROUNDOFF_SECTORS[0]
     code = main(["spectrum", "--preset", "bose_hubbard",
                  "--param", f"g_prime={params['g_prime']!r}",
-                 "--param", f"g={params['g']!r}", "--j", "12", "--mu", "-12"])
+                 "--param", f"g={params['g']!r}", "--j", str(j), "--mu", f"-{j}"])
     captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("numerical failure: eigenvector ")
-    assert "end component at roundoff" in lines[0]
+    assert code == 0
+    assert captured.err == ""
+    assert len(json.loads(captured.out)["sectors"][0]["states"]) == 25
 
 
 # ---------------------------------------------------------------------------
-# a failing recurrence candidate is dropped, not fatal
+# the energy pin
 # ---------------------------------------------------------------------------
 
-def test_fallback_drops_a_recurrence_candidate_whose_roots_fail(monkeypatch):
-    # dim 25: several states reach the recurrence fallback; when the roots
-    # of its candidates do not converge, the candidates are dropped as a
-    # non-finite candidate is, and those states keep their eigenvector roots
-    # (or the Newton polish of them)
-    params = random_params("tavis_cummings", np.random.default_rng(1))
-    model = model_for_j("tavis_cummings", params, 12)
-    sec = largest_sector(model, 12)
-    mats, eig, _, _ = sector_inputs(model, sec)
-    coeffs = eig.vectors.T / mats.norm_scale
-    eigvec_roots = polynomial_roots(coeffs / coeffs[:, -1:], TOLS.roots)
-
-    stacked_roots = bethe.polynomial_roots
-    failed = []
-
-    def fail_one_row(coeffs, *args, **kwargs):
-        if np.ndim(coeffs) == 1:
-            failed.append(1)
-            raise ConvergenceError("Aberth-Ehrlich iteration did not converge")
-        return stacked_roots(coeffs, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(bethe, "polynomial_roots", fail_one_row)
-        states = solve_sector(model, sec)
-    assert len(failed) >= 4
-    assert len(states) == sec.dim
-    for st in states:
-        if not st.refined:
-            assert np.array_equal(st.roots, eigvec_roots[st.eigen_index])
-
-    with monkeypatch.context() as patch:
-        patch.setattr(bethe, "_recurrence_coeffs",
-                      lambda sq, energy, direction: np.full(sq.shape[0], np.nan))
-        dropped = solve_sector(model, sec)
-    assert_same_states(states, dropped)
+def test_a_state_whose_energy_misses_its_eigenvalue_is_not_verified():
+    # dim 33: some roots reproduce H psi = E psi within tols.match and carry
+    # no degeneracy flag, yet their closed-form energy misses the eigenvalue
+    model = model_for_j("tavis_cummings",
+                        random_params("tavis_cummings", np.random.default_rng(3000)),
+                        16)
+    sec = largest_sector(model, 16)
+    states = solve_sector(model, sec)
+    values, _, mono = sector_inputs(model, sec)
+    roots = np.array([st.roots for st in states])
+    energies = np.array([st.energy for st in states])
+    missed = (np.abs(closed_form_energy(model, sec, roots.sum(axis=1)) - energies)
+              > TOLS.match * np.maximum(1.0, np.abs(energies)))
+    eigen_ok = bethe._verify_eigen_equation(mono, poly_from_roots(roots), energies,
+                                            TOLS.match)
+    assert np.any(missed & eigen_ok & ~np.array([st.degenerate_roots for st in states]))
+    assert not any(st.verified for st, miss in zip(states, missed) if miss)
 
 
 # ---------------------------------------------------------------------------

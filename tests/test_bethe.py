@@ -262,10 +262,14 @@ class TestSolveSector:
 
 
 class TestRegressions:
-    def test_sweep_draw_matches_oracle(self):
-        # this draw's tavis_cummings j=6, p=0 sector once missed the oracle
-        # by 2.5e-8 against a 1e-8 tolerance through eigenvector inaccuracy
-        data = _sweep_presets(686310523, 1, DEFAULT_TOLS)
+    @pytest.mark.parametrize("seed", [686310523, 760003511])
+    def test_sweep_draw_matches_oracle(self, seed):
+        # 686310523: its tavis_cummings j=6, p=0 sector once missed the oracle
+        # by 2.5e-8 against a 1e-8 tolerance through eigenvector inaccuracy;
+        # 760003511: its rigid_rotor j=6, p=0 state 0 has three nearly
+        # coincident conjugate root pairs near z = 1, and eigenvector-derived
+        # coefficients once gave it a root sum with imaginary part 6.2e-9
+        data = _sweep_presets(seed, 1, DEFAULT_TOLS)
         assert data["failures"] == []
         assert data["worst_match"] <= DEFAULT_TOLS.match
 

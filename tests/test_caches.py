@@ -163,7 +163,7 @@ def test_cached_arrays_are_read_only():
     pieces = operators._hamiltonian_pieces(mdl.M, mdl.r, mdl.s, mdl.k, sec)
     levels = sector_levels(mdl, sec)
     arrays = [pieces, levels.pplus_band, levels.pminus_band,
-              levels.occupations, levels.spin_powers, levels.norm_scale]
+              levels.occupations, levels.spin_powers]
     assert not any(arr.flags.writeable for arr in arrays)
     assert all(arr.ndim == 1 for arr in arrays[1:3] + arrays[4:])
 
@@ -174,9 +174,9 @@ def test_mutating_results_leaves_the_caches_intact():
     sec = enumerate_sectors(mdl, Fraction(3, 2), 3)[-1]
     mats = sector_matrices(mdl, sec)
     op = build_hamiltonian_operator(mdl, sec)
-    expected = {"H": mats.H.copy(), "norm_scale": mats.norm_scale.copy(),
+    expected = {"H": mats.H.copy(),
                 "terms": dict((d, p.copy()) for d, p in op.terms.items())}
-    for arr in (mats.H, mats.norm_scale, *op.terms.values()):
+    for arr in (mats.H, *op.terms.values()):
         arr *= -3.0
     op.terms.clear()
     sectors = enumerate_sectors(mdl, Fraction(3, 2), 3)
@@ -184,7 +184,6 @@ def test_mutating_results_leaves_the_caches_intact():
 
     again = sector_matrices(mdl, sec)
     assert np.array_equal(again.H, expected["H"])
-    assert np.array_equal(again.norm_scale, expected["norm_scale"])
     terms = build_hamiltonian_operator(mdl, sec).terms
     assert terms.keys() == expected["terms"].keys()
     assert all(np.array_equal(terms[d], expected["terms"][d]) for d in terms)

@@ -123,6 +123,29 @@ class TestRoots:
         assert "state" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sectors_without_the_state_are_listed_empty(self, capsys, fmt):
+        # sector dims here run 1-3: the dim-1 sectors have no state 1
+        common = ("--preset", "two_mode_tc", "--param", "w1=0.9", "--param", "w2=1.3",
+                  "--param", "g_prime=0.4", "--param", "g=0.6", "--j", "1",
+                  "--max-bosons", "2", "--format", fmt)
+        code, out, _ = run_cli(capsys, "spectrum", *common)
+        assert code == 0
+        code, picked, err = run_cli(capsys, "roots", *common, "--state", "1")
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            spectrum = json.loads(out)["sectors"]
+            assert min(len(entry["states"]) for entry in spectrum) == 1
+            assert json.loads(picked)["sectors"] == [
+                {"labels": entry["labels"], "states": entry["states"][1:2]}
+                for entry in spectrum]
+        else:
+            want = [row.split(",") for row in out.splitlines()[1:]
+                    if row.split(",")[5] == "1"]
+            got = [row.split(",") for row in picked.splitlines()[1:]]
+            assert len(got) == len(want) > 0
+            assert [g[:5] + g[6:] for g in got] == [w[:5] + w[6:] for w in want]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_each_state_equals_the_spectrum_entry(self, capsys, fmt):
         common = ("--preset", "lmg", "--param", "g_prime=0.9", "--param", "g=0.7",
                   "--j", "3", "--format", fmt)
@@ -220,12 +243,18 @@ class TestUsageErrors:
 
 
 class TestNumericalFailure:
-    def test_overflow_exits_three(self, capsys):
-        # the j = 90 sector's normalization overflows a float: a numerical
-        # failure (exit 3, one line), not a usage error or a traceback
+    def test_overflow_exits_three(self, capsys, monkeypatch):
+        # an overflow on the solve path is a numerical failure (exit 3, one
+        # line), not a usage error or a traceback
+        import spinboson.cli as cli_mod
+
+        def overflow(*args, **kwargs):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(cli_mod, "solve_sector", overflow)
         code, out, err = run_cli(capsys, "spectrum", "--preset", "lmg",
                                  "--param", "g_prime=0.3", "--param", "g=0.7",
-                                 "--j", "90", "--mu", "-90")
+                                 "--j", "2", "--mu", "-2")
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure:")
