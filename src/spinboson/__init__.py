@@ -24,6 +24,7 @@ from .operators import (
     apply_to_monomials,
     build_hamiltonian_operator,
     extract_polynomials,
+    monomial_action,
 )
 from .representation import (
     FockBlock,

@@ -8,13 +8,19 @@ the tridiagonal monomial action, and factorize.  All N+1 states of a sector
 share the coefficient polynomials P_d, so their coefficients, roots and
 certificates are computed once per sector on a stack of states; only states
 whose certificate misses, or whose roots do not verify, fall back, one at a
-time, to Newton on the root equations.  The coupled root equations
+time, to Newton on the root equations, and a state keeps Newton's roots only
+if their closed-form energy pins its eigenvalue.  The monomial action and
+the P_d come from operators.monomial_action, which combines cached
+coupling-free pieces without building the operator.  The coupled root
+equations
 
     sum_{i=2}^{order} sum_{n_1<..<n_{i-1} != mu} P_i(a_mu) i! /
         ((a_mu - a_{n_1}) ... (a_mu - a_{n_{i-1}}))  +  P_1(a_mu)  =  0
 
 are then evaluated as a certificate (they express the vanishing of the
-simple-pole residues of (H psi)/psi), and the closed-form energy is
+simple-pole residues of (H psi)/psi); the certificate of a stack forms the
+root differences once and evaluates every P_i in one Horner pass, and its
+residuals equal bae_residuals on the same roots.  The closed-form energy is
 cross-checked against the leading-coefficient ratio of H psi.  Direct Newton
 solution of the root equations is available as a refinement.
 """
@@ -24,20 +30,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .linalg import ConvergenceError, jacobi_eigen, newton_solve, polynomial_roots
 from .model import ModelSpec, SectorLabels
-from .operators import (
-    apply_to_monomials,
-    build_hamiltonian_operator,
-    extract_polynomials,
-    poly_eval,
-)
+from .operators import monomial_action, poly_eval
 from .representation import sector_levels, sector_matrices
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,9 @@ class BetheState:
     def max_residual(self) -> float:
         if self.bae_residuals.size == 0:
             return 0.0
-        vals = np.abs(self.bae_residuals)
-        return float(np.max(vals)) if np.all(np.isfinite(vals)) else float("nan")
+        # NaN unless every residual is finite
+        top = float(np.abs(self.bae_residuals).max())
+        return top if isfinite(top) else float("nan")
 
 
 def poly_from_roots(roots: np.ndarray) -> np.ndarray:
@@ -108,16 +112,30 @@ def min_root_distance(roots: np.ndarray):
 def residual_scale(polys: list[np.ndarray], roots: np.ndarray):
     """max_i sup_{|z| = scale} |P_i| used to normalize residual magnitudes,
     per row for a stack of root sets."""
-    return _per_row(_residual_scale_at(polys, np.asarray(root_scale(roots))))
+    bound = _horner(np.abs(_padded(polys[1:])), np.asarray(root_scale(roots)))
+    return _per_row(np.maximum(bound.max(axis=0, initial=0.0), 1.0))
 
 
-def _residual_scale_at(polys: list[np.ndarray], zscale: np.ndarray) -> np.ndarray:
-    """max(1, max_i sup_{|z| = zscale} |P_i|) at each given root_scale."""
-    best = np.zeros(zscale.shape)
-    for p in polys[1:]:
-        if p.size:
-            best = np.maximum(best, poly_eval(np.abs(p), zscale).real)
-    return np.maximum(best, 1.0)
+def _padded(polys: list[np.ndarray]) -> np.ndarray:
+    """The polynomials as the rows of one matrix, padded with zero top
+    coefficients (at least one column)."""
+    coeffs = np.zeros((len(polys), max([p.size for p in polys] + [1])))
+    for i, p in enumerate(polys):
+        coeffs[i, : p.size] = p
+    return coeffs
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of coeffs evaluated at z, stacked on a leading axis, in one
+    Horner pass: the values poly_eval gives, since a zero top coefficient
+    leaves them unchanged (finite z)."""
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * z.ndim)
+    result = np.empty(coeffs.shape[:1] + z.shape, dtype=np.result_type(coeffs, z))
+    result[...] = coeffs[:, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        result *= z
+        result += coeffs[:, k]
+    return result
 
 
 def bae_residuals(
@@ -147,27 +165,43 @@ def bae_residuals(
         raise ValueError("coincident roots: residuals are not defined")
 
     if polys is None:
-        polys = extract_polynomials(build_hamiltonian_operator(model, sector))
+        polys = monomial_action(model, sector)[1]
+    return _residuals_from(polys, _horner(_padded(polys[1:]), roots),
+                           roots[..., :, None] - roots[..., None, :])
+
+
+def _residuals_from(polys: list[np.ndarray], at_roots: np.ndarray,
+                    diff: np.ndarray) -> np.ndarray:
+    """The root-equation residuals of each row of roots (at least one root,
+    no two equal), given P_i at the roots in at_roots[i - 1] and
+    diff = roots[..., :, None] - roots[..., None, :]; diff's diagonal is
+    overwritten."""
+    n = diff.shape[-1]
     order = len(polys) - 1
 
-    # row mu of e holds the elementary symmetric sums of 1/(a_mu - a_nu) over
-    # nu != mu; the zeroed diagonal contributes nothing
+    # e[k - 1] holds, for each root mu, the elementary symmetric sum e_k of
+    # 1/(a_mu - a_nu) over nu != mu (the zeroed diagonal adds nothing).
+    # Taking the nu in order, e_k grows by inv[mu, nu] times e_{k-1} over the
+    # earlier nu: one running sum over nu per k.
     diag = (np.arange(n), np.arange(n))
-    diff = roots[..., :, None] - roots[..., None, :]
     diff[(...,) + diag] = 1.0
     inv = 1.0 / diff
     inv[(...,) + diag] = 0.0
     upto = min(order - 1, n - 1)
-    e = np.zeros(roots.shape + (upto + 1,), dtype=complex)
-    e[..., 0] = 1.0
-    for nu in range(n):
-        e[..., 1:] += inv[..., :, nu, None] * e[..., :-1]
+    e = []
+    terms = inv
+    for k in range(1, upto + 1):
+        running = np.cumsum(terms, axis=-1)
+        e.append(running[..., -1])
+        if k < upto:
+            terms = np.zeros_like(inv)
+            terms[..., 1:] = inv[..., 1:] * running[..., :-1]
 
-    res = (poly_eval(polys[1], roots) if polys[1].size
-           else np.zeros(roots.shape, dtype=complex))
+    res = (at_roots[0] if polys[1].size
+           else np.zeros(diff.shape[:-1], dtype=complex))
     for i in range(2, upto + 2):
         if polys[i].size:
-            res = res + poly_eval(polys[i], roots) * factorial(i) * e[..., i - 1]
+            res = res + at_roots[i - 1] * factorial(i) * e[i - 2]
     return res
 
 
@@ -249,8 +283,8 @@ def energy_from_roots(
     The ratio [z^N](H psi) / [z^N]psi is computed independently from the
     operator action on monomials; disagreement beyond tolerance means a
     transcription bug and raises.  `mono` is that action,
-    apply_to_monomials(build_hamiltonian_operator(model, sector), N); callers
-    solving many states of one sector pass it in, otherwise it is built here.
+    operators.monomial_action(model, sector)[0]; callers solving many states
+    of one sector pass it in, otherwise it is built here.
 
     `roots` is one root set (a float comes back) or an (S, N) stack of them
     (an array of S energies comes back).  Each row gets the energy a call
@@ -271,8 +305,7 @@ def energy_from_roots(
                                         sums.shape), dtype=float)
 
     if mono is None:
-        mono = apply_to_monomials(build_hamiltonian_operator(model, sector),
-                                  sector.n_top)
+        mono = monomial_action(model, sector)[0]
     top = mono[sector.n_top, :]
     # [z^N] psi = 1 (monic); one dot per row, as a call per row computes it
     ratios = np.array([top @ psi for psi in poly_from_roots(stack)], dtype=complex)
@@ -307,15 +340,17 @@ def _verify_eigen_equation(
     """Per row of psi (ascending coefficients, at most mono's width): whether
     the monomial action reproduces energies[row] * psi within tol, relative to
     the scales of the action, the energy and psi."""
-    n_rows, n_cols = mono.shape
-    padded = np.zeros((psi.shape[0], n_cols), dtype=complex)
-    padded[:, : psi.shape[1]] = psi
+    n_cols = mono.shape[1]
+    padded = psi
+    if psi.shape[1] < n_cols:
+        padded = np.zeros((psi.shape[0], n_cols), dtype=complex)
+        padded[:, : psi.shape[1]] = psi
+    # H psi - E psi; E psi has no z^(N+1) term
     image = padded @ mono.T
-    target = np.zeros((psi.shape[0], n_rows), dtype=complex)
-    target[:, :n_cols] = energies[:, None] * padded
-    scale = np.maximum(max(1.0, float(np.max(np.abs(mono)))), np.abs(energies))
-    dev = (np.max(np.abs(image - target), axis=1)
-           / (scale * np.maximum(1.0, np.max(np.abs(psi), axis=1))))
+    image[:, :n_cols] -= energies[:, None] * padded
+    scale = np.maximum(max(1.0, float(np.abs(mono).max())), np.abs(energies))
+    dev = (np.abs(image).max(axis=1)
+           / (scale * np.maximum(1.0, np.abs(psi).max(axis=1))))
     return dev <= tol
 
 
@@ -334,55 +369,67 @@ def _twisted_coeffs(sq: np.ndarray, values: np.ndarray) -> np.ndarray:
     as in LAPACK.  Each row is what a call with that eigenvalue alone gives.
     """
     n = sq.shape[0] - 1
-    shifted = np.diag(sq)[:, None] - np.asarray(values, dtype=float)
-    sup, sub = np.diag(sq, 1)[:, None], np.diag(sq, -1)[:, None]
-    pivmin = np.finfo(float).eps * np.max(np.abs(sq))
-    # step i eliminates row i from the top and row n - i from the bottom
-    steps = np.stack([shifted, shifted[::-1]], axis=1)
-    couple = sub * sup
-    couple = np.stack([couple, couple[::-1]], axis=1)
-    pivots = np.empty_like(steps)
-    pivot = steps[0]
+    shifted = sq.diagonal()[:, None] - np.asarray(values, dtype=float)
+    sup, sub = sq.diagonal(1)[:, None], sq.diagonal(-1)[:, None]
+    pivmin = _EPS * np.abs(sq).max()
+    # step i eliminates row i from the top ([:, 0]) and row n - i from the
+    # bottom ([:, 1]); the pivots overwrite the shifted diagonal in place
+    pivots = np.empty((n + 1, 2, shifted.shape[1]))
+    pivots[:, 0] = shifted
+    pivots[:, 1] = shifted[::-1]
+    couple = np.empty((n, 2, 1))
+    couple[:, 0] = sub * sup
+    couple[:, 1] = couple[::-1, 0]
     for i in range(n + 1):
+        pivot = pivots[i]
         if i:
-            pivot = steps[i] - couple[i - 1] / pivot
-        pivot = np.where(np.abs(pivot) < pivmin, pivmin, pivot)
-        pivots[i] = pivot
+            pivot -= couple[i - 1] / pivots[i - 1]
+        pivot[np.abs(pivot) < pivmin] = pivmin
     top, bottom = pivots[:, 0], pivots[::-1, 1]
-    twist = np.argmin(np.abs(top + bottom - shifted), axis=0)
+    twist = np.abs(top + bottom - shifted).argmin(axis=0)
     # c_m / c_{m+1} comes from the top elimination for m < k and from the
     # bottom one for m >= k; the monic row is their product from z^N down
     ratio = np.where(np.arange(n)[:, None] < twist,
                      -sup / top[:-1], -bottom[1:] / sub)
     monic = np.ones((n + 1, shifted.shape[1]))
-    monic[:n] = np.cumprod(ratio[::-1], axis=0)[::-1]
+    monic[:n] = ratio[::-1].cumprod(axis=0)[::-1]
     return monic.T
 
 
 def _scaled_bae_residuals(
-    model: ModelSpec,
-    sector: SectorLabels,
     roots: np.ndarray,
     polys: list[np.ndarray],
     tols: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals and max |residual| / residual_scale of each row of roots,
-    with the row's min_root_distance and root_scale.
+    """Residuals and max |residual| / residual_scale of each row of roots
+    (at least one root), with the row's min_root_distance and root_scale.
 
-    The distance and scale are formed once and serve the cluster test, the
-    residual scale and the caller's degeneracy flag.  A row whose roots lie
+    One root-difference matrix serves the distance, the cluster test and
+    the residuals, and one Horner pass gives every P_i at the roots and
+    every |P_i| at the root scale; the residuals equal bae_residuals and
+    the scale residual_scale on the same rows.  A row whose roots lie
     within tols.cluster x scale of each other has no certificate: NaN
     residuals and an infinite scaled residual.
     """
-    dist, zscale = min_root_distance(roots), root_scale(roots)
+    n = roots.shape[1]
+    order = len(polys) - 1
+    diff = roots[:, :, None] - roots[:, None, :]
+    gap = np.abs(diff)
+    gap[:, np.arange(n), np.arange(n)] = np.inf
+    dist = gap.min(axis=(1, 2))
+    zscale = np.maximum(1.0, np.abs(roots).max(axis=1))
+    coeffs = _padded(polys[1:])
+    values = _horner(np.concatenate([coeffs, np.abs(coeffs)]),
+                     np.concatenate([roots, zscale[:, None]], axis=1))
     residuals = np.full(roots.shape, np.nan, dtype=complex)
     scaled = np.full(roots.shape[0], np.inf)
     ok = ~(dist <= tols.cluster * zscale)
-    if np.any(ok):
-        res = bae_residuals(model, sector, roots[ok], polys, tols.cluster)
-        residuals[ok] = res
-        scaled[ok] = (np.max(np.abs(res), axis=1)
-                      / _residual_scale_at(polys, zscale[ok]))
+    if ok.any():
+        rows = slice(None) if ok.all() else ok
+        residuals[rows] = res = _residuals_from(polys, values[:order, rows, :n],
+                                                diff[rows])
+        bound = values[order:, rows, n].real.max(axis=0, initial=0.0)
+        scaled[rows] = np.abs(res).max(axis=1) / np.maximum(bound, 1.0)
     return residuals, scaled, dist, zscale
 
 
@@ -416,6 +463,19 @@ def _polish_roots(
     return refined[order]
 
 
+def _pinned(
+    model: ModelSpec,
+    sector: SectorLabels,
+    roots: np.ndarray,
+    values: np.ndarray,
+    tols: Tolerances,
+) -> np.ndarray:
+    """Per row of roots: whether its closed-form energy lies within
+    tols.match of E (the energy pin)."""
+    return (np.abs(closed_form_energy(model, sector, roots.sum(axis=1)) - values)
+            <= tols.match * np.maximum(1.0, np.abs(values)))
+
+
 def _verified(
     model: ModelSpec,
     sector: SectorLabels,
@@ -425,12 +485,10 @@ def _verified(
     tols: Tolerances,
 ) -> np.ndarray:
     """Per row of roots: whether prod (z - root) reproduces H psi = E psi and
-    its closed-form energy lies within tols.match of E (the energy pin)."""
-    pinned = (np.abs(closed_form_energy(model, sector, np.sum(roots, axis=1))
-                     - values)
-              <= tols.match * np.maximum(1.0, np.abs(values)))
-    return pinned & _verify_eigen_equation(mono, poly_from_roots(roots), values,
-                                           tols.match)
+    its closed-form energy passes the energy pin."""
+    return (_pinned(model, sector, roots, values, tols)
+            & _verify_eigen_equation(mono, poly_from_roots(roots), values,
+                                     tols.match))
 
 
 def _recover_states(
@@ -447,8 +505,10 @@ def _recover_states(
     The coefficients, roots, certificate and verification of every state come
     from one stacked pass.  Only a state whose scaled certificate exceeds
     1e-2 * tols.bae, or whose roots do not verify, is polished by Newton on
-    the root equations, one at a time; it keeps the polished roots when their
-    scaled residual is smaller.
+    the root equations, one at a time.  It keeps the polished roots when
+    their scaled residual is smaller and their closed-form energy passes the
+    energy pin: Newton can converge to another state's roots, which only the
+    energy tells apart.
     """
     values = np.asarray(values, dtype=float)
     n_top = sector.n_top
@@ -463,8 +523,7 @@ def _recover_states(
 
     roots = polynomial_roots(_twisted_coeffs(mono[: n_top + 1], values),
                              tols.roots)
-    residuals, scaled, dist, zscale = _scaled_bae_residuals(
-        model, sector, roots, polys, tols)
+    residuals, scaled, dist, zscale = _scaled_bae_residuals(roots, polys, tols)
     verified = _verified(model, sector, roots, values, mono, tols)
     refined = np.zeros(values.size, dtype=bool)
     retry = np.isfinite(scaled) & ((scaled > 1e-2 * tols.bae) | ~verified)
@@ -472,21 +531,24 @@ def _recover_states(
         polished = _polish_roots(model, sector, roots[i], polys, tols)
         if polished is None:
             continue
+        cand = polished[None]
         cand_res, cand_scaled, cand_dist, cand_zscale = _scaled_bae_residuals(
-            model, sector, polished[None], polys, tols)
-        if cand_scaled[0] < scaled[i]:
+            cand, polys, tols)
+        if (cand_scaled[0] < scaled[i]
+                and _pinned(model, sector, cand, values[i : i + 1], tols)[0]):
             roots[i], residuals[i], refined[i] = polished, cand_res[0], True
             dist[i], zscale[i] = cand_dist[0], cand_zscale[0]
-            verified[i] = _verified(model, sector, polished[None], values[i : i + 1],
+            verified[i] = _verified(model, sector, cand, values[i : i + 1],
                                     mono, tols)[0]
 
     degenerate = ((dist <= tols.bae_guard * zscale)
-                  | ~np.all(np.isfinite(residuals.view(float)), axis=1))
+                  | ~np.isfinite(residuals.view(float)).all(axis=1))
+    # each state holds its own row of the stacked roots and residuals
     return [
-        BetheState(sector, i, roots[i].copy(), float(values[i]),
-                   residuals[i].copy(), bool(degenerate[i]), bool(verified[i]),
-                   refined=bool(refined[i]))
-        for i in range(values.size)
+        BetheState(sector, i, row, value, res, degen, ok, refined=polish)
+        for i, (row, value, res, degen, ok, polish) in enumerate(zip(
+            roots, values.tolist(), residuals, degenerate.tolist(),
+            verified.tolist(), refined.tolist()))
     ]
 
 
@@ -503,11 +565,10 @@ def solve_sector(
     zero roots, a degeneracy flag for k >= 2, and no residual certificate.
     """
     mats = sector_matrices(model, sector)
-    h_op = build_hamiltonian_operator(model, sector)
-    mono = apply_to_monomials(h_op, sector.n_top)
+    mono, polys = monomial_action(model, sector)
 
     if model.g == 0.0 and sector.n_top > 0:
-        energies = np.diag(mats.H).copy()
+        energies = mats.H.diagonal().copy()
         verified = _verify_eigen_equation(
             mono, np.eye(sector.dim, dtype=complex), energies, tols.match)
         states = [
@@ -519,8 +580,7 @@ def solve_sector(
         return sorted(states, key=lambda st: st.energy)
 
     eig = jacobi_eigen(mats.H, tols.eigen)
-    states = _recover_states(model, sector, eig.values,
-                             extract_polynomials(h_op), mono, tols)
+    states = _recover_states(model, sector, eig.values, polys, mono, tols)
     if refine:
         states = [newton_refine_bae(model, sector, st, tols) for st in states]
     return sorted(states, key=lambda st: st.energy)
@@ -540,7 +600,7 @@ def newton_refine_bae(
     """
     if state.roots.size == 0 or state.degenerate_roots:
         return state
-    polys = extract_polynomials(build_hamiltonian_operator(model, sector))
+    polys = monomial_action(model, sector)[1]
     roots = _polish_roots(model, sector, state.roots, polys, tols)
     if roots is None:
         return state
@@ -558,7 +618,7 @@ def state_to_dict(state: BetheState) -> dict:
     max_res = state.max_residual()
     return {
         "E": float(state.energy),
-        "roots": [[float(r.real) + 0.0, float(r.imag) + 0.0] for r in state.roots],
+        "roots": [[r.real + 0.0, r.imag + 0.0] for r in state.roots.tolist()],
         "residual": None if np.isnan(max_res) else float(max_res),
         "verified": bool(state.verified),
         "degenerate_roots": bool(state.degenerate_roots),

@@ -3,7 +3,8 @@
 Subcommands: sectors, spectrum, roots, verify, preset list.  A model comes
 either from --preset plus --param key=value pairs or from a JSON config file
 (--config); flags override file fields which override defaults.  Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 numerical failure.
+0 success, 1 usage error or a report that cannot be written, 2 verification
+failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -204,14 +206,33 @@ def _select_sectors(cfg: RunConfig) -> list:
     return enumerate_sectors(cfg.model, cfg.j, cfg.max_bosons)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _write_report(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout, flushed, when path is
+    None.  An OSError propagates; after a failed stdout write, stdout is
+    pointed at devnull first, so that the interpreter's final flush of what
+    is still buffered stays silent (the SIGPIPE note of the signal docs)."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            raise  # no file descriptor behind stdout: nothing is flushed at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        raise
+
+
+def _emit(cfg: RunConfig, text: str) -> None:
+    if cfg.output is None and not text.endswith("\n"):
+        text += "\n"
+    _write_report(cfg.output, text)
 
 
 def _dump_json(payload) -> str:
@@ -302,24 +323,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "errata": errata,
         })
         if not args.output:
-            print(payload)
+            _write_report(None, payload + "\n")
             return code
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    for r in results:
-        print(r.line())
-    print("errata registry:")
+        _write_report(args.output, payload)
+    lines = [r.line() for r in results]
+    lines.append("errata registry:")
     for e in errata:
         mark = "confirmed" if e["confirmed"] else "NOT CONFIRMED"
-        print(f"  {e['key']}: {mark} (printed {e['printed_deviation']:.1e}, "
-              f"corrected {e['corrected_deviation']:.1e})")
-    print("verification:", "PASS" if all_passed else "FAIL")
+        lines.append(f"  {e['key']}: {mark} (printed {e['printed_deviation']:.1e}, "
+                     f"corrected {e['corrected_deviation']:.1e})")
+    lines.append(f"verification: {'PASS' if all_passed else 'FAIL'}")
+    _write_report(None, "\n".join(lines) + "\n")
     return code
 
 
 def cmd_preset(args: argparse.Namespace) -> int:
-    for name in PRESET_NAMES:
-        print(f"{name}: parameters {', '.join(PRESET_PARAMS[name])}")
+    _write_report(None, "".join(f"{name}: parameters {', '.join(PRESET_PARAMS[name])}\n"
+                                for name in PRESET_NAMES))
     return 0
 
 
@@ -339,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, OverflowError, ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

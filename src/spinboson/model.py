@@ -145,6 +145,21 @@ class SectorLabels:
         """Degree of the invariant polynomial subspace (dim - 1)."""
         return self.dim - 1
 
+    # Fraction hashes in pure Python and the labels key several caches per
+    # solve, so the field hash is computed once and kept outside the fields
+    # (and outside pickles and copies, which recompute it).
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((self.p, self.kappa, self.l, self.q, self.j, self.lam,
+                          self.A, self.dim))
+            self.__dict__["_hash"] = value
+            return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 def lambda_of(j: Rational, p: int, r: int) -> int:
     """The offset lam in {0..r-1} making (2j - p - lam)/r a non-negative integer."""

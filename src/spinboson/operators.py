@@ -224,11 +224,18 @@ def build_hamiltonian_operator(model: ModelSpec, sector: SectorLabels) -> EulerO
     bit for bit.  The returned operator owns its coefficient arrays.
     """
     pieces = _hamiltonian_pieces(model.M, model.r, model.s, model.k, sector)
-    packed = np.zeros(pieces.shape[1:])
+    return EulerOperator(dict(enumerate(_combined(model, pieces))))
+
+
+def _combined(model: ModelSpec, pieces: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+    """sum_i w_i B_i + g' S + g L + g R + constant_shift, summed in that
+    order from zero (into `out` when given, which must be zeros)."""
+    packed = np.zeros(pieces.shape[1:]) if out is None else out
     for weight, piece in zip(model.w + (model.g_prime, model.g, model.g), pieces):
         packed += weight * piece
     packed[0, 0] += model.constant_shift
-    return EulerOperator(dict(enumerate(packed)))
+    return packed
 
 
 @lru_cache(maxsize=SECTOR_CACHE_SIZE)
@@ -266,6 +273,12 @@ def _hamiltonian_pieces(
     for i, piece in enumerate(pieces):
         for d, coeffs in piece.terms.items():
             packed[i, d, : coeffs.size] = coeffs
+    # every sum of the pieces then maps degree <= n to degree <= n + 1, which
+    # monomial_action relies on instead of checking each call
+    d_idx, m_idx = np.nonzero(packed.any(axis=0))
+    if np.any(m_idx > d_idx + 1):
+        raise ValueError("a sector operator piece violates the degree bound "
+                         "deg P_d <= d + 1")
     packed.flags.writeable = False
     return packed
 
@@ -307,3 +320,54 @@ def apply_to_monomials(h: EulerOperator, n_top: int) -> np.ndarray:
                 "violates the degree bound deg P_d <= d + 1"
             )
     return mat[: n_top + 2]
+
+
+def monomial_action(model: ModelSpec, sector: SectorLabels) -> tuple[np.ndarray, list[Poly]]:
+    """apply_to_monomials(h, n_top) and extract_polynomials(h) of
+    h = build_hamiltonian_operator(model, sector), without building h.
+
+    Both are linear in the couplings.  The rows P_d are summed from the
+    cached coupling-free pieces as build_hamiltonian_operator sums them, and
+    one gather through a cached map places falling factorial times
+    coefficient in the action, each entry's terms added in ascending d from
+    zero as apply_to_monomials adds them.  So both results equal the
+    operator calculus bit for bit, up to the sign of zero entries.  The
+    degree bound is checked once per sector, when its pieces are cached.
+    The caller owns the returned arrays.
+    """
+    pieces = _hamiltonian_pieces(model.M, model.r, model.s, model.k, sector)
+    n_terms, width = pieces.shape[1:]
+    src, dst, falls = _monomial_map(n_terms, width, sector.dim)
+    # one zero past the packed rows stands for the coefficients beyond width
+    flat = np.zeros(n_terms * width + 1)
+    packed = _combined(model, pieces, flat[:-1].reshape(n_terms, width))
+    mono = np.bincount(dst, weights=falls * flat[src],
+                       minlength=(sector.dim + 1) * sector.dim)
+    lengths = ((packed != 0.0) * np.arange(1, width + 1)).max(axis=1).tolist()
+    while len(lengths) > 1 and not lengths[-1]:
+        lengths.pop()
+    polys = [packed[d, :size].copy() for d, size in enumerate(lengths)]
+    return mono.reshape(sector.dim + 1, sector.dim), polys
+
+
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _monomial_map(
+    n_terms: int, width: int, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (src, dst, falls) of the action of sum_d P_d D^d on
+    {1 .. z^(dim-1)}: entry t adds falls[t] * packed.flat[src[t]] to
+    mono.flat[dst[t]], ordered by d.  z^n goes to n!/(n-d)! P_d z^(n-d), and
+    only m <= d + 1 of P_d's z^m can be nonzero; src = n_terms * width marks
+    a coefficient past the packed width."""
+    src, dst, falls = [], [], []
+    for d in range(min(n_terms, dim)):
+        for n in range(d, dim):
+            for m in range(d + 2):
+                src.append(d * width + m if m < width else n_terms * width)
+                dst.append((n - d + m) * dim + n)
+                falls.append(float(perm(n, d)))
+    arrays = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+              np.array(falls))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays

@@ -127,15 +127,18 @@ def norm_scale(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
 class SectorLevels:
     """The coupling-free data of one sector, level by level.
 
-    Every array is read-only.  occupations[n] are the boson occupations at
-    ladder level n; spin_powers[n] = (p - j + r n)^s is the eigenvalue of
-    (r (P0 + kappa))^s; root_sum_coeff is the integer product
-    prod_i (2j - p - i + 1 - r(N-1)) prod_i prod_v (n_i(N-1) - v + 1) that
-    multiplies -g sum_i alpha_i in the closed-form energy (0.0 when N = 0).
+    Every array is read-only.  band is the dense Pplus + Pminus, with
+    pplus_band below and pminus_band above the diagonal; occupations[n] are
+    the boson occupations at ladder level n; spin_powers[n] = (p - j + r n)^s
+    is the eigenvalue of (r (P0 + kappa))^s; root_sum_coeff is the integer
+    product prod_i (2j - p - i + 1 - r(N-1)) prod_i prod_v (n_i(N-1) - v + 1)
+    that multiplies -g sum_i alpha_i in the closed-form energy (0.0 when
+    N = 0).
     """
 
     pplus_band: np.ndarray
     pminus_band: np.ndarray
+    band: np.ndarray
     occupations: np.ndarray
     spin_powers: np.ndarray
     root_sum_coeff: float
@@ -168,7 +171,8 @@ def _sector_levels(
             for v in range(1, ki + 1):
                 coeff *= ni - v + 1
 
-    arrays = (up, down, np.array(occ, dtype=np.int64), spin_powers)
+    arrays = (up, down, np.diag(up, -1) + np.diag(down, 1),
+              np.array(occ, dtype=np.int64), spin_powers)
     for arr in arrays:
         arr.flags.writeable = False
     return SectorLevels(*arrays, root_sum_coeff=float(coeff))
@@ -197,15 +201,15 @@ def sector_matrices(
         diag += wi * occ_i
     diag += model.g_prime * levels.spin_powers
     diag += model.constant_shift
-    h = np.diag(diag)
+    h = np.zeros((sector.dim, sector.dim))
+    h.flat[:: sector.dim + 1] = diag
     coupling = model.g
     for ki in model.k:
         coupling *= float(ki) ** (ki / 2.0)
-    h += coupling * (np.diag(levels.pplus_band, -1)
-                     + np.diag(levels.pminus_band, 1))
+    h += coupling * levels.band
 
-    scale = max(np.max(np.abs(h)), 1.0)
-    asym = np.max(np.abs(h - h.T), initial=0.0)
+    scale = max(np.abs(h).max(), 1.0)
+    asym = np.abs(h - h.T).max(initial=0.0)
     if asym > symmetry_rtol * scale:
         raise AssertionError(f"sector H asymmetry {asym:.3e} exceeds {symmetry_rtol:g}")
     h = (h + h.T) / 2.0

@@ -45,6 +45,7 @@ from .operators import (
     build_hamiltonian_operator,
     extract_polynomials,
     hamiltonian_order,
+    monomial_action,
 )
 from .presets import (
     DEFAULT_GRIDS,
@@ -123,9 +124,7 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                 for sec in sectors:
                     n_sectors += 1
                     states = solve_sector(model, sec, tols=tols)
-                    h_op = build_hamiltonian_operator(model, sec)
-                    mono = apply_to_monomials(h_op, sec.n_top)
-                    polys = extract_polynomials(h_op)
+                    mono, polys = monomial_action(model, sec)
                     bethe = energy_from_roots(
                         model, sec, np.array([st.roots for st in states]),
                         mono=mono, tols=tols)
@@ -411,8 +410,7 @@ def check_rotor_cross(
                 if model.g == 0.0:
                     energies.extend(st.energy for st in states)
                     continue
-                mono = apply_to_monomials(
-                    build_hamiltonian_operator(model, sec), sec.n_top)
+                mono = monomial_action(model, sec)[0]
                 energies.extend(
                     energy_from_roots(model, sec, st.roots, mono=mono, tols=tols)
                     for st in states)
@@ -449,7 +447,7 @@ def check_liouville_constancy(
         if not sectors:
             continue
         sector = sectors[int(rng.integers(0, len(sectors)))]
-        polys = extract_polynomials(build_hamiltonian_operator(model, sector))
+        polys = monomial_action(model, sector)[1]
         for st in solve_sector(model, sector, tols=tols):
             if collected >= n_states or st.degenerate_roots or not st.verified:
                 continue

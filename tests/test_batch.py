@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinboson import bethe, verify
+from spinboson import bethe, linalg, verify
 from spinboson.bethe import (
     BetheState,
     bae_residuals,
@@ -47,12 +47,21 @@ TOLS = DEFAULT_TOLS
 # per-state references
 # ---------------------------------------------------------------------------
 
-def roots_reference(coeffs, tol=TOLS.roots, max_iter=200):
-    """One polynomial: numpy.roots start, then the 1-D Aberth loop."""
-    c = np.asarray(coeffs, dtype=complex)
+def aberth_reference(c, z, tol, max_iter):
+    """The 1-D Aberth loop from the starting roots z: the roots, and whether
+    the step test held.  A row still moving after max_iter steps returns
+    its last iterate if its scaled residual is within sqrt(tol), else its
+    iterate of smallest scaled residual."""
     deg = c.size - 1
     dc = c[1:] * np.arange(1, deg + 1)
-    z = np.roots(c[::-1]).astype(complex)
+
+    def scaled(z):
+        num = np.abs(poly_eval(c, z))
+        den = poly_eval(np.abs(c), np.abs(z)).real
+        worst = np.max(num / np.where(den == 0.0, 1.0, den))
+        return np.inf if np.isnan(worst) else worst
+
+    best = best_res = None
     for _ in range(max_iter):
         pz = poly_eval(c, z)
         dpz = poly_eval(dc, z)
@@ -66,7 +75,23 @@ def roots_reference(coeffs, tol=TOLS.roots, max_iter=200):
         step = w / denom
         z = z - step
         if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(z))):
-            break
+            return z, True
+        res = scaled(z)
+        if best is None or res < best_res:
+            best, best_res = z, res
+    return (z if scaled(z) <= np.sqrt(tol) else best), False
+
+
+def roots_reference(coeffs, tol=TOLS.roots, max_iter=200):
+    """One polynomial: numpy.roots start, in real arithmetic when every
+    coefficient is real, then the 1-D Aberth loop; a real row whose steps do
+    not settle starts again from numpy.roots in complex arithmetic."""
+    c = np.asarray(coeffs, dtype=complex)
+    real = not np.any(c.imag)
+    z, settled = aberth_reference(
+        c, np.roots(c[::-1].real if real else c[::-1]).astype(complex), tol, max_iter)
+    if real and not settled:
+        z, _ = aberth_reference(c, np.roots(c[::-1]).astype(complex), tol, max_iter)
     order = np.lexsort((z.imag, z.real))
     return z[order]
 
@@ -96,10 +121,13 @@ def state_reference(model, sector, value, index, polys, mono):
     roots = polynomial_roots(coeffs, TOLS.roots)
     residuals, scaled = scaled_residual_reference(model, sector, roots, polys)
 
+    def pinned(roots):
+        return (abs(closed_form_energy(model, sector, complex(np.sum(roots))) - value)
+                <= TOLS.match * max(1.0, abs(value)))
+
     def verified(roots):
-        pinned = (abs(closed_form_energy(model, sector, complex(np.sum(roots))) - value)
-                  <= TOLS.match * max(1.0, abs(value)))
-        return pinned and verify_reference(mono, poly_from_roots(roots), float(value))
+        return pinned(roots) and verify_reference(mono, poly_from_roots(roots),
+                                                  float(value))
 
     refined, ok = False, verified(roots)
     if np.isfinite(scaled) and (scaled > 1e-2 * TOLS.bae or not ok):
@@ -107,7 +135,7 @@ def state_reference(model, sector, value, index, polys, mono):
         if polished is not None:
             cand_res, cand_scaled = scaled_residual_reference(
                 model, sector, polished, polys)
-            if cand_scaled < scaled:
+            if cand_scaled < scaled and pinned(polished):
                 roots, residuals, refined = polished, cand_res, True
                 ok = verified(roots)
 
@@ -191,16 +219,42 @@ def test_batch_matches_per_state_on_random_models():
     assert n_states > 500
 
 
+def pin_rejected(model, sector, states):
+    """Indices of the states that kept their recurrence roots although the
+    Newton polish gave a candidate with a smaller scaled residual: the
+    candidate's closed-form energy misses the state's eigenvalue."""
+    _, polys, _ = sector_inputs(model, sector)
+    out = []
+    for st in states:
+        residual = st.max_residual()
+        if st.refined or not np.isfinite(residual) or (
+                st.verified
+                and residual <= 1e-2 * TOLS.bae * residual_scale(polys, st.roots)):
+            continue
+        cand = bethe._polish_roots(model, sector, st.roots, polys, TOLS)
+        if cand is None:
+            continue
+        cand_scaled = scaled_residual_reference(model, sector, cand, polys)[1]
+        own_scaled = scaled_residual_reference(model, sector, st.roots, polys)[1]
+        energy = closed_form_energy(model, sector, complex(np.sum(cand)))
+        if (cand_scaled < own_scaled
+                and abs(energy - st.energy) > TOLS.match * max(1.0, abs(st.energy))):
+            out.append(st.eigen_index)
+    return out
+
+
 @pytest.mark.parametrize("name,j,seed", [("tavis_cummings", 12, 1),
                                          ("bose_hubbard", 12, 3)])
 def test_batch_matches_per_state_through_the_fallbacks(name, j, seed):
-    # dim 25: some states leave the recurrence roots for the Newton polish
-    # and keep the polished roots
+    # dim 25: some states leave the recurrence roots for the Newton polish;
+    # each keeps the polished roots unless their energy misses its eigenvalue
     params = random_params(name, np.random.default_rng(seed))
     model = model_for_j(name, params, j)
-    states = compare_sector(model, largest_sector(model, j))
+    sec = largest_sector(model, j)
+    states = compare_sector(model, sec)
     assert not isinstance(states, type)
-    assert sum(st.refined for st in states) >= 2
+    assert any(st.refined for st in states)
+    assert sum(st.refined for st in states) + len(pin_rejected(model, sec, states)) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +300,49 @@ def test_stacked_roots_equal_row_calls(deg):
         # trailing zeros of a 1-D call are dropped first
         padded = np.concatenate([row, np.zeros(2)])
         assert np.array_equal(polynomial_roots(padded), single)
+
+
+def test_real_and_complex_rows_start_apart():
+    # real rows share one real companion eigensolve and complex rows one
+    # complex eigensolve, so a row's start and roots depend on that row
+    # alone, not on its neighbours or on the dtype it arrives in
+    rng = np.random.default_rng(11)
+    deg = 6
+    rows = random_rows(rng, 8, deg).astype(complex)
+    rows[[1, 4]] += 1j * random_rows(rng, 2, deg)
+    rows[[2, 4], 0] = 0.0      # a real and a complex row left to numpy.roots
+    start = linalg._companion_start(rows)
+    stacked = polynomial_roots(rows)
+    for i, row in enumerate(rows):
+        real = not np.any(row.imag)
+        assert np.array_equal(start[i], linalg._companion_start(row[None])[0])
+        if real and row[0] != 0.0:
+            comp = np.zeros((deg, deg))
+            comp[np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            comp[0] = -row.real[deg - 1 :: -1] / row.real[deg]
+            assert np.array_equal(start[i], np.linalg.eigvals(comp))
+        assert np.array_equal(stacked[i], polynomial_roots(row))
+        if real:
+            assert np.array_equal(stacked[i], polynomial_roots(row.real))
+
+
+def test_a_real_row_held_on_the_real_axis_starts_again(monkeypatch):
+    # (z - 2)(z^2 + 1): from real starting roots a real row's Aberth steps
+    # stay real and cannot reach the pair -i, i; the row starts again from
+    # the complex eigensolve
+    row = np.array([-2.0, 1.0, -2.0, 1.0])
+    real_start = np.array([[-0.5, 0.5, 2.5]], dtype=complex)
+    both = np.array([[row], [[1.0, -4.0, 3.0, 0.0]]], dtype=complex)
+    assert linalg._aberth_steps(both, real_start.copy(), TOLS.roots, 200)[1] is not None
+
+    companion_start = linalg._companion_start
+
+    def start(c, real_arithmetic=True):
+        return real_start.copy() if real_arithmetic else companion_start(c, False)
+
+    monkeypatch.setattr(linalg, "_companion_start", start)
+    roots = polynomial_roots(row)
+    assert np.abs(roots[:, None] - np.array([-1j, 1j, 2.0])).min(axis=0).max() <= 1e-14
 
 
 def test_stacked_roots_low_degree_and_rejects_mixed_degrees():
@@ -382,22 +479,35 @@ def test_spectrum_of_a_roundoff_eigenvector_sector_exits_zero(capsys):
 # ---------------------------------------------------------------------------
 
 def test_a_state_whose_energy_misses_its_eigenvalue_is_not_verified():
-    # dim 33: some roots reproduce H psi = E psi within tols.match and carry
-    # no degeneracy flag, yet their closed-form energy misses the eigenvalue
+    # dim 33: Newton on the root equations gives some states roots that
+    # reproduce H psi = E psi within tols.match, carry no degeneracy flag and
+    # beat the state's certificate, yet whose closed-form energy misses the
+    # eigenvalue; only the energy pin tells them apart, and the state keeps
+    # its own roots, unverified
     model = model_for_j("tavis_cummings",
                         random_params("tavis_cummings", np.random.default_rng(3000)),
                         16)
     sec = largest_sector(model, 16)
     states = solve_sector(model, sec)
-    values, _, mono = sector_inputs(model, sec)
+    _, polys, mono = sector_inputs(model, sec)
     roots = np.array([st.roots for st in states])
     energies = np.array([st.energy for st in states])
     missed = (np.abs(closed_form_energy(model, sec, roots.sum(axis=1)) - energies)
               > TOLS.match * np.maximum(1.0, np.abs(energies)))
-    eigen_ok = bethe._verify_eigen_equation(mono, poly_from_roots(roots), energies,
-                                            TOLS.match)
-    assert np.any(missed & eigen_ok & ~np.array([st.degenerate_roots for st in states]))
     assert not any(st.verified for st, miss in zip(states, missed) if miss)
+    assert not any(st.refined for st, miss in zip(states, missed) if miss)
+
+    rejected = pin_rejected(model, sec, states)
+    caught = []
+    for i in rejected:
+        st = states[i]
+        cand = bethe._polish_roots(model, sec, st.roots, polys, TOLS)
+        eigen_ok = bethe._verify_eigen_equation(
+            mono, poly_from_roots(cand[None]), np.array([st.energy]), TOLS.match)[0]
+        if eigen_ok and min_root_distance(cand) > TOLS.bae_guard * root_scale(cand):
+            caught.append(i)
+        assert not st.verified and not np.array_equal(st.roots, cand)
+    assert caught
 
 
 # ---------------------------------------------------------------------------

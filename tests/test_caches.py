@@ -1,6 +1,7 @@
 """The coupling-free sector caches: reuse across coupling draws, isolation
 of what callers receive, bounds, and bit-for-bit agreement with the
-uncached per-call assembly they replace."""
+uncached per-call assembly they replace (and, for the monomial action, with
+the operator calculus)."""
 
 from fractions import Fraction
 
@@ -19,13 +20,21 @@ from spinboson.model import (
     enumerate_sectors,
     sector_from_reference,
 )
-from spinboson.operators import EulerOperator, _product, build_hamiltonian_operator
+from spinboson.operators import (
+    EulerOperator,
+    _product,
+    apply_to_monomials,
+    build_hamiltonian_operator,
+    extract_polynomials,
+    monomial_action,
+)
 from spinboson.presets import DEFAULT_GRIDS, PRESET_NAMES, model_for_j, random_params
 from spinboson.representation import ladder_operators, sector_levels, sector_matrices
 
 CACHES = (
     (model_mod._enumerate_sectors, ENUMERATION_CACHE_SIZE),
     (operators._hamiltonian_pieces, SECTOR_CACHE_SIZE),
+    (operators._monomial_map, SECTOR_CACHE_SIZE),
     (representation._sector_levels, SECTOR_CACHE_SIZE),
 )
 
@@ -136,6 +145,27 @@ def test_per_call_combination_is_bitwise_the_uncached_assembly(seed):
                 == reference_energy(mdl, sec, roots_sum))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_monomial_action_is_bitwise_the_operator_calculus(seed):
+    # each entry adds the same falling factorial times coefficient products
+    # in the same order of d as apply_to_monomials, so nothing moves
+    rng = np.random.default_rng(seed)
+    mdl, sec = random_model_sector(rng)
+    for _ in range(2):  # cold, then from the caches
+        h = build_hamiltonian_operator(mdl, sec)
+        mono, polys = monomial_action(mdl, sec)
+        want = apply_to_monomials(h, sec.n_top)
+        assert mono.shape == want.shape and np.array_equal(mono, want)
+        want_polys = extract_polynomials(h)
+        assert len(polys) == len(want_polys)
+        for got, ref in zip(polys, want_polys):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+        # the caller owns what it gets: scribbling on it changes no later call
+        mono *= -3.0
+        for p in polys:
+            p += 1.0
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_warm_solve_equals_cold_solve(name):
     rng = np.random.default_rng(7)
@@ -161,11 +191,14 @@ def test_cached_arrays_are_read_only():
                                       "g": 0.6}, Fraction(1))
     sec = enumerate_sectors(mdl, Fraction(1), 2)[-1]
     pieces = operators._hamiltonian_pieces(mdl.M, mdl.r, mdl.s, mdl.k, sec)
+    action_map = operators._monomial_map(pieces.shape[1], pieces.shape[2], sec.dim)
     levels = sector_levels(mdl, sec)
     arrays = [pieces, levels.pplus_band, levels.pminus_band,
-              levels.occupations, levels.spin_powers]
+              levels.occupations, levels.spin_powers, levels.band, *action_map]
     assert not any(arr.flags.writeable for arr in arrays)
-    assert all(arr.ndim == 1 for arr in arrays[1:3] + arrays[4:])
+    assert all(arr.ndim == 1 for arr in arrays[1:3] + arrays[4:5] + arrays[6:])
+    assert np.array_equal(levels.band, np.diag(levels.pplus_band, -1)
+                          + np.diag(levels.pminus_band, 1))
 
 
 def test_mutating_results_leaves_the_caches_intact():
@@ -197,6 +230,7 @@ def test_caches_stay_within_their_bounds():
     assert len(sectors) == 1228 > SECTOR_CACHE_SIZE
     for sec in sectors:
         build_hamiltonian_operator(mdl, sec)
+        monomial_action(mdl, sec)
         sector_matrices(mdl, sec)
     for cache, bound in CACHES:
         assert 0 < cache.cache_info().currsize <= bound

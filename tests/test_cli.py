@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,42 @@ class TestNumericalFailure:
         assert out == ""
         assert err.startswith("numerical failure:")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestWriteFailures:
+    SPECTRUM = ("spectrum", "--preset", "two_mode_tc", "--param", "w1=0.9",
+                "--param", "w2=1.3", "--param", "g_prime=0.4", "--param", "g=0.6",
+                "--j", "3", "--max-bosons", "8")
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_output_into_a_missing_directory_exits_one(self, capsys, monkeypatch,
+                                                       tmp_path, command):
+        import spinboson.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_verification", lambda **kwargs: [])
+        target = str(tmp_path / "missing" / "x.json")
+        argv = (("spectrum", "--preset", "lmg", "--param", "g_prime=0.3",
+                 "--param", "g=0.7", "--j", "3") if command == "spectrum"
+                else ("verify", "--draws", "1"))
+        code, out, err = run_cli(capsys, *argv, "--output", target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write report: ")
+        assert target in err and len(err.strip().splitlines()) == 1
+
+    def test_a_reader_that_closes_early_gets_no_traceback(self):
+        # the reader is gone before the report is written, so the write
+        # meets a broken pipe
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-m", "spinboson", *self.SPECTRUM],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == "error: cannot write report: [Errno 32] Broken pipe\n"
 
 
 class TestPresetList:

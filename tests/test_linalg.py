@@ -131,6 +131,12 @@ class TestPolynomialRoots:
         with pytest.raises(ValueError, match="2-D stack"):
             polynomial_roots(np.ones((2, 3, 4)))
 
+    def test_overflowing_evaluation_raises_instead_of_returning_nan(self):
+        # the root near -1e300 overflows Horner's evaluation; a residual
+        # that is not finite counts as a miss, never as converged
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            polynomial_roots([1e300, 1e300, 1e300, 1.0])
+
 
 @settings(max_examples=40, deadline=None)
 @given(roots=st.lists(

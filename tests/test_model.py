@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from spinboson.model import (
     ModelSpec,
     _sector_labels,
     ReferenceState,
+    SectorLabels,
     enumerate_sectors,
     format_rational,
     lambda_of,
@@ -154,6 +158,27 @@ class TestEnumerateSectors:
     def test_deterministic_order(self):
         secs = enumerate_sectors(tc_model(), Fraction(3, 2), 4)
         assert secs == sorted(secs)
+
+
+def test_labels_built_apart_hash_and_compare_equal():
+    # the labels keep their field hash outside the fields: equal labels
+    # built separately still hash alike, and dataclass views are unchanged
+    model = ModelSpec(M=2, r=1, s=1, k=(1, 2), w=(1.0, 0.5), g_prime=0.5, g=0.1)
+    ref = ReferenceState(Fraction(-1, 2), (2, 3))
+    a = sector_from_reference(model, Fraction(3, 2), ref)
+    b = sector_from_reference(model, Fraction(3, 2), ref)
+    c = SectorLabels(**dataclasses.asdict(a))
+    assert a is not b and a == b == c
+    fields = tuple(getattr(a, f.name) for f in dataclasses.fields(a))
+    assert hash(a) == hash(b) == hash(c) == hash(fields)
+    assert len({a, b, c}) == 1 and {a: 1}[c] == 1
+    assert list(dataclasses.asdict(a)) == [f.name for f in dataclasses.fields(a)]
+    assert dataclasses.astuple(a) == fields
+    # pickles and copies carry only the fields
+    assert pickle.dumps(a) == pickle.dumps(SectorLabels(**dataclasses.asdict(a)))
+    for other in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert other == a and hash(other) == hash(a)
+        assert not (other < a or a < other)
 
 
 def recursive_simplex(modes, budget):
