@@ -45,7 +45,6 @@ from .bethe import (
     BetheState,
     bae_residuals,
     energy_from_roots,
-    newton_refine_bae,
     solve_sector,
 )
 from .presets import (

@@ -8,10 +8,11 @@ the tridiagonal monomial action, and factorize.  All N+1 states of a sector
 share the coefficient polynomials P_d, so their coefficients, roots and
 certificates are computed once per sector on a stack of states; only states
 whose certificate misses, or whose roots do not verify, fall back, one at a
-time, to Newton on the root equations, and a state keeps Newton's roots only
-if their closed-form energy pins its eigenvalue.  The monomial action and
-the P_d come from operators.monomial_action, which combines cached
-coupling-free pieces without building the operator.  The coupled root
+time, to Newton on the root equations (refine widens that to every state
+with a certificate), and a state keeps Newton's roots only if they certify
+no worse and their closed-form energy pins its eigenvalue.  The monomial
+action and the P_d come from operators.monomial_action, which combines
+cached coupling-free pieces without building the operator.  The coupled root
 equations
 
     sum_{i=2}^{order} sum_{n_1<..<n_{i-1} != mu} P_i(a_mu) i! /
@@ -19,15 +20,13 @@ equations
 
 are then evaluated as a certificate (they express the vanishing of the
 simple-pole residues of (H psi)/psi); the certificate of a stack forms the
-root differences once and evaluates every P_i in one Horner pass, and its
-residuals equal bae_residuals on the same roots.  The closed-form energy is
-cross-checked against the leading-coefficient ratio of H psi.  Direct Newton
-solution of the root equations is available as a refinement.
+root differences once and evaluates every P_i in one Horner pass, and
+bae_residuals is its raising form.  The closed-form energy is cross-checked
+against the leading-coefficient ratio of H psi.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isfinite
@@ -150,7 +149,8 @@ def bae_residuals(
     `roots` is one root set or a stack of them (leading batch axis); each
     row's residuals are those of a call with that row alone.  Requires
     pairwise distinct roots (the derivation assumes simple poles); raises
-    ValueError when two roots of a row are closer than cluster_rtol x scale.
+    ValueError when two roots of a row are closer than cluster_rtol x scale,
+    the rows _scaled_bae_residuals gives no certificate.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.ndim == 0:
@@ -161,13 +161,13 @@ def bae_residuals(
         raise ValueError(f"expected {expected} roots, got {n}")
     if n == 0:
         return np.zeros(roots.shape, dtype=complex)
-    if np.any(min_root_distance(roots) <= cluster_rtol * root_scale(roots)):
-        raise ValueError("coincident roots: residuals are not defined")
-
     if polys is None:
         polys = monomial_action(model, sector)[1]
-    return _residuals_from(polys, _horner(_padded(polys[1:]), roots),
-                           roots[..., :, None] - roots[..., None, :])
+    residuals, scaled, _, _ = _scaled_bae_residuals(roots.reshape(-1, n), polys,
+                                                    cluster_rtol)
+    if np.isinf(scaled).any():
+        raise ValueError("coincident roots: residuals are not defined")
+    return residuals.reshape(roots.shape)
 
 
 def _residuals_from(polys: list[np.ndarray], at_roots: np.ndarray,
@@ -307,8 +307,8 @@ def energy_from_roots(
     if mono is None:
         mono = monomial_action(model, sector)[0]
     top = mono[sector.n_top, :]
-    # [z^N] psi = 1 (monic); one dot per row, as a call per row computes it
-    ratios = np.array([top @ psi for psi in poly_from_roots(stack)], dtype=complex)
+    # [z^N] psi = 1 (monic)
+    ratios = poly_from_roots(stack) @ top
     ratio_bad = (np.abs(ratios - energies)
                  > tols.energy_cross * _at_least_one(np.abs(energies)))
 
@@ -399,17 +399,16 @@ def _twisted_coeffs(sq: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _scaled_bae_residuals(
     roots: np.ndarray,
     polys: list[np.ndarray],
-    tols: Tolerances,
+    cluster_rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Residuals and max |residual| / residual_scale of each row of roots
     (at least one root), with the row's min_root_distance and root_scale.
 
     One root-difference matrix serves the distance, the cluster test and
     the residuals, and one Horner pass gives every P_i at the roots and
-    every |P_i| at the root scale; the residuals equal bae_residuals and
-    the scale residual_scale on the same rows.  A row whose roots lie
-    within tols.cluster x scale of each other has no certificate: NaN
-    residuals and an infinite scaled residual.
+    every |P_i| at the root scale; the scale equals residual_scale on the
+    same rows.  A row whose roots lie within cluster_rtol x scale of each
+    other has no certificate: NaN residuals and an infinite scaled residual.
     """
     n = roots.shape[1]
     order = len(polys) - 1
@@ -423,7 +422,7 @@ def _scaled_bae_residuals(
                      np.concatenate([roots, zscale[:, None]], axis=1))
     residuals = np.full(roots.shape, np.nan, dtype=complex)
     scaled = np.full(roots.shape[0], np.inf)
-    ok = ~(dist <= tols.cluster * zscale)
+    ok = ~(dist <= cluster_rtol * zscale)
     if ok.any():
         rows = slice(None) if ok.all() else ok
         residuals[rows] = res = _residuals_from(polys, values[:order, rows, :n],
@@ -498,17 +497,19 @@ def _recover_states(
     polys: list[np.ndarray],
     mono: np.ndarray,
     tols: Tolerances,
+    refine: bool = False,
 ) -> list[BetheState]:
     """The states of the eigenvalues values[i], with eigen_index i, recovered
     together.
 
     The coefficients, roots, certificate and verification of every state come
-    from one stacked pass.  Only a state whose scaled certificate exceeds
+    from one stacked pass.  A state whose scaled certificate exceeds
     1e-2 * tols.bae, or whose roots do not verify, is polished by Newton on
-    the root equations, one at a time.  It keeps the polished roots when
-    their scaled residual is smaller and their closed-form energy passes the
-    energy pin: Newton can converge to another state's roots, which only the
-    energy tells apart.
+    the root equations, one at a time; refine polishes every state that has a
+    certificate.  A state keeps the polished roots when their scaled residual
+    is no larger and their closed-form energy passes the energy pin: Newton
+    can converge to another state's roots, which only the energy tells apart.
+    Each state's flags are those of the roots it keeps.
     """
     values = np.asarray(values, dtype=float)
     n_top = sector.n_top
@@ -523,18 +524,19 @@ def _recover_states(
 
     roots = polynomial_roots(_twisted_coeffs(mono[: n_top + 1], values),
                              tols.roots)
-    residuals, scaled, dist, zscale = _scaled_bae_residuals(roots, polys, tols)
+    residuals, scaled, dist, zscale = _scaled_bae_residuals(roots, polys,
+                                                            tols.cluster)
     verified = _verified(model, sector, roots, values, mono, tols)
     refined = np.zeros(values.size, dtype=bool)
-    retry = np.isfinite(scaled) & ((scaled > 1e-2 * tols.bae) | ~verified)
+    retry = np.isfinite(scaled) & (refine | (scaled > 1e-2 * tols.bae) | ~verified)
     for i in np.flatnonzero(retry):
         polished = _polish_roots(model, sector, roots[i], polys, tols)
         if polished is None:
             continue
         cand = polished[None]
         cand_res, cand_scaled, cand_dist, cand_zscale = _scaled_bae_residuals(
-            cand, polys, tols)
-        if (cand_scaled[0] < scaled[i]
+            cand, polys, tols.cluster)
+        if (cand_scaled[0] <= scaled[i]
                 and _pinned(model, sector, cand, values[i : i + 1], tols)[0]):
             roots[i], residuals[i], refined[i] = polished, cand_res[0], True
             dist[i], zscale[i] = cand_dist[0], cand_zscale[0]
@@ -563,6 +565,8 @@ def solve_sector(
     For g = 0 the sector matrix is diagonal and the eigenfunctions are bare
     monomials z^k rather than degree-N monics: each state then reports k
     zero roots, a degeneracy flag for k >= 2, and no residual certificate.
+    refine sends every other state with a certificate through the Newton
+    polish of _recover_states, under the same acceptance rule.
     """
     mats = sector_matrices(model, sector)
     mono, polys = monomial_action(model, sector)
@@ -580,37 +584,8 @@ def solve_sector(
         return sorted(states, key=lambda st: st.energy)
 
     eig = jacobi_eigen(mats.H, tols.eigen)
-    states = _recover_states(model, sector, eig.values, polys, mono, tols)
-    if refine:
-        states = [newton_refine_bae(model, sector, st, tols) for st in states]
+    states = _recover_states(model, sector, eig.values, polys, mono, tols, refine)
     return sorted(states, key=lambda st: st.energy)
-
-
-def newton_refine_bae(
-    model: ModelSpec,
-    sector: SectorLabels,
-    state: BetheState,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> BetheState:
-    """Polish the roots by Newton on the coupled root equations.
-
-    The 2N-real-dimensional residual map splits real and imaginary parts.
-    On any Newton failure the state is returned unrefined; on success the
-    closed-form energy is recomputed and must agree with the eigenvalue.
-    """
-    if state.roots.size == 0 or state.degenerate_roots:
-        return state
-    polys = monomial_action(model, sector)[1]
-    roots = _polish_roots(model, sector, state.roots, polys, tols)
-    if roots is None:
-        return state
-    res = bae_residuals(model, sector, roots, polys, tols.cluster)
-    energy = closed_form_energy(model, sector, complex(np.sum(roots)))
-    if abs(energy - state.energy) > 1e-8 * max(1.0, abs(state.energy)):
-        raise ValueError(
-            f"refinement moved the energy from {state.energy:.12g} to {energy:.12g}"
-        )
-    return dataclasses.replace(state, roots=roots, bae_residuals=res, refined=True)
 
 
 def state_to_dict(state: BetheState) -> dict:

@@ -127,17 +127,15 @@ def norm_scale(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
 class SectorLevels:
     """The coupling-free data of one sector, level by level.
 
-    Every array is read-only.  band is the dense Pplus + Pminus, with
-    pplus_band below and pminus_band above the diagonal; occupations[n] are
-    the boson occupations at ladder level n; spin_powers[n] = (p - j + r n)^s
-    is the eigenvalue of (r (P0 + kappa))^s; root_sum_coeff is the integer
-    product prod_i (2j - p - i + 1 - r(N-1)) prod_i prod_v (n_i(N-1) - v + 1)
-    that multiplies -g sum_i alpha_i in the closed-form energy (0.0 when
-    N = 0).
+    Every array is read-only.  band is the dense Pplus + Pminus, with the
+    raising amplitudes below and the lowering ones above the diagonal;
+    occupations[n] are the boson occupations at ladder level n;
+    spin_powers[n] = (p - j + r n)^s is the eigenvalue of (r (P0 + kappa))^s;
+    root_sum_coeff is the integer product prod_i (2j - p - i + 1 - r(N-1))
+    prod_i prod_v (n_i(N-1) - v + 1) that multiplies -g sum_i alpha_i in the
+    closed-form energy (0.0 when N = 0).
     """
 
-    pplus_band: np.ndarray
-    pminus_band: np.ndarray
     band: np.ndarray
     occupations: np.ndarray
     spin_powers: np.ndarray
@@ -171,7 +169,7 @@ def _sector_levels(
             for v in range(1, ki + 1):
                 coeff *= ni - v + 1
 
-    arrays = (up, down, np.diag(up, -1) + np.diag(down, 1),
+    arrays = (np.diag(up, -1) + np.diag(down, 1),
               np.array(occ, dtype=np.int64), spin_powers)
     for arr in arrays:
         arr.flags.writeable = False

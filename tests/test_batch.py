@@ -135,7 +135,7 @@ def state_reference(model, sector, value, index, polys, mono):
         if polished is not None:
             cand_res, cand_scaled = scaled_residual_reference(
                 model, sector, polished, polys)
-            if cand_scaled < scaled and pinned(polished):
+            if cand_scaled <= scaled and pinned(polished):
                 roots, residuals, refined = polished, cand_res, True
                 ok = verified(roots)
 
@@ -221,7 +221,7 @@ def test_batch_matches_per_state_on_random_models():
 
 def pin_rejected(model, sector, states):
     """Indices of the states that kept their recurrence roots although the
-    Newton polish gave a candidate with a smaller scaled residual: the
+    Newton polish gave a candidate with a scaled residual no larger: the
     candidate's closed-form energy misses the state's eigenvalue."""
     _, polys, _ = sector_inputs(model, sector)
     out = []
@@ -237,7 +237,7 @@ def pin_rejected(model, sector, states):
         cand_scaled = scaled_residual_reference(model, sector, cand, polys)[1]
         own_scaled = scaled_residual_reference(model, sector, st.roots, polys)[1]
         energy = closed_form_energy(model, sector, complex(np.sum(cand)))
-        if (cand_scaled < own_scaled
+        if (cand_scaled <= own_scaled
                 and abs(energy - st.energy) > TOLS.match * max(1.0, abs(st.energy))):
             out.append(st.eigen_index)
     return out
@@ -508,6 +508,18 @@ def test_a_state_whose_energy_misses_its_eigenvalue_is_not_verified():
             caught.append(i)
         assert not st.verified and not np.array_equal(st.roots, cand)
     assert caught
+
+    # refine polishes every state under the same rule: nothing raises, no
+    # refined state misses the pin, and each state's flag is that of the
+    # roots it kept
+    refined = solve_sector(model, sec, refine=True)
+    roots = np.array([st.roots for st in refined])
+    energies = np.array([st.energy for st in refined])
+    assert energies.tolist() == [st.energy for st in states]
+    pinned = bethe._pinned(model, sec, roots, energies, TOLS)
+    assert all(pin for st, pin in zip(refined, pinned) if st.refined)
+    assert ([st.verified for st in refined]
+            == bethe._verified(model, sec, roots, energies, mono, TOLS).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 
 from spinboson.bethe import (
     _elem_sym,
+    _polish_roots,
     bae_residuals,
     closed_form_energy,
     energy_from_roots,
     liouville_ratio,
-    newton_refine_bae,
     poly_from_roots,
     solve_sector,
     state_to_dict,
@@ -296,23 +296,23 @@ class TestNewtonRefine:
         model = two_site_model(0.7, 0.4)
         sec = sector_from_reference(model, Fraction(3, 2),
                                     ReferenceState(Fraction(-3, 2)))
+        polys = extract_polynomials(build_hamiltonian_operator(model, sec))
         state = solve_sector(model, sec)[1]
-        refined = newton_refine_bae(model, sec, state)
-        assert refined.refined
+        polished = _polish_roots(model, sec, state.roots, polys, DEFAULT_TOLS)
+        assert polished is not None
         np.testing.assert_allclose(
-            np.sort(refined.roots.real), np.sort(state.roots.real), atol=1e-7)
-        assert refined.max_residual() <= state.max_residual() + 1e-12
+            np.sort(polished.real), np.sort(state.roots.real), atol=1e-7)
+        residual = np.abs(bae_residuals(model, sec, polished, polys)).max()
+        assert residual <= state.max_residual() + 1e-12
 
     def test_perturbed_seed_returns_to_roots(self):
-        import dataclasses
-
         model = two_site_model(0.7, 0.4)
         sec = sector_from_reference(model, Fraction(1), ReferenceState(Fraction(-1)))
+        polys = extract_polynomials(build_hamiltonian_operator(model, sec))
         state = solve_sector(model, sec)[0]
-        perturbed = dataclasses.replace(state, roots=state.roots + 1e-3)
-        refined = newton_refine_bae(model, sec, perturbed)
-        assert refined.refined
-        got = np.sort_complex(refined.roots)
+        polished = _polish_roots(model, sec, state.roots + 1e-3, polys, DEFAULT_TOLS)
+        assert polished is not None
+        got = np.sort_complex(polished)
         want = np.sort_complex(state.roots)
         np.testing.assert_allclose(got, want, atol=1e-7)
 
@@ -320,8 +320,15 @@ class TestNewtonRefine:
         model = tc_model()
         sec = sector_from_reference(model, Fraction(1, 2),
                                     ReferenceState(Fraction(-1, 2), (0,)))
-        state = solve_sector(model, sec)[0]
-        assert newton_refine_bae(model, sec, state) is state
+        plain = solve_sector(model, sec)
+        refined = solve_sector(model, sec, refine=True)
+        assert len(refined) == len(plain) == 1 and plain[0].roots.size == 0
+        for a, b in zip(refined, plain):
+            assert (a.eigen_index, a.energy, a.verified, a.degenerate_roots,
+                    a.refined) == (b.eigen_index, b.energy, b.verified,
+                                   b.degenerate_roots, b.refined)
+            assert np.array_equal(a.roots, b.roots)
+            assert np.array_equal(a.bae_residuals, b.bae_residuals)
 
     def test_solve_sector_with_refinement(self):
         model = two_site_model(0.5, 1.1)

@@ -193,12 +193,13 @@ def test_cached_arrays_are_read_only():
     pieces = operators._hamiltonian_pieces(mdl.M, mdl.r, mdl.s, mdl.k, sec)
     action_map = operators._monomial_map(pieces.shape[1], pieces.shape[2], sec.dim)
     levels = sector_levels(mdl, sec)
-    arrays = [pieces, levels.pplus_band, levels.pminus_band,
-              levels.occupations, levels.spin_powers, levels.band, *action_map]
+    arrays = [pieces, levels.occupations, levels.spin_powers, levels.band,
+              *action_map]
     assert not any(arr.flags.writeable for arr in arrays)
-    assert all(arr.ndim == 1 for arr in arrays[1:3] + arrays[4:5] + arrays[6:])
-    assert np.array_equal(levels.band, np.diag(levels.pplus_band, -1)
-                          + np.diag(levels.pminus_band, 1))
+    assert all(arr.ndim == 1 for arr in arrays[2:3] + arrays[4:])
+    up = representation._pplus_band(mdl, sec)
+    down = representation._pminus_band(mdl, sec)
+    assert np.array_equal(levels.band, np.diag(up, -1) + np.diag(down, 1))
 
 
 def test_mutating_results_leaves_the_caches_intact():

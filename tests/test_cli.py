@@ -264,6 +264,27 @@ class TestNumericalFailure:
         assert err.startswith("numerical failure:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_refine_keeps_a_state_whose_polish_misses_the_pin(self, capsys):
+        # dim 25: Newton polishes one state's roots onto a root set whose
+        # closed-form energy misses its eigenvalue; refine drops that
+        # candidate as the automatic polish does, instead of failing (exit 3)
+        argv = ("spectrum", "--preset", "tavis_cummings",
+                "--param", "w=1.0724610869304878",
+                "--param", "g_prime=0.37390326416730413",
+                "--param", "g=-1.9024339495607634", "--j", "12", "--mu", "-12",
+                "--n", "24")
+        code, plain, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, *argv, "--refine")
+        assert code == 0 and err == ""
+        refined = json.loads(out)["sectors"][0]["states"]
+        states = json.loads(plain)["sectors"][0]["states"]
+        assert len(refined) == len(states) == 25
+        assert [st["E"] for st in refined] == [st["E"] for st in states]
+        assert any(not st["verified"] for st in refined)
+        assert all(a["verified"] or not b["verified"]
+                   for a, b in zip(refined, states))
+
 
 class TestWriteFailures:
     SPECTRUM = ("spectrum", "--preset", "two_mode_tc", "--param", "w1=0.9",
