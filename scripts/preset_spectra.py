@@ -49,7 +49,7 @@ def main() -> None:
         model = preset(name, params)
         print(f"\n=== {name}  (j = {format_rational(j)}) ===")
         for sec in enumerate_sectors(model, j, args.max_bosons):
-            eig = jacobi_eigen(sector_matrices(model, sec).H).values
+            eig = jacobi_eigen(sector_matrices(model, sec).H)
             states = solve_sector(model, sec, refine=args.refine)
             print(f"sector p={sec.p} kappa={format_rational(sec.kappa)} "
                   f"dim={sec.dim}")

@@ -36,7 +36,6 @@ from .representation import (
 )
 from .linalg import (
     ConvergenceError,
-    EigenDecomposition,
     jacobi_eigen,
     newton_solve,
     polynomial_roots,

@@ -34,7 +34,8 @@ from math import factorial, isfinite
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .linalg import ConvergenceError, jacobi_eigen, newton_solve, polynomial_roots
+from .linalg import (ConvergenceError, horner, jacobi_eigen, newton_solve,
+                     polynomial_roots)
 from .model import ModelSpec, SectorLabels
 from .operators import monomial_action, poly_eval
 from .representation import sector_levels, sector_matrices
@@ -111,7 +112,9 @@ def min_root_distance(roots: np.ndarray):
 def residual_scale(polys: list[np.ndarray], roots: np.ndarray):
     """max_i sup_{|z| = scale} |P_i| used to normalize residual magnitudes,
     per row for a stack of root sets."""
-    bound = _horner(np.abs(_padded(polys[1:])), np.asarray(root_scale(roots)))
+    scale = np.asarray(root_scale(roots))
+    coeffs = np.abs(_padded(polys[1:]))
+    bound = horner(np.expand_dims(coeffs, tuple(range(1, scale.ndim + 1))), scale)
     return _per_row(np.maximum(bound.max(axis=0, initial=0.0), 1.0))
 
 
@@ -122,19 +125,6 @@ def _padded(polys: list[np.ndarray]) -> np.ndarray:
     for i, p in enumerate(polys):
         coeffs[i, : p.size] = p
     return coeffs
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Each row of coeffs evaluated at z, stacked on a leading axis, in one
-    Horner pass: the values poly_eval gives, since a zero top coefficient
-    leaves them unchanged (finite z)."""
-    coeffs = coeffs.reshape(coeffs.shape + (1,) * z.ndim)
-    result = np.empty(coeffs.shape[:1] + z.shape, dtype=np.result_type(coeffs, z))
-    result[...] = coeffs[:, -1]
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        result *= z
-        result += coeffs[:, k]
-    return result
 
 
 def bae_residuals(
@@ -418,8 +408,8 @@ def _scaled_bae_residuals(
     dist = gap.min(axis=(1, 2))
     zscale = np.maximum(1.0, np.abs(roots).max(axis=1))
     coeffs = _padded(polys[1:])
-    values = _horner(np.concatenate([coeffs, np.abs(coeffs)]),
-                     np.concatenate([roots, zscale[:, None]], axis=1))
+    values = horner(np.concatenate([coeffs, np.abs(coeffs)])[:, None, None],
+                    np.concatenate([roots, zscale[:, None]], axis=1))
     residuals = np.full(roots.shape, np.nan, dtype=complex)
     scaled = np.full(roots.shape[0], np.inf)
     ok = ~(dist <= cluster_rtol * zscale)
@@ -583,8 +573,8 @@ def solve_sector(
         ]
         return sorted(states, key=lambda st: st.energy)
 
-    eig = jacobi_eigen(mats.H, tols.eigen)
-    states = _recover_states(model, sector, eig.values, polys, mono, tols, refine)
+    values = jacobi_eigen(mats.H, tols.eigen)
+    states = _recover_states(model, sector, values, polys, mono, tols, refine)
     return sorted(states, key=lambda st: st.energy)
 
 

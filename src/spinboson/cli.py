@@ -51,7 +51,6 @@ class RunConfig:
     tols: Tolerances = DEFAULT_TOLS
     fmt: str = "json"
     output: str | None = None
-    seed: int = DEFAULT_SEED
     state: int | None = None
     refine: bool = False
 
@@ -67,36 +66,34 @@ def _build_parser() -> _Parser:
                      description="Spectra of the spin-boson family, two ways")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_flags(name, summary, model=True, tols=True):
+        """A subcommand with the flags it reads: the model and sector flags
+        unless model is False, the --tol-* flags unless tols is False."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", choices=PRESET_NAMES)
-        p.add_argument("--param", action="append", default=[],
-                       metavar="KEY=VALUE", help="preset coupling (repeatable)")
-        p.add_argument("--j", help="spin as a rational, e.g. 3/2")
-        p.add_argument("--mu", help="reference spin projection (selects one sector)")
-        p.add_argument("--n", help="reference boson occupations, comma ints")
-        p.add_argument("--max-bosons", type=int, dest="max_bosons")
+        if model:
+            p.add_argument("--preset", choices=PRESET_NAMES)
+            p.add_argument("--param", action="append", default=[],
+                           metavar="KEY=VALUE", help="preset coupling (repeatable)")
+            p.add_argument("--j", help="spin as a rational, e.g. 3/2")
+            p.add_argument("--mu", help="reference spin projection (one sector)")
+            p.add_argument("--n", help="reference boson occupations, comma ints")
+            p.add_argument("--max-bosons", type=int, dest="max_bosons")
         p.add_argument("--format", choices=("json", "csv"), dest="fmt")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int)
-        for key in TOL_KEYS:
+        for key in TOL_KEYS if tols else ():
             p.add_argument(f"--tol-{key}", type=float, dest=f"tol_{key}")
+        return p
 
-    p_sectors = sub.add_parser("sectors", help="enumerate invariant sectors")
-    add_common(p_sectors)
-
-    p_spec = sub.add_parser("spectrum", help="solve sectors and report spectra")
-    add_common(p_spec)
-    p_spec.add_argument("--refine", action="store_true",
-                        help="Newton-polish roots on the coupled equations")
-
-    p_roots = sub.add_parser("roots", help="spectrum restricted to one state")
-    add_common(p_roots)
-    p_roots.add_argument("--state", type=int, default=0,
-                         help="eigenstate index within each sector (default 0)")
-
-    p_verify = sub.add_parser("verify", help="run the verification battery")
-    add_common(p_verify)
+    add_flags("sectors", "enumerate invariant sectors", tols=False)
+    add_flags("spectrum", "solve sectors and report spectra").add_argument(
+        "--refine", action="store_true",
+        help="Newton-polish roots on the coupled equations")
+    add_flags("roots", "spectrum restricted to one state").add_argument(
+        "--state", type=int, default=0,
+        help="eigenstate index within each sector (default 0)")
+    p_verify = add_flags("verify", "run the verification battery", model=False)
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--draws", type=int, default=10,
                           help="random coupling draws per preset (default 10)")
 
@@ -138,7 +135,7 @@ def merged_tolerances(file_cfg: dict, args: argparse.Namespace) -> Tolerances:
                                    for key in TOL_KEYS})
 
 
-def _load_config(args: argparse.Namespace, need_j: bool = True) -> RunConfig:
+def _load_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _read_config_file(args.config)
 
     def pick(flag, key, default=None):
@@ -153,9 +150,9 @@ def _load_config(args: argparse.Namespace, need_j: bool = True) -> RunConfig:
     params = dict(file_cfg.get("params", {}))
     params.update(_parse_params(args.param))
     j_raw = pick(args.j, "j")
-    if j_raw is None and need_j:
+    if j_raw is None:
         raise UsageError("--j (or config field 'j') is required")
-    j = parse_rational(j_raw) if j_raw is not None else Rational(0)
+    j = parse_rational(j_raw)
 
     if preset_name is not None:
         if preset_name == "rigid_rotor":
@@ -194,7 +191,6 @@ def _load_config(args: argparse.Namespace, need_j: bool = True) -> RunConfig:
         tols=merged_tolerances(file_cfg, args),
         fmt=pick(args.fmt, "format", "json"),
         output=pick(args.output, "output"),
-        seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
         state=getattr(args, "state", None),
         refine=bool(getattr(args, "refine", False)),
     )

@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Tolerances:
     # iterative solvers
-    eigen: float = 1e-12        # eigenpair residual, relative to max(||A||_F, 1)
+    # eigenvalue check: |sum w - tr A| and |sum w^2 - ||A||_F^2|, relative
+    # to b = max(||A||_F, 1) and to b^2
+    eigen: float = 1e-12
     roots: float = 1e-10        # Aberth-Ehrlich residual target, scaled
     newton: float = 1e-10       # Newton residual target (inf norm)
     # cross-checks

@@ -1,6 +1,6 @@
-"""Dense numerics: symmetric eigensolve (LAPACK via numpy.linalg.eigh),
-Aberth-Ehrlich root polish from companion-matrix eigenvalues, damped Newton
-with a forward-difference Jacobian.
+"""Dense numerics: symmetric eigenvalues (LAPACK via numpy.linalg.eigvalsh),
+Aberth-Ehrlich root polish from companion-matrix eigenvalues, one stacked
+Horner evaluation, damped Newton with a forward-difference Jacobian.
 
 The root finder takes one polynomial or a stack of equal-degree ones (the
 states of one sector): a stack shares one companion eigensolve per kind of
@@ -15,9 +15,8 @@ values in config.DEFAULT_TOLS, and raises ConvergenceError when it misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.linalg import eigvalsh
 
 from .config import DEFAULT_TOLS
 
@@ -26,43 +25,34 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    values: np.ndarray   # ascending
-    vectors: np.ndarray  # orthonormal columns, vectors[:, k] pairs with values[k]
+def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix by LAPACK
+    (numpy.linalg.eigvalsh).
 
-
-def jacobi_eigen(
-    a: np.ndarray,
-    tol: float = DEFAULT_TOLS.eigen,
-) -> EigenDecomposition:
-    """Symmetric eigendecomposition by LAPACK (numpy.linalg.eigh).
-
-    Raises ValueError for non-square or non-symmetric input and
-    ConvergenceError when the a-posteriori residual ||AV - V diag(w)||_F
-    exceeds tol * max(||A||_F, 1).  Each eigenvector is signed so that its
-    largest-magnitude component is positive.
+    Raises ValueError for non-square or non-symmetric input.  The
+    eigenvalues w of a symmetric A obey sum(w) = tr A and
+    sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1), ConvergenceError
+    is raised when the first misses by more than tol * b, the second by more
+    than tol * b^2, or either is not finite.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    scale = max(np.abs(a).max(), 1.0) if n else 1.0
+    scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
     if np.abs(a - a.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     a = (a + a.T) / 2.0
 
-    values, vectors = np.linalg.eigh(a)
-    residual = np.linalg.norm(a @ vectors - vectors * values)
-    target = tol * max(np.linalg.norm(a), 1.0)
-    if residual > target:
+    values = eigvalsh(a)
+    norm = np.linalg.norm(a)
+    bound = max(norm, 1.0)
+    trace_miss = abs(values.sum() - np.trace(a))
+    norm_miss = abs(values @ values - norm * norm)
+    if not (trace_miss <= tol * bound and norm_miss <= tol * bound * bound):
         raise ConvergenceError(
-            f"eigenpair residual {residual:.3e} exceeds {target:.3e}")
-    # deterministic sign: largest-magnitude component of each vector positive
-    if n:
-        lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(n)]
-        vectors[:, lead < 0.0] *= -1.0
-    return EigenDecomposition(values, vectors)
+            f"eigenvalues miss the trace by {trace_miss:.3e} and the squared "
+            f"norm by {norm_miss:.3e} (tol {tol:g}, scale {bound:.3e})")
+    return values
 
 
 def polynomial_roots(
@@ -132,13 +122,15 @@ def _companion_start(c: np.ndarray, real_arithmetic: bool = True) -> np.ndarray:
     return z
 
 
-def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Row i of c (ascending coefficients; a leading axis may stack several
-    such arrays) evaluated at every entry of row i of z."""
-    result = np.repeat(c[..., -1:], z.shape[-1], axis=-1)
+def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The polynomials with ascending coefficients along the last axis of c
+    evaluated at z; the leading axes of c broadcast against z."""
+    result = np.empty(np.broadcast_shapes(c.shape[:-1], z.shape),
+                      dtype=np.result_type(c, z))
+    result[...] = c[..., -1]
     for k in range(c.shape[-1] - 2, -1, -1):
         result *= z
-        result += c[..., k : k + 1]
+        result += c[..., k]
     return result
 
 
@@ -189,7 +181,7 @@ def _aberth_steps(
     za = z
     best = best_res = None
     for _ in range(max_iter):
-        pz, dpz = _horner_rows(both, za)
+        pz, dpz = horner(both[:, :, None], za)
         dpz[dpz == 0.0] = 1e-300
         w = pz / dpz
         # the companion start can repeat a multiple root exactly; such pairs,
@@ -232,8 +224,8 @@ def _aberth_steps(
 def _scaled_residual_rows(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Per row: max over its roots of |p(z)| / sum |c_i||z|^i; inf for a row
     whose evaluation is not finite."""
-    num = np.abs(_horner_rows(c, roots))
-    den = _horner_rows(np.abs(c), np.abs(roots)).real
+    num = np.abs(horner(c[:, None], roots))
+    den = horner(np.abs(c)[:, None], np.abs(roots)).real
     den[den == 0.0] = 1.0
     worst = (num / den).max(axis=1)
     worst[np.isnan(worst)] = np.inf
@@ -245,7 +237,6 @@ def newton_solve(
     x0,
     tol: float = DEFAULT_TOLS.newton,
     max_iter: int = 50,
-    fd_step: float = 1e-7,
 ) -> np.ndarray:
     """Damped Newton for f: R^n -> R^n with a forward-difference Jacobian.
 
@@ -264,7 +255,7 @@ def newton_solve(
         n = x.size
         jac = np.empty((n, n))
         for jcol in range(n):
-            h = fd_step * (1.0 + abs(x[jcol]))
+            h = 1e-7 * (1.0 + abs(x[jcol]))  # forward-difference step
             xh = x.copy()
             xh[jcol] += h
             jac[:, jcol] = (np.asarray(f(xh), dtype=float) - fx) / h

@@ -176,11 +176,7 @@ def _sector_levels(
     return SectorLevels(*arrays, root_sum_coeff=float(coeff))
 
 
-def sector_matrices(
-    model: ModelSpec,
-    sector: SectorLabels,
-    symmetry_rtol: float = DEFAULT_TOLS.symmetry,
-) -> SectorMatrices:
+def sector_matrices(model: ModelSpec, sector: SectorLabels) -> SectorMatrices:
     """The symmetric H on the sector.
 
     H = sum_i w_i N_i + g' (r(P0 + kappa))^s
@@ -208,8 +204,9 @@ def sector_matrices(
 
     scale = max(np.abs(h).max(), 1.0)
     asym = np.abs(h - h.T).max(initial=0.0)
-    if asym > symmetry_rtol * scale:
-        raise AssertionError(f"sector H asymmetry {asym:.3e} exceeds {symmetry_rtol:g}")
+    if asym > DEFAULT_TOLS.symmetry * scale:
+        raise AssertionError(
+            f"sector H asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.symmetry:g}")
     h = (h + h.T) / 2.0
 
     return SectorMatrices(h)

@@ -135,7 +135,7 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                         failures.append(
                             f"match: {name} j={j}: no oracle block for {sec}")
                         continue
-                    fock_eig = jacobi_eigen(block.H, tols.eigen).values
+                    fock_eig = jacobi_eigen(block.H, tols.eigen)
                     dev = max(multiset_close(bethe, sector_eig, tols.match),
                               multiset_close(bethe, fock_eig, tols.match))
                     worst_match = max(worst_match, dev)
@@ -373,7 +373,7 @@ def _direct_rotor_spectrum(a: float, b: float, c: float, j: Fraction) -> np.ndar
     jy_sq = -0.25 * (jplus - jminus) @ (jplus - jminus)
     jz = np.diag(mvals)
     h = a * jx @ jx + b * jy_sq + c * jz @ jz
-    return jacobi_eigen(h).values
+    return jacobi_eigen(h)
 
 
 def check_rotor_cross(

@@ -147,7 +147,7 @@ def state_reference(model, sector, value, index, polys, mono):
 
 
 def sector_inputs(model, sector):
-    values = jacobi_eigen(sector_matrices(model, sector).H, TOLS.eigen).values
+    values = jacobi_eigen(sector_matrices(model, sector).H, TOLS.eigen)
     h_op = build_hamiltonian_operator(model, sector)
     return values, extract_polynomials(h_op), apply_to_monomials(h_op, sector.n_top)
 
@@ -648,7 +648,7 @@ def sweep_reference(seed, n_draws, tols):
                     if block is None:
                         failures.append(f"match: {name} j={j}: no oracle block for {sec}")
                         continue
-                    fock_eig = jacobi_eigen(block.H, tols.eigen).values
+                    fock_eig = jacobi_eigen(block.H, tols.eigen)
                     dev = max(verify.multiset_close(energies, sector_eig, tols.match),
                               verify.multiset_close(energies, fock_eig, tols.match))
                     worst_match = max(worst_match, dev)

@@ -245,6 +245,19 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "sectors", "--no-such-flag")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("sectors", "--preset", "lmg", "--j", "1", "--seed", "3"),
+        ("sectors", "--preset", "lmg", "--j", "1", "--tol-match", "1e-9"),
+        ("verify", "--preset", "lmg"),
+    ], ids=["sectors_seed", "sectors_tol", "verify_preset"])
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        # a flag the command would ignore is a usage error, not a no-op
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage:")
+        assert "unrecognized arguments" in err
+
 
 class TestNumericalFailure:
     def test_overflow_exits_three(self, capsys, monkeypatch):

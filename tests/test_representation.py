@@ -58,7 +58,7 @@ class TestSectorMatrices:
         np.testing.assert_allclose(
             mats.H, [[gp / 4, g], [g, gp / 4]], atol=1e-14)
         np.testing.assert_allclose(
-            jacobi_eigen(mats.H).values, [gp / 4 - g, gp / 4 + g], atol=1e-12)
+            jacobi_eigen(mats.H), [gp / 4 - g, gp / 4 + g], atol=1e-12)
 
     def test_symmetry_and_band_structure(self):
         model = ModelSpec(M=2, r=2, s=2, k=(2, 1), w=(0.8, 1.1),
@@ -80,7 +80,7 @@ class TestSectorMatrices:
         mats = sector_matrices(model, sec)
         sub = np.diag(mats.H, -1)
         assert np.all(np.abs(sub) > 0)
-        values = jacobi_eigen(mats.H).values
+        values = jacobi_eigen(mats.H)
         gaps = np.diff(values)
         assert np.min(gaps) > 1e-9 * max(1.0, np.max(np.abs(mats.H)))
 
@@ -197,11 +197,11 @@ class TestFockOracle:
                 b = states.index((n1 + 1, n2 - 1))
                 h[b, a] += amp
                 h[a, b] += amp
-        boson_spec = jacobi_eigen(h).values
+        boson_spec = jacobi_eigen(h)
 
         model = two_site_model(gp, g)
         sec = enumerate_sectors(model, j)[0]
-        sector_spec = jacobi_eigen(sector_matrices(model, sec).H).values
+        sector_spec = jacobi_eigen(sector_matrices(model, sec).H)
         np.testing.assert_allclose(np.sort(boson_spec), np.sort(sector_spec),
                                    atol=1e-10)
 
@@ -304,11 +304,11 @@ def test_sector_union_covers_full_spin_space(two_j, g, gp):
     model = ModelSpec(M=0, r=2, s=1, k=(), w=(), g_prime=gp, g=g)
     j = Fraction(two_j, 2)
     sector_energies = np.sort(np.concatenate([
-        jacobi_eigen(sector_matrices(model, sec).H).values
+        jacobi_eigen(sector_matrices(model, sec).H)
         for sec in enumerate_sectors(model, j)
     ]))
     fock_energies = np.sort(np.concatenate([
-        jacobi_eigen(blk.H).values for blk in fock_oracle(model, j, 0)
+        jacobi_eigen(blk.H) for blk in fock_oracle(model, j, 0)
     ]))
     assert sector_energies.size == two_j + 1
     np.testing.assert_allclose(sector_energies, fock_energies,
