@@ -2,9 +2,10 @@
 
 Subcommands: sectors, spectrum, roots, verify, preset list.  A model comes
 either from --preset plus --param key=value pairs or from a JSON config file
-(--config); flags override file fields which override defaults.  Exit codes:
-0 success, 1 usage error or a report that cannot be written, 2 verification
-failure, 3 numerical failure.
+(--config), whose fields are read as the flags they name, ahead of the
+command line's: flags override file fields, which override defaults.  Exit
+codes: 0 success, 1 usage error or a report that cannot be written, 2
+verification failure, 3 numerical failure while solving.
 """
 
 from __future__ import annotations
@@ -13,18 +14,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .bethe import solve_sector, state_to_dict
-from .config import DEFAULT_TOLS, Tolerances, with_overrides
+from .config import DEFAULT_TOLS, Tolerances
 from .linalg import ConvergenceError
 from .model import (
     ModelSpec,
-    Rational,
     ReferenceState,
     enumerate_sectors,
+    is_spin,
     parse_rational,
     sector_from_reference,
     sector_to_dict,
@@ -42,23 +44,34 @@ class UsageError(ValueError):
     """Bad flags or config content; maps to exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    model: ModelSpec
-    j: Rational
-    reference: ReferenceState | None   # None means every sector
-    max_bosons: int = 0
-    tols: Tolerances = DEFAULT_TOLS
-    fmt: str = "json"
-    output: str | None = None
-    state: int | None = None
-    refine: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exit code is 2; we want 1
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+
+def _checked(convert, accept, name: str):
+    """An argparse type, reported as "invalid <name> value" on failure."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name
+    return parse
+
+
+_spin = _checked(parse_rational, is_spin, "spin")
+_half_integer = _checked(parse_rational, lambda m: (2 * m).denominator == 1,
+                         "half-integer")
+_occupations = _checked(lambda text: tuple(int(x) for x in text.split(",")
+                                           if x.strip()),
+                        lambda ns: all(n >= 0 for n in ns), "occupations")
+_pair = _checked(lambda text: tuple(part.strip() for part in text.split("=", 1)),
+                 lambda pair: len(pair) == 2, "KEY=VALUE")
+_count = _checked(int, lambda n: n >= 0, "non-negative int")
+_positive = _checked(int, lambda n: n >= 1, "positive int")
+_tolerance = _checked(float, lambda x: 0 < x < math.inf, "positive finite float")
 
 
 def _build_parser() -> _Parser:
@@ -68,21 +81,26 @@ def _build_parser() -> _Parser:
 
     def add_flags(name, summary, model=True, tols=True):
         """A subcommand with the flags it reads: the model and sector flags
-        unless model is False, the --tol-* flags unless tols is False."""
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="JSON config file")
+        unless model is False, the --tol-* flags unless tols is False.  A
+        flag is matched only in full, so that a config key names one flag."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file, its fields read as flags")
         if model:
             p.add_argument("--preset", choices=PRESET_NAMES)
-            p.add_argument("--param", action="append", default=[],
+            p.add_argument("--param", type=_pair, action="append", default=[],
                            metavar="KEY=VALUE", help="preset coupling (repeatable)")
-            p.add_argument("--j", help="spin as a rational, e.g. 3/2")
-            p.add_argument("--mu", help="reference spin projection (one sector)")
-            p.add_argument("--n", help="reference boson occupations, comma ints")
-            p.add_argument("--max-bosons", type=int, dest="max_bosons")
-        p.add_argument("--format", choices=("json", "csv"), dest="fmt")
+            p.add_argument("--j", type=_spin, help="spin as a rational, e.g. 3/2")
+            p.add_argument("--mu", type=_half_integer,
+                           help="reference spin projection (one sector)")
+            p.add_argument("--n", type=_occupations, default=(),
+                           help="reference boson occupations, comma ints")
+            p.add_argument("--max-bosons", type=_count, default=0, dest="max_bosons")
+        p.add_argument("--format", dest="fmt", choices=("json", "csv") if model
+                       else ("json",), default="json" if model else None)
         p.add_argument("--output", help="write the report here instead of stdout")
         for key in TOL_KEYS if tols else ():
-            p.add_argument(f"--tol-{key}", type=float, dest=f"tol_{key}")
+            p.add_argument(f"--tol-{key}", type=_tolerance, dest=f"tol_{key}",
+                           default=getattr(DEFAULT_TOLS, key))
         return p
 
     add_flags("sectors", "enumerate invariant sectors", tols=False)
@@ -90,11 +108,11 @@ def _build_parser() -> _Parser:
         "--refine", action="store_true",
         help="Newton-polish roots on the coupled equations")
     add_flags("roots", "spectrum restricted to one state").add_argument(
-        "--state", type=int, default=0,
+        "--state", type=_count, default=0,
         help="eigenstate index within each sector (default 0)")
     p_verify = add_flags("verify", "run the verification battery", model=False)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--draws", type=int, default=10,
+    p_verify.add_argument("--seed", type=_count, default=DEFAULT_SEED)
+    p_verify.add_argument("--draws", type=_positive, default=10,
                           help="random coupling draws per preset (default 10)")
 
     p_preset = sub.add_parser("preset", help="preset utilities")
@@ -102,104 +120,87 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_params(pairs: list[str]) -> dict:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise UsageError(f"--param expects KEY=VALUE, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+def _config_flags(path: str) -> tuple[list[str], object]:
+    """The config file's fields as flags, and its inline "model" (or None).
 
-
-def _read_config_file(path: str | None) -> dict:
-    """The parsed JSON config file, or {} when no --config was given."""
-    if not path:
-        return {}
+    "params" gives --param key=value, "tolerances" --tol-key, a list a comma
+    string, true a bare switch, null or false nothing, and any other key k
+    --k with "-" for "_"."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            fields = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise UsageError(f"config {path} is not a JSON object")
+    model = fields.pop("model", None)
+    flags = []
+    for key, value in fields.items():
+        if key in ("params", "tolerances") and value is not None:
+            if not isinstance(value, dict):
+                raise UsageError(f"config field {key!r} is not an object")
+            prefix = "--param=" if key == "params" else "--tol-"
+            flags += [f"{prefix}{k}={v}" for k, v in value.items()]
+        elif value is True:
+            flags.append(f"--{key.replace('_', '-')}")
+        elif value is not None and value is not False:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags, model
 
 
-def merged_tolerances(file_cfg: dict, args: argparse.Namespace) -> Tolerances:
-    """DEFAULT_TOLS, overridden by the config's "tolerances", then by --tol-*.
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed, with the --config file's fields read as flags ahead of
+    the command line's (argv[0] is the command)."""
+    parser = _build_parser()
+    args, model = parser.parse_args(argv), None
+    if getattr(args, "config", None):
+        flags, model = _config_flags(args.config)
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
+        if model is not None and not hasattr(args, "preset"):
+            raise UsageError(f"{args.command} reads no config 'model'")
+    args.model = model
+    return args
 
-    A namespace without some --tol-* flag leaves that tolerance to the file.
-    """
-    file_tols = file_cfg.get("tolerances", {})
-    tols = with_overrides(DEFAULT_TOLS,
-                          **{key: file_tols.get(key) for key in TOL_KEYS})
-    return with_overrides(tols, **{key: getattr(args, f"tol_{key}", None)
-                                   for key in TOL_KEYS})
 
-
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _read_config_file(args.config)
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else file_cfg.get(key, default)
-
-    preset_name = pick(args.preset, "preset")
-    model_dict = file_cfg.get("model")
-    if (preset_name is None) == (model_dict is None):
+def _model_and_sectors(args: argparse.Namespace) -> tuple[ModelSpec, list]:
+    """The model and the sectors the flags select.  Any ValueError on the way
+    is bad input, so it is a usage error (exit 1)."""
+    if (args.preset is None) == (args.model is None):
         raise UsageError("give exactly one of --preset/config 'preset' or "
                          "config 'model'")
-
-    params = dict(file_cfg.get("params", {}))
-    params.update(_parse_params(args.param))
-    j_raw = pick(args.j, "j")
-    if j_raw is None:
+    if args.j is None:
         raise UsageError("--j (or config field 'j') is required")
-    j = parse_rational(j_raw)
-
-    if preset_name is not None:
-        if preset_name == "rigid_rotor":
-            params.setdefault("j", j)
-        try:
-            model = preset(preset_name, params)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        try:
-            model = validate_model(ModelSpec(
-                M=int(model_dict["M"]), r=int(model_dict["r"]),
-                s=int(model_dict["s"]), k=tuple(model_dict["k"]),
-                w=tuple(model_dict["w"]), g_prime=float(model_dict["g_prime"]),
-                g=float(model_dict["g"]),
-                constant_shift=float(model_dict.get("constant_shift", 0.0)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad inline model: {exc}") from exc
-
-    mu_raw = pick(args.mu, "mu")
-    n_raw = pick(args.n, "n")
-    reference = None
-    if mu_raw is not None:
-        if isinstance(n_raw, str):
-            occupations = tuple(int(x) for x in n_raw.split(",") if x.strip())
+    try:
+        if args.preset is None:
+            m = args.model
+            try:
+                model = validate_model(ModelSpec(
+                    M=int(m["M"]), r=int(m["r"]), s=int(m["s"]), k=tuple(m["k"]),
+                    w=tuple(m["w"]), g_prime=float(m["g_prime"]), g=float(m["g"]),
+                    constant_shift=float(m.get("constant_shift", 0.0))))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise UsageError(f"bad inline model: {exc}") from exc
         else:
-            occupations = tuple(int(x) for x in (n_raw or ()))
-        reference = ReferenceState(parse_rational(mu_raw), occupations)
+            params = dict(args.param)
+            # the rotor's Casimir offset (a+b)/2 j(j+1) is taken at --j
+            if (args.preset == "rigid_rotor"
+                    and parse_rational(params.setdefault("j", args.j)) != args.j):
+                raise UsageError(f"--param j={params['j']} differs from "
+                                 f"--j {args.j}; the rotor's j is --j")
+            model = preset(args.preset, params)
+        if args.mu is None:
+            return model, enumerate_sectors(model, args.j, args.max_bosons)
+        reference = ReferenceState(args.mu, args.n)
+        return model, [sector_from_reference(model, args.j, reference)]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
-    return RunConfig(
-        model=model,
-        j=j,
-        reference=reference,
-        max_bosons=int(pick(args.max_bosons, "max_bosons", 0)),
-        tols=merged_tolerances(file_cfg, args),
-        fmt=pick(args.fmt, "format", "json"),
-        output=pick(args.output, "output"),
-        state=getattr(args, "state", None),
-        refine=bool(getattr(args, "refine", False)),
-    )
 
-
-def _select_sectors(cfg: RunConfig) -> list:
-    if cfg.reference is not None:
-        return [sector_from_reference(cfg.model, cfg.j, cfg.reference)]
-    return enumerate_sectors(cfg.model, cfg.j, cfg.max_bosons)
+def _tolerances(args: argparse.Namespace) -> Tolerances:
+    return replace(DEFAULT_TOLS, **{key: getattr(args, f"tol_{key}")
+                                    for key in TOL_KEYS})
 
 
 def _write_report(path: str | None, text: str) -> None:
@@ -225,20 +226,19 @@ def _write_report(path: str | None, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output is None and not text.endswith("\n"):
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output is None and not text.endswith("\n"):
         text += "\n"
-    _write_report(cfg.output, text)
+    _write_report(args.output, text)
 
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def cmd_sectors(cfg: RunConfig) -> int:
-    sectors = _select_sectors(cfg)
-    if cfg.fmt == "json":
-        _emit(cfg, _dump_json({"sectors": [sector_to_dict(s) for s in sectors]}))
+def cmd_sectors(args: argparse.Namespace, sectors: list) -> int:
+    if args.fmt == "json":
+        _emit(args, _dump_json({"sectors": [sector_to_dict(s) for s in sectors]}))
         return 0
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -248,24 +248,27 @@ def cmd_sectors(cfg: RunConfig) -> int:
         writer.writerow([d["j"], d["p"], d["kappa"], d["lambda"],
                          ";".join(map(str, d["q"])), ";".join(map(str, d["l"])),
                          ";".join(map(str, d["A"])), d["dim"]])
-    _emit(cfg, buf.getvalue())
+    _emit(args, buf.getvalue())
     return 0
 
 
-def _spectrum_payload(cfg: RunConfig, only_state: int | None) -> dict:
-    """The report of every selected sector; with only_state, each sector
-    lists its state of that index, or none when it has fewer states."""
+def _spectrum_payload(args: argparse.Namespace, model: ModelSpec,
+                      sectors: list) -> dict:
+    """The report of every sector; with `roots --state i`, each sector lists
+    its state of index i, or none when it has fewer states."""
+    only_state = getattr(args, "state", None)
+    refine, tols = getattr(args, "refine", False), _tolerances(args)
     report, longest = [], 0
-    for sector in _select_sectors(cfg):
-        states = solve_sector(cfg.model, sector, refine=cfg.refine, tols=cfg.tols)
+    for sector in sectors:
+        states = solve_sector(model, sector, refine=refine, tols=tols)
         longest = max(longest, len(states))
         if only_state is not None:
-            states = [states[only_state]] if 0 <= only_state < len(states) else []
+            states = [states[only_state]] if only_state < len(states) else []
         report.append({
             "labels": sector_to_dict(sector),
             "states": [state_to_dict(st) for st in states],
         })
-    if only_state is not None and report and not 0 <= only_state < longest:
+    if only_state is not None and report and only_state >= longest:
         raise UsageError(f"--state {only_state} outside 0..{longest - 1}")
     return {"sectors": report}
 
@@ -288,30 +291,27 @@ def _spectrum_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    """`spectrum`, or `roots` when cfg.state selects one state per sector."""
-    payload = _spectrum_payload(cfg, only_state=cfg.state)
-    _emit(cfg, _dump_json(payload) if cfg.fmt == "json"
+def cmd_spectrum(args: argparse.Namespace, model: ModelSpec, sectors: list) -> int:
+    """`spectrum`, or `roots` when --state selects one state per sector."""
+    payload = _spectrum_payload(args, model, sectors)
+    _emit(args, _dump_json(payload) if args.fmt == "json"
           else _spectrum_csv(payload))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run the battery; flags override the config file's tolerances and seed.
+    """Run the battery.
 
     An explicit --format json without --output prints only the JSON report;
     otherwise the text report is printed (and --output receives the JSON).
     """
-    file_cfg = _read_config_file(args.config)
-    seed = int(args.seed if args.seed is not None
-               else file_cfg.get("seed", DEFAULT_SEED))
-    results = run_verification(seed=seed, tols=merged_tolerances(file_cfg, args),
+    results = run_verification(seed=args.seed, tols=_tolerances(args),
                                n_draws=args.draws)
     errata = errata_report()
     all_passed = all(r.passed for r in results)
     code = 0 if all_passed else 2
 
-    if args.fmt == "json" or (args.fmt is None and args.output):
+    if args.fmt == "json" or args.output:
         payload = _dump_json({
             "passed": all_passed,
             "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail}
@@ -340,19 +340,16 @@ def cmd_preset(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args.command == "preset":
             return cmd_preset(args)
         if args.command == "verify":
             return cmd_verify(args)
-        cfg = _load_config(args)
+        model, sectors = _model_and_sectors(args)
         if args.command == "sectors":
-            return cmd_sectors(cfg)
-        if args.command in ("spectrum", "roots"):
-            return cmd_spectrum(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+            return cmd_sectors(args, sectors)
+        return cmd_spectrum(args, model, sectors)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

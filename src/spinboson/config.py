@@ -7,7 +7,7 @@ Tolerances record so that a run can be tightened or relaxed in a single place
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,3 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
-
-
-def with_overrides(tols: Tolerances, **kwargs: float) -> Tolerances:
-    """Return a copy of `tols` with the given fields replaced (None skipped)."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(tols, **updates) if updates else tols

@@ -40,8 +40,10 @@ def parse_rational(text: str | int | Rational) -> Rational:
         return Rational(text)
     s = str(text).strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Rational(int(num.strip()), int(den.strip()))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"{text!r} has a zero denominator")
+        return Rational(num, den)
     return Rational(int(s))
 
 

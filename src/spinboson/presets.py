@@ -72,6 +72,9 @@ def preset(name: str, params: dict) -> ModelSpec:
     missing = [key for key in PRESET_PARAMS[name] if key not in params]
     if missing:
         raise ValueError(f"preset {name!r} missing parameters: {missing}")
+    unknown = sorted(set(params) - set(PRESET_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"preset {name!r} takes no parameters {unknown}")
 
     if name == "bose_hubbard":
         return ModelSpec(M=0, r=1, s=2, k=(), w=(),

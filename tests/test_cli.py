@@ -224,6 +224,12 @@ class TestConfigFile:
         assert "exactly one" in err
 
 
+LMG = ("--preset", "lmg", "--param", "g=1", "--param", "g_prime=1")
+LMG_CONFIG = {"preset": "lmg", "params": {"g": 1, "g_prime": 1}, "j": "1"}
+TC = ("--preset", "tavis_cummings", "--param", "w=1", "--param", "g_prime=1",
+      "--param", "g=0.1")
+
+
 class TestUsageErrors:
     def test_missing_model(self, capsys):
         code, _, err = run_cli(capsys, "sectors", "--j", "1")
@@ -257,6 +263,115 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("usage:")
         assert "unrecognized arguments" in err
+
+    @pytest.fixture
+    def stub_battery(self, monkeypatch):
+        # a verify probe that is not rejected returns at once
+        import spinboson.cli as cli_mod
+        from spinboson.verify import CheckResult
+
+        monkeypatch.setattr(cli_mod, "run_verification",
+                            lambda **kwargs: [CheckResult("stub", True, "ok")])
+        monkeypatch.setattr(cli_mod, "errata_report", lambda: [])
+
+    @pytest.mark.parametrize("argv,config", [
+        (("spectrum", *LMG, "--j", "abc"), None),
+        (("spectrum", *LMG, "--j", "1/3"), None),
+        (("spectrum", *LMG, "--j=-1"), None),
+        (("spectrum", *LMG, "--j", "1/0"), None),
+        (("spectrum", *LMG, "--j", "1", "--mu", "5"), None),
+        (("spectrum", *TC, "--j", "1", "--mu=0"), None),
+        (("spectrum", *TC, "--j", "1", "--mu=0", "--n", "a"), None),
+        (("spectrum", *TC, "--j", "1", "--max-bosons", "-1"), None),
+        (("verify", "--seed", "-1"), None),
+        (("verify", "--draws", "0"), None),
+        (("verify", "--draws", "-1"), None),
+        (("verify", "--format", "csv"), None),
+        (("verify",), {"preset": "lmg", "j": "2"}),
+        (("spectrum",), {**LMG_CONFIG, "format": "xml"}),
+        (("spectrum",), {**LMG_CONFIG, "max_bosons": "abc"}),
+        (("spectrum",), {**LMG_CONFIG, "tolerances": {"match": "x"}}),
+        (("spectrum",), {**LMG_CONFIG, "tolerances": {"mtach": 1e-3}}),
+        (("spectrum",), [1, 2]),
+        (("spectrum",), {**LMG_CONFIG, "seed": 3}),
+        (("spectrum", *LMG, "--param", "foo=3", "--j", "1"), None),
+        (("spectrum", *TC, "--j", "1", "--max", "1"), None),
+    ], ids=["j_abc", "j_third", "j_negative", "j_zero_denominator", "mu_above_j",
+            "mu_without_n", "n_not_int", "max_bosons_negative", "seed_negative",
+            "draws_zero", "draws_negative", "verify_csv", "verify_config_preset",
+            "config_format_xml", "config_max_bosons_abc", "config_tolerance_x",
+            "config_tolerance_typo", "config_not_an_object", "config_seed_on_spectrum",
+            "param_unknown", "flag_abbreviated"])
+    def test_malformed_input_exits_one(self, capsys, tmp_path, stub_battery,
+                                       argv, config):
+        # each value meets the same check from a flag or a config field; a
+        # flag matches only in full, so that a config key names one flag
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("error:") == 1
+        assert err.strip().splitlines()[-1].startswith("error: ")
+
+    def test_rotor_j_differs_from_the_j_flag(self, capsys):
+        # the rotor's Casimir offset is taken at --j; a --param j that differs
+        # once shifted every energy by (a+b)/2 (j'(j'+1) - j(j+1))
+        argv = ("spectrum", "--preset", "rigid_rotor", "--param", "a=1",
+                "--param", "b=2", "--param", "c=3", "--j", "1")
+        code, out, err = run_cli(capsys, *argv, "--param", "j=5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --param j=5 differs from --j 1")
+        # the same j is no conflict, and the triple is {a+b, b+c, a+c}
+        code, out, _ = run_cli(capsys, *argv, "--param", "j=1")
+        assert code == 0
+        energies = sorted(st["E"] for sec in json.loads(out)["sectors"]
+                          for st in sec["states"])
+        np.testing.assert_allclose(energies, [3.0, 4.0, 5.0], atol=1e-12)
+
+
+class TestConfigKeysMirrorFlags:
+    def test_spectrum_refine(self, capsys, monkeypatch, tmp_path):
+        import spinboson.cli as cli_mod
+
+        seen = []
+
+        def solve(model, sector, refine, tols):
+            seen.append(refine)
+            return []
+
+        monkeypatch.setattr(cli_mod, "solve_sector", solve)
+        path = tmp_path / "run.json"
+        for refine in (True, False):
+            path.write_text(json.dumps({**LMG_CONFIG, "refine": refine}))
+            code, _, _ = run_cli(capsys, "spectrum", "--config", str(path))
+            assert code == 0
+        # lmg at j=1 has two sectors; false sets nothing, as if left out
+        assert seen == [True, True, False, False]
+
+    def test_verify_draws_and_format(self, capsys, monkeypatch, tmp_path):
+        import spinboson.cli as cli_mod
+        from spinboson.verify import CheckResult
+
+        seen = {}
+
+        def stub(seed, tols, n_draws):
+            seen.update(n_draws=n_draws)
+            return [CheckResult("stub", True, "ok")]
+
+        monkeypatch.setattr(cli_mod, "run_verification", stub)
+        monkeypatch.setattr(cli_mod, "errata_report", lambda: [])
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps({"draws": 3, "format": "json"}))
+        code, out, _ = run_cli(capsys, "verify", "--config", str(path))
+        assert code == 0 and seen["n_draws"] == 3
+        assert json.loads(out)["passed"] is True
+        # a flag still wins over the file
+        code, _, _ = run_cli(capsys, "verify", "--config", str(path), "--draws", "2")
+        assert code == 0 and seen["n_draws"] == 2
 
 
 class TestNumericalFailure:

@@ -294,6 +294,13 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
+@pytest.mark.parametrize("text", ["1/0", "abc", "1/3/2", "1.5"])
+def test_parse_rational_rejects_malformed_text(text):
+    # a parse failure is a ValueError, never a ZeroDivisionError
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
 def test_format_rational_roundtrip():
     for x in (Fraction(3, 2), Fraction(-7, 4), Fraction(5), Fraction(0)):
         assert parse_rational(format_rational(x)) == x

@@ -47,6 +47,15 @@ class TestPresetConstruction:
         with pytest.raises(ValueError, match="missing parameters"):
             preset("tavis_cummings", {"w": 1.0})
 
+    def test_unknown_params(self):
+        # a parameter the preset does not take is an error, not dropped
+        with pytest.raises(ValueError, match=r"takes no parameters \['foo'\]"):
+            preset("lmg", {"g_prime": 1.0, "g": 0.5, "foo": 3})
+        # w1 is the single-mode alias of w; both at once leave w1 unread
+        with pytest.raises(ValueError, match="takes no parameters"):
+            preset("tavis_cummings",
+                   {"w": 1.0, "w1": 0.7, "g_prime": 1.0, "g": 0.5})
+
     def test_symmetric_top_decouples(self):
         model = preset("rigid_rotor", {"a": 1.5, "b": 1.5, "c": 0.3, "j": 2})
         assert model.g == 0.0
