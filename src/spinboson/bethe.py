@@ -576,16 +576,3 @@ def solve_sector(
     values = jacobi_eigen(mats.H, tols.eigen)
     states = _recover_states(model, sector, values, polys, mono, tols, refine)
     return sorted(states, key=lambda st: st.energy)
-
-
-def state_to_dict(state: BetheState) -> dict:
-    """JSON form: energy, root pairs, residual magnitude, and flags."""
-    max_res = state.max_residual()
-    return {
-        "E": float(state.energy),
-        "roots": [[r.real + 0.0, r.imag + 0.0] for r in state.roots.tolist()],
-        "residual": None if np.isnan(max_res) else float(max_res),
-        "verified": bool(state.verified),
-        "degenerate_roots": bool(state.degenerate_roots),
-        "refined": bool(state.refined),
-    }

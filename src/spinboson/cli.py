@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import replace
 
-from .bethe import solve_sector, state_to_dict
+from .bethe import BetheState, solve_sector
 from .config import DEFAULT_TOLS, Tolerances
 from .linalg import ConvergenceError
 from .model import (
@@ -74,50 +76,57 @@ _positive = _checked(int, lambda n: n >= 1, "positive int")
 _tolerance = _checked(float, lambda x: 0 < x < math.inf, "positive finite float")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="spinboson",
-                     description="Spectra of the spin-boson family, two ways")
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command and its summary, in the order `spinboson --help` lists them
+COMMANDS = {
+    "sectors": "enumerate invariant sectors",
+    "spectrum": "solve sectors and report spectra",
+    "roots": "spectrum restricted to one state",
+    "verify": "run the verification battery",
+    "preset": "preset utilities",
+}
 
-    def add_flags(name, summary, model=True, tols=True):
-        """A subcommand with the flags it reads: the model and sector flags
-        unless model is False, the --tol-* flags unless tols is False.  A
-        flag is matched only in full, so that a config key names one flag."""
-        p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.add_argument("--config", help="JSON config file, its fields read as flags")
-        if model:
-            p.add_argument("--preset", choices=PRESET_NAMES)
-            p.add_argument("--param", type=_pair, action="append", default=[],
-                           metavar="KEY=VALUE", help="preset coupling (repeatable)")
-            p.add_argument("--j", type=_spin, help="spin as a rational, e.g. 3/2")
-            p.add_argument("--mu", type=_half_integer,
-                           help="reference spin projection (one sector)")
-            p.add_argument("--n", type=_occupations, default=(),
-                           help="reference boson occupations, comma ints")
-            p.add_argument("--max-bosons", type=_count, default=0, dest="max_bosons")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv") if model
-                       else ("json",), default="json" if model else None)
-        p.add_argument("--output", help="write the report here instead of stdout")
-        for key in TOL_KEYS if tols else ():
-            p.add_argument(f"--tol-{key}", type=_tolerance, dest=f"tol_{key}",
-                           default=getattr(DEFAULT_TOLS, key))
+
+def _command_parser(command: str) -> _Parser:
+    """The parser of one command, with the flags it reads: the model and
+    sector flags except on verify, the --tol-* flags except on sectors.  A
+    flag is matched only in full, so that a config key names one flag."""
+    # HelpFormatter's default width, looked up once rather than per flag
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    p = _Parser(prog=f"spinboson {command}", allow_abbrev=False,
+                formatter_class=formatter)
+    if command == "preset":
+        p.add_argument("action", choices=("list",))
         return p
-
-    add_flags("sectors", "enumerate invariant sectors", tols=False)
-    add_flags("spectrum", "solve sectors and report spectra").add_argument(
-        "--refine", action="store_true",
-        help="Newton-polish roots on the coupled equations")
-    add_flags("roots", "spectrum restricted to one state").add_argument(
-        "--state", type=_count, default=0,
-        help="eigenstate index within each sector (default 0)")
-    p_verify = add_flags("verify", "run the verification battery", model=False)
-    p_verify.add_argument("--seed", type=_count, default=DEFAULT_SEED)
-    p_verify.add_argument("--draws", type=_positive, default=10,
-                          help="random coupling draws per preset (default 10)")
-
-    p_preset = sub.add_parser("preset", help="preset utilities")
-    p_preset.add_argument("action", choices=("list",))
-    return parser
+    model, tols = command != "verify", command != "sectors"
+    p.add_argument("--config", help="JSON config file, its fields read as flags")
+    if model:
+        p.add_argument("--preset", choices=PRESET_NAMES)
+        p.add_argument("--param", type=_pair, action="append", default=[],
+                       metavar="KEY=VALUE", help="preset coupling (repeatable)")
+        p.add_argument("--j", type=_spin, help="spin as a rational, e.g. 3/2")
+        p.add_argument("--mu", type=_half_integer,
+                       help="reference spin projection (one sector)")
+        p.add_argument("--n", type=_occupations, default=(),
+                       help="reference boson occupations, comma ints")
+        p.add_argument("--max-bosons", type=_count, default=0, dest="max_bosons")
+    p.add_argument("--format", dest="fmt", choices=("json", "csv") if model
+                   else ("json",), default="json" if model else None)
+    p.add_argument("--output", help="write the report here instead of stdout")
+    for key in TOL_KEYS if tols else ():
+        p.add_argument(f"--tol-{key}", type=_tolerance, dest=f"tol_{key}",
+                       default=getattr(DEFAULT_TOLS, key))
+    if command == "spectrum":
+        p.add_argument("--refine", action="store_true",
+                       help="Newton-polish roots on the coupled equations")
+    elif command == "roots":
+        p.add_argument("--state", type=_count, default=0,
+                       help="eigenstate index within each sector (default 0)")
+    elif command == "verify":
+        p.add_argument("--seed", type=_count, default=DEFAULT_SEED)
+        p.add_argument("--draws", type=_positive, default=10,
+                       help="random coupling draws per preset (default 10)")
+    return p
 
 
 def _config_flags(path: str) -> tuple[list[str], object]:
@@ -151,16 +160,27 @@ def _config_flags(path: str) -> tuple[list[str], object]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed, with the --config file's fields read as flags ahead of
-    the command line's (argv[0] is the command)."""
-    parser = _build_parser()
-    args, model = parser.parse_args(argv), None
+    """argv parsed by the parser of its command, argv[0], with the --config
+    file's fields read as flags ahead of the command line's.  Only help, a
+    missing or an unknown command meets the parser of the command list."""
+    if not argv or argv[0] not in COMMANDS:
+        commands = _Parser(prog="spinboson",
+                           description="Spectra of the spin-boson family, two ways")
+        sub = commands.add_subparsers(dest="command", required=True)
+        for name, summary in COMMANDS.items():
+            sub.add_parser(name, help=summary)
+        commands.parse_args(argv)  # prints the help, or raises a UsageError
+        # left to an argparse that drops the "--" of "-- preset list"
+        commands.error("the command must come first")
+    command, flags = argv[0], argv[1:]
+    parser = _command_parser(command)
+    args, model = parser.parse_args(flags), None
     if getattr(args, "config", None):
-        flags, model = _config_flags(args.config)
-        args = parser.parse_args(argv[:1] + flags + argv[1:])
+        config_flags, model = _config_flags(args.config)
+        args = parser.parse_args(config_flags + flags)
         if model is not None and not hasattr(args, "preset"):
-            raise UsageError(f"{args.command} reads no config 'model'")
-    args.model = model
+            raise UsageError(f"{command} reads no config 'model'")
+    args.command, args.model = command, model
     return args
 
 
@@ -172,6 +192,8 @@ def _model_and_sectors(args: argparse.Namespace) -> tuple[ModelSpec, list]:
                          "config 'model'")
     if args.j is None:
         raise UsageError("--j (or config field 'j') is required")
+    if args.n and args.mu is None:
+        raise UsageError("--n (or config field 'n') needs --mu")
     try:
         if args.preset is None:
             m = args.model
@@ -252,10 +274,20 @@ def cmd_sectors(args: argparse.Namespace, sectors: list) -> int:
     return 0
 
 
-def _spectrum_payload(args: argparse.Namespace, model: ModelSpec,
-                      sectors: list) -> dict:
-    """The report of every sector; with `roots --state i`, each sector lists
-    its state of index i, or none when it has fewer states."""
+def _state_row(state: BetheState) -> tuple:
+    """What a report says of one state: the energy, the root parts as (re, im,
+    re, im, ...) with -0.0 as 0.0, the largest residual or None, the flags."""
+    residual = state.max_residual()
+    parts = state.roots.view(float) + 0.0
+    return (float(state.energy), tuple(parts.tolist()),
+            None if math.isnan(residual) else residual,
+            bool(state.verified), bool(state.degenerate_roots), bool(state.refined))
+
+
+def _spectrum_report(args: argparse.Namespace, model: ModelSpec,
+                     sectors: list) -> list[tuple[dict, list[tuple]]]:
+    """The labels and the state rows of every sector; with `roots --state i`,
+    each sector lists its state of index i, or none when it has fewer."""
     only_state = getattr(args, "state", None)
     refine, tols = getattr(args, "refine", False), _tolerances(args)
     report, longest = [], 0
@@ -263,39 +295,79 @@ def _spectrum_payload(args: argparse.Namespace, model: ModelSpec,
         states = solve_sector(model, sector, refine=refine, tols=tols)
         longest = max(longest, len(states))
         if only_state is not None:
-            states = [states[only_state]] if only_state < len(states) else []
-        report.append({
-            "labels": sector_to_dict(sector),
-            "states": [state_to_dict(st) for st in states],
-        })
+            states = states[only_state:only_state + 1]
+        report.append((sector_to_dict(sector), [_state_row(st) for st in states]))
     if only_state is not None and report and only_state >= longest:
         raise UsageError(f"--state {only_state} outside 0..{longest - 1}")
-    return {"sectors": report}
+    return report
 
 
-def _spectrum_csv(payload: dict) -> str:
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list of items already indented, its bracket closed at pad."""
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _json_labels(labels: dict) -> str:
+    """`_dump_json(labels)` indented as in the spectrum report; the label
+    values are ints and strings, alone or in lists."""
+    def text(x):
+        if isinstance(x, list):
+            return _json_list([f"          {text(v)}" for v in x], "        ")
+        return str(x) if type(x) is int else json.dumps(x)
+    return "{\n" + ",\n".join(f'        "{key}": {text(value)}'
+                              for key, value in sorted(labels.items())) + "\n      }"
+
+
+_JSON_BOOL = {True: "true", False: "false"}
+_JSON_ROOT = "            [\n              %r,\n              %r\n            ]"
+# only the float reprs put into these hold "nan" or "inf" (see _spectrum_json)
+_JSON_STATE = ('        {\n          "E": %r,\n          "degenerate_roots": %s,\n'
+               '          "refined": %s,\n          "residual": %s,\n'
+               '          "roots": %s,\n          "verified": %s\n        }')
+
+
+def _spectrum_json(report: list) -> str:
+    """The report as `_dump_json` writes its dict form, byte for byte,
+    without building that form or running the pure-Python encoder."""
+    entries = []
+    for labels, rows in report:
+        states = []
+        for energy, parts, residual, verified, degenerate, refined in rows:
+            roots = _json_list([_JSON_ROOT] * (len(parts) // 2), "          ") % parts
+            text = _JSON_STATE % (
+                energy, _JSON_BOOL[degenerate], _JSON_BOOL[refined],
+                "null" if residual is None else repr(residual), roots,
+                _JSON_BOOL[verified])
+            # json's spelling of the non-finite floats that repr writes
+            states.append(text.replace("nan", "NaN").replace("inf", "Infinity"))
+        entries.append(f'    {{\n      "labels": {_json_labels(labels)},\n'
+                       f'      "states": {_json_list(states, "      ")}\n    }}')
+    return '{\n  "sectors": ' + _json_list(entries, "  ") + "\n}"
+
+
+def _spectrum_csv(report: list, first_index: int) -> str:
+    """One row per state; index counts a sector's states from first_index."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["j", "p", "kappa", "lambda", "dim", "index", "E",
                      "roots", "residual", "verified", "degenerate_roots"])
-    for entry in payload["sectors"]:
-        lab = entry["labels"]
-        for idx, st in enumerate(entry["states"]):
-            roots = ";".join(f"{re:+.12g}{im:+.12g}j" for re, im in st["roots"])
-            writer.writerow([
-                lab["j"], lab["p"], lab["kappa"], lab["lambda"], lab["dim"],
-                idx, f"{st['E']:.15g}", roots,
-                "" if st["residual"] is None else f"{st['residual']:.3e}",
-                st["verified"], st["degenerate_roots"],
-            ])
+    for lab, rows in report:
+        key = [lab["j"], lab["p"], lab["kappa"], lab["lambda"], lab["dim"]]
+        writer.writerows([
+            *key, idx, "%.15g" % energy,
+            ("%+.12g%+.12gj;" * (len(parts) // 2) % parts)[:-1],
+            "" if residual is None else "%.3e" % residual,
+            verified, degenerate,
+        ] for idx, (energy, parts, residual, verified, degenerate, _)
+            in enumerate(rows, first_index))
     return buf.getvalue()
 
 
 def cmd_spectrum(args: argparse.Namespace, model: ModelSpec, sectors: list) -> int:
     """`spectrum`, or `roots` when --state selects one state per sector."""
-    payload = _spectrum_payload(args, model, sectors)
-    _emit(args, _dump_json(payload) if args.fmt == "json"
-          else _spectrum_csv(payload))
+    report = _spectrum_report(args, model, sectors)
+    _emit(args, _spectrum_json(report) if args.fmt == "json"
+          else _spectrum_csv(report, getattr(args, "state", 0)))
     return 0
 
 

@@ -13,7 +13,6 @@ from spinboson.bethe import (
     liouville_ratio,
     poly_from_roots,
     solve_sector,
-    state_to_dict,
 )
 from spinboson.config import DEFAULT_TOLS
 from spinboson.linalg import jacobi_eigen
@@ -367,14 +366,3 @@ def test_poly_from_roots_roundtrip():
     assert coeffs[-1] == 1.0
     vals = poly_eval(coeffs, roots)
     assert np.max(np.abs(vals)) < 1e-12
-
-
-def test_state_serialization():
-    model = tc_model(1.0, 0.45, 0.2)
-    sec = tc_doublet_sector(model)
-    state = solve_sector(model, sec)[1]
-    d = state_to_dict(state)
-    assert set(d) == {"E", "roots", "residual", "verified", "degenerate_roots",
-                      "refined"}
-    assert d["verified"] is True
-    assert len(d["roots"]) == 1 and len(d["roots"][0]) == 2

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -147,7 +149,7 @@ class TestRoots:
                     if row.split(",")[5] == "1"]
             got = [row.split(",") for row in picked.splitlines()[1:]]
             assert len(got) == len(want) > 0
-            assert [g[:5] + g[6:] for g in got] == [w[:5] + w[6:] for w in want]
+            assert got == want
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_each_state_equals_the_spectrum_entry(self, capsys, fmt):
@@ -169,12 +171,13 @@ class TestRoots:
                     {"labels": entry["labels"], "states": [entry["states"][i]]}
                     for entry in spectrum]
             else:
-                # the index column restarts at 0 in each sector
+                # the index column restarts at 0 in each sector of the
+                # spectrum, and roots writes the index of the state it picked
                 picked = [row.split(",") for row in rows
                           if row.split(",")[5] == str(i)]
                 got = [row.split(",") for row in out.splitlines()[1:]]
                 assert len(got) == 2
-                assert [g[:5] + g[6:] for g in got] == [p[:5] + p[6:] for p in picked]
+                assert got == picked
                 assert out.splitlines()[0] == header
 
 
@@ -248,8 +251,34 @@ class TestUsageErrors:
         assert "--j" in err
 
     def test_unknown_command_flag(self, capsys):
-        code, _, _ = run_cli(capsys, "sectors", "--no-such-flag")
-        assert code == 1
+        # the usage printed is that of the command whose parser read the flag
+        code, out, err = run_cli(capsys, "sectors", "--no-such-flag")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: spinboson sectors [-h]")
+        assert err.strip().splitlines()[-1] == ("error: unrecognized arguments: "
+                                                "--no-such-flag")
+
+    @pytest.mark.parametrize("argv", [(), ("bogus",), ("--config", "c.json")],
+                             ids=["none", "bogus", "flag_first"])
+    def test_missing_or_unknown_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        usage, message = err.strip().splitlines()
+        assert usage == ("usage: spinboson [-h] "
+                         "{sectors,spectrum,roots,verify,preset} ...")
+        assert message.startswith("error: ")
+
+    def test_n_needs_mu(self, capsys):
+        # --n names a reference state only together with --mu; alone it was
+        # once dropped, and every sector was listed
+        argv = ("sectors", *TC, "--j", "1/2", "--n", "1", "--max-bosons", "1")
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --n (or config field 'n') needs --mu")
+        # --max-bosons beside --mu is accepted, as it has always been
+        code, out, _ = run_cli(capsys, *argv, "--mu=-1/2", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 2  # header and the one sector
 
     @pytest.mark.parametrize("argv", [
         ("sectors", "--preset", "lmg", "--j", "1", "--seed", "3"),
@@ -296,12 +325,13 @@ class TestUsageErrors:
         (("spectrum",), {**LMG_CONFIG, "seed": 3}),
         (("spectrum", *LMG, "--param", "foo=3", "--j", "1"), None),
         (("spectrum", *TC, "--j", "1", "--max", "1"), None),
+        (("spectrum",), {**LMG_CONFIG, "n": [1]}),
     ], ids=["j_abc", "j_third", "j_negative", "j_zero_denominator", "mu_above_j",
             "mu_without_n", "n_not_int", "max_bosons_negative", "seed_negative",
             "draws_zero", "draws_negative", "verify_csv", "verify_config_preset",
             "config_format_xml", "config_max_bosons_abc", "config_tolerance_x",
             "config_tolerance_typo", "config_not_an_object", "config_seed_on_spectrum",
-            "param_unknown", "flag_abbreviated"])
+            "param_unknown", "flag_abbreviated", "config_n_without_mu"])
     def test_malformed_input_exits_one(self, capsys, tmp_path, stub_battery,
                                        argv, config):
         # each value meets the same check from a flag or a config field; a
@@ -525,3 +555,176 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL" in out
         assert "errata registry:" in out
+
+
+def _state_dict(state):
+    """A state's entry in the JSON report, as its dict form."""
+    residual = state.max_residual()
+    return {"E": float(state.energy),
+            "roots": [[r.real + 0.0, r.imag + 0.0] for r in state.roots.tolist()],
+            "residual": None if np.isnan(residual) else float(residual),
+            "verified": bool(state.verified),
+            "degenerate_roots": bool(state.degenerate_roots),
+            "refined": bool(state.refined)}
+
+
+def _expected_report(solved, fmt, state=None):
+    """The report of the solved (sector, states) pairs as json.dumps writes
+    the dict form, or in the CSV layout: index is a state's index in its
+    sector."""
+    from spinboson.model import sector_to_dict
+
+    first = state or 0
+    entries = [(sector_to_dict(sector),
+                [_state_dict(st) for st in (states if state is None
+                                            else states[state:state + 1])])
+               for sector, states in solved]
+    if fmt == "json":
+        payload = {"sectors": [{"labels": labels, "states": states}
+                               for labels, states in entries]}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["j", "p", "kappa", "lambda", "dim", "index", "E",
+                     "roots", "residual", "verified", "degenerate_roots"])
+    for lab, states in entries:
+        for idx, st in enumerate(states, first):
+            writer.writerow([
+                lab["j"], lab["p"], lab["kappa"], lab["lambda"], lab["dim"],
+                idx, f"{st['E']:.15g}",
+                ";".join(f"{re:+.12g}{im:+.12g}j" for re, im in st["roots"]),
+                "" if st["residual"] is None else f"{st['residual']:.3e}",
+                st["verified"], st["degenerate_roots"],
+            ])
+    return buf.getvalue()
+
+
+class TestReportWriters:
+    """The spectrum and roots reports equal json.dumps of the dict form and
+    the CSV layout, built here from the states the command solved."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        import spinboson.cli as cli_mod
+        from spinboson.bethe import solve_sector
+
+        calls = []
+
+        def record(model, sector, refine, tols):
+            calls.append((sector, solve_sector(model, sector, refine=refine,
+                                               tols=tols)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli_mod, "solve_sector", record)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_random_models_of_every_preset(self, capsys, solved, fmt):
+        from spinboson.presets import PRESET_NAMES, random_params
+
+        seen = set()
+        for i, name in enumerate(PRESET_NAMES):
+            params = random_params(name, np.random.default_rng(i))
+            for decoupled in (False, True):
+                if decoupled:  # g = 0: the rotor's g is (a - b)/4
+                    params = ({**params, "a": params["b"]} if name == "rigid_rotor"
+                              else {**params, "g": 0.0})
+                argv = ["--preset", name, "--format", fmt]
+                argv += [f"--param={key}={value!r}" for key, value in params.items()]
+                if name in ("tavis_cummings", "two_mode_tc"):
+                    argv += ["--max-bosons", "2"]
+                for j in ("1/2", "1", "3/2"):
+                    solved.clear()
+                    code, out, err = run_cli(capsys, "spectrum", *argv, "--j", j)
+                    assert (code, err) == (0, "")
+                    assert out == _expected_report(solved, fmt)
+                    seen.update("no roots" if st.roots.size == 0 else
+                                "null residual" if np.isnan(st.max_residual())
+                                else "residual"
+                                for _, states in solved for st in states)
+                    if max(len(states) for _, states in solved) < 2:
+                        continue  # no state 1 to pick
+                    solved.clear()
+                    code, out, err = run_cli(capsys, "roots", "--state", "1",
+                                             *argv, "--j", j)
+                    assert (code, err) == (0, "")
+                    assert out == _expected_report(solved, fmt, 1)
+                    if min(len(states) for _, states in solved) < 2:
+                        seen.add("no state")
+        # g = 0 sectors give k zero roots and no residual, n_top = 0 sectors
+        # no roots, and roots --state 1 lists the dim-1 sectors empty
+        assert {"no roots", "null residual", "residual", "no state"} <= seen
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_and_signed_zero_parts(self, capsys, monkeypatch, fmt):
+        import spinboson.cli as cli_mod
+        from spinboson.bethe import BetheState
+
+        inf, nan = float("inf"), float("nan")
+
+        def states(model, sector, refine, tols):
+            def state(i, energy, roots, residuals, **flags):
+                return BetheState(sector, i, np.array(roots, dtype=complex), energy,
+                                  np.array(residuals, dtype=complex), **flags)
+            return [
+                state(0, -inf, [complex(nan, inf), complex(-inf, -0.0)],
+                      [1e-12, 2e-13], degenerate_roots=False, verified=False),
+                state(1, nan, [complex(-0.0, 5e-324), complex(1.5, -1.7976931348623157e308)],
+                      [inf, 1.0], degenerate_roots=True, verified=False, refined=True),
+                state(2, 0.1, [complex(-0.0, -0.0), complex(1e22, 1e-7)],
+                      [complex(0.0, -0.0), 3e-16], degenerate_roots=False, verified=True),
+            ]
+
+        recorded = []
+
+        def record(model, sector, refine, tols):
+            recorded.append((sector, states(model, sector, refine, tols)))
+            return recorded[-1][1]
+
+        monkeypatch.setattr(cli_mod, "solve_sector", record)
+        argv = ("--preset", "lmg", "--param", "g=1", "--param", "g_prime=1",
+                "--j", "1", "--mu=-1", "--format", fmt)
+        for state in (None, 1):
+            recorded.clear()
+            command = ["spectrum"] if state is None else ["roots", "--state", str(state)]
+            code, out, err = run_cli(capsys, *command, *argv)
+            assert (code, err) == (0, "")
+            assert out == _expected_report(recorded, fmt, state)
+            if fmt == "json" and state is None:
+                assert "NaN" in out and "-Infinity" in out and "-0.0" not in out
+
+
+class TestHelp:
+    """The help texts equal those of one `spinboson` parser holding every
+    command as a subparser, each with the flags of that command."""
+
+    @pytest.fixture
+    def reference(self):
+        import argparse
+
+        import spinboson.cli as cli_mod
+
+        parser = argparse.ArgumentParser(
+            prog="spinboson", description="Spectra of the spin-boson family, two ways")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, summary in cli_mod.COMMANDS.items():
+            sub.add_parser(name, help=summary, add_help=False,
+                           parents=[cli_mod._command_parser(name)])
+        return parser
+
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("spectrum", "--help"),
+                                      ("sectors", "-h"), ("roots", "--help"),
+                                      ("verify", "--help"), ("preset", "--help")])
+    def test_help_text(self, capsys, monkeypatch, reference, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            reference.parse_args(list(argv))
+        assert exc.value.code == 0
+        want = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want
+        assert want.startswith(f"usage: spinboson {argv[0]} [-h]" if argv[0] in
+                               ("spectrum", "sectors", "roots", "verify", "preset")
+                               else "usage: spinboson [-h] {sectors,spectrum,")
