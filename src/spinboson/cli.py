@@ -289,16 +289,17 @@ def _spectrum_report(args: argparse.Namespace, model: ModelSpec,
     """The labels and the state rows of every sector; with `roots --state i`,
     each sector lists its state of index i, or none when it has fewer."""
     only_state = getattr(args, "state", None)
+    if only_state is not None and sectors:
+        longest = max(sector.dim for sector in sectors)
+        if only_state >= longest:
+            raise UsageError(f"--state {only_state} outside 0..{longest - 1}")
     refine, tols = getattr(args, "refine", False), _tolerances(args)
-    report, longest = [], 0
+    report = []
     for sector in sectors:
         states = solve_sector(model, sector, refine=refine, tols=tols)
-        longest = max(longest, len(states))
         if only_state is not None:
             states = states[only_state:only_state + 1]
         report.append((sector_to_dict(sector), [_state_row(st) for st in states]))
-    if only_state is not None and report and only_state >= longest:
-        raise UsageError(f"--state {only_state} outside 0..{longest - 1}")
     return report
 
 

@@ -263,13 +263,9 @@ def _sector_labels(
 
 def boson_occupations(model: ModelSpec, sector: SectorLabels, n: int) -> tuple[int, ...]:
     """Occupation numbers n_i of the sector basis state at ladder level n."""
-    occ = []
-    for ki, qi, ai in zip(model.k, sector.q, sector.A):
-        val = ki * (ai + qi - Rational(1, ki * ki) - n)
-        if val.denominator != 1 or val < 0:
-            raise ValueError(f"level n={n} is outside the sector (occupation {val})")
-        occ.append(int(val))
-    return tuple(occ)
+    if not 0 <= n <= sector.n_top:
+        raise ValueError(f"level n={n} is outside the sector (levels 0..{sector.n_top})")
+    return level_occupations(model.k, sector)[n]
 
 
 def level_occupations(k: tuple[int, ...], sector: SectorLabels) -> list[tuple[int, ...]]:

@@ -20,6 +20,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 
+from .linalg import horner
 from .model import SECTOR_CACHE_SIZE, ModelSpec, SectorLabels, level_occupations
 
 Poly = np.ndarray  # ascending coefficients, index = power of z
@@ -39,10 +40,7 @@ def poly_eval(coeffs, z):
     arr = np.asarray(coeffs)
     if arr.size == 0:
         return np.zeros_like(np.asarray(z))
-    result = np.full_like(np.asarray(z, dtype=np.result_type(arr, z)), arr[-1])
-    for c in arr[-2::-1]:
-        result = result * z + c
-    return result
+    return horner(arr, np.asarray(z))[()]
 
 
 class EulerOperator:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm, sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -22,12 +23,11 @@ from .model import (
     SECTOR_CACHE_SIZE,
     ModelSpec,
     Rational,
-    ReferenceState,
     SectorLabels,
+    _sector_labels,
     level_occupations,
     occupation_grid,
     parse_rational,
-    sector_from_reference,
     validate_model,
 )
 from .operators import apply_to_monomials, build_hamiltonian_operator
@@ -53,44 +53,31 @@ def _exact_sqrt_product(radicands: list[Fraction]) -> float:
     return sqrt(float(prod))
 
 
-def _raising_radicands(
-    model: ModelSpec, sector: SectorLabels, n: int, occ: tuple[int, ...]
-) -> list[Fraction]:
-    """Radicands of the n -> n+1 amplitude; occ holds the level-n occupations."""
+def _ladder_amplitudes(
+    model: ModelSpec, sector: SectorLabels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raising (n -> n+1) and lowering (n -> n-1) amplitudes at every level
+    0..n_top, each from its own closed form in the level-n occupations n_i
+    (products over i = 1..r, modes i and v = 1..k_i):
+
+        up[n]^2   = prod (p + i + rn)(2j - p - i + 1 - rn) prod (n_i - v + 1)/k_i
+        down[n]^2 = prod (p - i + 1 + rn)(2j - p + i - rn) prod (n_i + v)/k_i
+
+    The bands are up[:-1] and down[1:]; down[0] and up[-1] vanish on a
+    consistent sector.
+    """
     j, p, r = sector.j, sector.p, model.r
-    rads = [Fraction((p + i + r * n) * (2 * j - p - i + 1 - r * n)) for i in range(1, r + 1)]
-    for ki, ni in zip(model.k, occ):
-        rads.extend(Fraction(ni - v + 1, ki) for v in range(1, ki + 1))
-    return rads
-
-
-def _lowering_radicands(
-    model: ModelSpec, sector: SectorLabels, n: int, occ: tuple[int, ...]
-) -> list[Fraction]:
-    """Radicands of the n -> n-1 amplitude; occ holds the level-n occupations."""
-    j, p, r = sector.j, sector.p, model.r
-    rads = [Fraction((p - i + 1 + r * n) * (2 * j - p + i - r * n)) for i in range(1, r + 1)]
-    for ki, ni in zip(model.k, occ):
-        rads.extend(Fraction(ni + v, ki) for v in range(1, ki + 1))
-    return rads
-
-
-def _pplus_band(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
-    """Sub-diagonal amplitudes of the raising operator, levels n -> n+1."""
-    occ = level_occupations(model.k, sector)
-    return np.array(
-        [_exact_sqrt_product(_raising_radicands(model, sector, n, occ[n]))
-         for n in range(sector.dim - 1)]
-    )
-
-
-def _pminus_band(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
-    """Super-diagonal amplitudes of the lowering operator, levels n -> n-1."""
-    occ = level_occupations(model.k, sector)
-    return np.array(
-        [_exact_sqrt_product(_lowering_radicands(model, sector, n, occ[n]))
-         for n in range(1, sector.dim)]
-    )
+    up, down = [], []
+    for n, occ in enumerate(level_occupations(model.k, sector)):
+        up.append(_exact_sqrt_product(
+            [(p + i + r * n) * (2 * j - p - i + 1 - r * n) for i in range(1, r + 1)]
+            + [Fraction(ni - v + 1, ki) for ki, ni in zip(model.k, occ)
+               for v in range(1, ki + 1)]))
+        down.append(_exact_sqrt_product(
+            [(p - i + 1 + r * n) * (2 * j - p + i - r * n) for i in range(1, r + 1)]
+            + [Fraction(ni + v, ki) for ki, ni in zip(model.k, occ)
+               for v in range(1, ki + 1)]))
+    return np.array(up), np.array(down)
 
 
 def ladder_operators(
@@ -104,8 +91,8 @@ def ladder_operators(
     """
     p0_diag = [float((Fraction(sector.p) - sector.j) / model.r + n - sector.kappa)
                for n in range(sector.dim)]
-    return (np.diag(p0_diag), np.diag(_pplus_band(model, sector), -1),
-            np.diag(_pminus_band(model, sector), 1))
+    up, down = _ladder_amplitudes(model, sector)
+    return np.diag(p0_diag), np.diag(up[:-1], -1), np.diag(down[1:], 1)
 
 
 def norm_scale(model: ModelSpec, sector: SectorLabels) -> np.ndarray:
@@ -154,8 +141,7 @@ def _sector_levels(
 ) -> SectorLevels:
     shape = ModelSpec(M=M, r=r, s=s, k=k, w=(0.0,) * M, g_prime=0.0, g=0.0)
     j, p, n_top = sector.j, sector.p, sector.n_top
-    up = _pplus_band(shape, sector)
-    down = _pminus_band(shape, sector)
+    up, down = _ladder_amplitudes(shape, sector)
     occ = level_occupations(k, sector)
     spin_powers = np.array(
         [float((Fraction(p) - j + r * n) ** s) for n in range(sector.dim)])
@@ -169,7 +155,7 @@ def _sector_levels(
             for v in range(1, ki + 1):
                 coeff *= ni - v + 1
 
-    arrays = (np.diag(up, -1) + np.diag(down, 1),
+    arrays = (np.diag(up[:-1], -1) + np.diag(down[1:], 1),
               np.array(occ, dtype=np.int64), spin_powers)
     for arr in arrays:
         arr.flags.writeable = False
@@ -298,10 +284,8 @@ def check_algebra(model: ModelSpec, sector: SectorLabels) -> AlgebraDiagnostics:
     dev_minus = np.max(np.abs((P0 @ Pminus - Pminus @ P0) + Pminus), initial=0.0)
     dev_pm = np.max(np.abs(comm_pm_mat - np.diag(rhs)), initial=0.0)
 
-    occ = level_occupations(model.k, sector)
-    lowest = _exact_sqrt_product(_lowering_radicands(model, sector, 0, occ[0]))
-    highest = _exact_sqrt_product(
-        _raising_radicands(model, sector, sector.n_top, occ[sector.n_top]))
+    up, down = _ladder_amplitudes(model, sector)
+    lowest, highest = float(down[0]), float(up[-1])
 
     scale = max(
         1.0,
@@ -346,48 +330,43 @@ class FockBlock:
     complete: bool
 
 
-def _fock_element(
+def _fock_matrix(
     model: ModelSpec,
-    two_j: int,
-    bra: tuple[int, tuple[int, ...]],
-    ket: tuple[int, tuple[int, ...]],
-) -> float:
-    """<bra| H |ket> in second quantization on the product basis.
+    j: Rational,
+    basis: Sequence[tuple[Rational, tuple[int, ...]]],
+) -> tuple[np.ndarray, bool]:
+    """H in second quantization on the span of the (mu, occupations) basis
+    states, and whether the coupling keeps that span closed.
 
-    States are (2 mu, occupations), so the spin bookkeeping is integer
+    Each term of H is applied to each basis ket: the diagonal, and J+^r a^k,
+    which maps the ket to one state (mu up by r, each n_i down by k_i) whose
+    amplitude is written with its transpose.  The span is incomplete when
+    J-^r a^dag^k, with a nonzero spin factor, maps a ket outside it.  States
+    are kept as (2 mu, occupations), so the spin bookkeeping is integer
     arithmetic; each float is one correctly rounded exact integer ratio.
     """
-    two_mu_b, n_b = bra
-    two_mu_k, n_k = ket
-    if bra == ket:
-        val = sum(wi * ni for wi, ni in zip(model.w, n_k))
-        val += model.g_prime * (two_mu_k**model.s / 2**model.s)
-        return val + model.constant_shift
-    # raising term J+^r a^k: mu up by r, each n_i down by k_i
-    if two_mu_b == two_mu_k + 2 * model.r and all(
-        nb == nk - ki for nb, nk, ki in zip(n_b, n_k, model.k)
-    ):
-        if any(nk < ki for nk, ki in zip(n_k, model.k)):
-            return 0.0
-        # 4 (j - mu - t)(j + mu + t + 1) per spin step t
-        num = 1
-        for t in range(model.r):
-            num *= (two_j - two_mu_k - 2 * t) * (two_j + two_mu_k + 2 * t + 2)
-        if num == 0:
-            return 0.0
-        for nk, ki in zip(n_k, model.k):
-            num *= perm(nk, ki)
-        return model.g * sqrt(num / 4**model.r)
-    if two_mu_b == two_mu_k - 2 * model.r and all(
-        nb == nk + ki for nb, nk, ki in zip(n_b, n_k, model.k)
-    ):
-        return _fock_element(model, two_j, ket, bra)
-    return 0.0
-
-
-def _doubled(states) -> list[tuple[int, tuple[int, ...]]]:
-    """(2 mu, occupations) for each (mu, occupations) basis state."""
-    return [(int(2 * mu), ns) for mu, ns in states]
+    two_j, r, k = int(2 * j), model.r, model.k
+    states = [(int(2 * mu), ns) for mu, ns in basis]
+    index = {state: a for a, state in enumerate(states)}
+    h = np.zeros((len(states), len(states)))
+    complete = True
+    for a, (two_mu, ns) in enumerate(states):
+        val = sum(wi * ni for wi, ni in zip(model.w, ns))
+        val += model.g_prime * (two_mu**model.s / 2**model.s)
+        h[a, a] = val + model.constant_shift
+        b = index.get((two_mu + 2 * r, tuple(ni - ki for ni, ki in zip(ns, k))))
+        if b is not None:
+            # 4 (j - mu - t)(j + mu + t + 1) per spin step t
+            num = 1
+            for t in range(r):
+                num *= (two_j - two_mu - 2 * t) * (two_j + two_mu + 2 * t + 2)
+            for ni, ki in zip(ns, k):
+                num *= perm(ni, ki)
+            h[a, b] = h[b, a] = model.g * sqrt(num / 4**r)
+        lowered = (two_mu - 2 * r, tuple(ni + ki for ni, ki in zip(ns, k)))
+        if lowered[0] >= -two_j and lowered not in index:
+            complete = False
+    return h, complete
 
 
 @lru_cache(maxsize=256)
@@ -400,8 +379,7 @@ def _grouped_basis(
     for t in range(int(2 * j) + 1):
         mu = Fraction(t) - j
         for ns in occupation_grid(M, boson_cap):
-            labels = sector_from_reference(shape, j, ReferenceState(mu, ns))
-            groups.setdefault(labels, []).append((mu, ns))
+            groups.setdefault(_sector_labels(shape, j, t, ns), []).append((mu, ns))
 
     out = []
     for labels in sorted(groups):
@@ -429,40 +407,20 @@ def fock_oracle(
 
     blocks: list[FockBlock] = []
     for labels, states in _grouped_basis(model.M, model.r, model.k, j, boson_cap):
-        complete = True
-        for mu, ns in states:
-            if mu - model.r >= -j and any(
-                ni + ki > boson_cap for ni, ki in zip(ns, model.k)
-            ):
-                complete = False
-                break
-        if not complete and not include_incomplete:
-            continue
-        dim = len(states)
-        two_j, doubled = int(2 * j), _doubled(states)
-        h = np.empty((dim, dim))
-        for a in range(dim):
-            for b in range(dim):
-                h[a, b] = _fock_element(model, two_j, doubled[a], doubled[b])
-        h = (h + h.T) / 2.0
-        blocks.append(FockBlock(basis=states, H=h, labels=labels, complete=complete))
+        h, complete = _fock_matrix(model, j, states)
+        if complete or include_incomplete:
+            blocks.append(FockBlock(basis=states, H=h, labels=labels, complete=complete))
     return blocks
 
 
 def dense_fock_hamiltonian(
     model: ModelSpec, j: Rational, boson_cap: int
 ) -> tuple[list[tuple[Rational, tuple[int, ...]]], np.ndarray]:
-    """Full H on the truncated product space (quadratic; test sizes only)."""
+    """Full H on the truncated product space, in sorted basis order (work
+    linear in the basis size, memory quadratic: test sizes only)."""
     validate_model(model)
     j = parse_rational(j)
-    basis: list[tuple[Rational, tuple[int, ...]]] = []
-    for labels, states in _grouped_basis(model.M, model.r, model.k, j, boson_cap):
-        basis.extend(states)
-    basis.sort()
-    size = len(basis)
-    two_j, doubled = int(2 * j), _doubled(basis)
-    h = np.empty((size, size))
-    for a in range(size):
-        for b in range(size):
-            h[a, b] = _fock_element(model, two_j, doubled[a], doubled[b])
-    return basis, (h + h.T) / 2.0
+    basis = sorted(state for _, states in
+                   _grouped_basis(model.M, model.r, model.k, j, boson_cap)
+                   for state in states)
+    return basis, _fock_matrix(model, j, basis)[0]

@@ -118,8 +118,6 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                 blocks = {
                     blk.labels: blk
                     for blk in fock_oracle(model, j, _oracle_cap(model, sectors))
-                } if model.M > 0 else {
-                    blk.labels: blk for blk in fock_oracle(model, j, 0)
                 }
                 for sec in sectors:
                     n_sectors += 1

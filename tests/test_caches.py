@@ -197,9 +197,8 @@ def test_cached_arrays_are_read_only():
               *action_map]
     assert not any(arr.flags.writeable for arr in arrays)
     assert all(arr.ndim == 1 for arr in arrays[2:3] + arrays[4:])
-    up = representation._pplus_band(mdl, sec)
-    down = representation._pminus_band(mdl, sec)
-    assert np.array_equal(levels.band, np.diag(up, -1) + np.diag(down, 1))
+    up, down = representation._ladder_amplitudes(mdl, sec)
+    assert np.array_equal(levels.band, np.diag(up[:-1], -1) + np.diag(down[1:], 1))
 
 
 def test_mutating_results_leaves_the_caches_intact():

@@ -128,6 +128,18 @@ class TestRoots:
         assert code == 1
         assert "state" in err
 
+    def test_state_checked_before_any_sector_is_solved(self, capsys, monkeypatch):
+        # each sector has dim states, so the index is judged from the labels
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_sector called for an index out of range")
+
+        monkeypatch.setattr("spinboson.cli.solve_sector", no_solve)
+        code, out, err = run_cli(capsys, "roots", "--preset", "two_mode_tc",
+                                 "--param", "w1=0.9", "--param", "w2=1.3",
+                                 "--param", "g_prime=0.4", "--param", "g=0.6",
+                                 "--j", "6", "--max-bosons", "8", "--state", "999")
+        assert (code, out, err) == (1, "", "error: --state 999 outside 0..12\n")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_sectors_without_the_state_are_listed_empty(self, capsys, fmt):
         # sector dims here run 1-3: the dim-1 sectors have no state 1

@@ -12,6 +12,7 @@ from spinboson.model import (
     _sector_labels,
     ReferenceState,
     SectorLabels,
+    boson_occupations,
     enumerate_sectors,
     format_rational,
     lambda_of,
@@ -314,3 +315,15 @@ def test_sector_to_dict_uses_exact_strings():
     assert d["kappa"] == "3/4"
     assert d["q"] == [1]
     assert d["dim"] == 2
+
+
+def test_boson_occupations_only_at_the_sector_levels():
+    # the j = 1/2 sector of |mu = -1/2, n = 5> has the two levels 0 and 1
+    model = ModelSpec(M=1, r=1, s=1, k=(1,), w=(1.0,), g_prime=0.3, g=0.1)
+    sec = sector_from_reference(model, Fraction(1, 2),
+                                ReferenceState(Fraction(-1, 2), (5,)))
+    assert sec.dim == 2
+    assert [boson_occupations(model, sec, n) for n in range(2)] == [(5,), (4,)]
+    for n in (-1, 2, 3, 4):
+        with pytest.raises(ValueError, match=f"level n={n}"):
+            boson_occupations(model, sec, n)

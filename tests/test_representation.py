@@ -123,12 +123,17 @@ class TestCheckAlgebra:
         assert check_algebra(model, sec).max_relative() < 1e-10
 
     def test_mutated_raising_operator_detected(self, monkeypatch):
-        # flipping the raising amplitude must blow up the closed-form check
+        # flipping the raising amplitudes alone must blow up the closed-form
+        # check: P- has a closed form of its own, not P+ transposed
         model = two_site_model()
         sec = sector_from_reference(model, Fraction(2), ReferenceState(Fraction(-2)))
-        original = rep._pplus_band
-        monkeypatch.setattr(rep, "_pplus_band",
-                            lambda m, s: -original(m, s))
+        original = rep._ladder_amplitudes
+
+        def flipped(m, s):
+            up, down = original(m, s)
+            return -up, down
+
+        monkeypatch.setattr(rep, "_ladder_amplitudes", flipped)
         assert check_algebra(model, sec).max_relative() > 1e-2
 
 
@@ -227,7 +232,8 @@ class TestFockOracle:
 
     def test_elements_equal_rational_arithmetic(self):
         # the integer 2 mu bookkeeping rounds the same exact ratios as
-        # Fraction arithmetic in mu and j: the dense matrix agrees bit for bit
+        # Fraction arithmetic in mu and j: the dense matrix and every oracle
+        # block, complete or not, agree bit for bit
         from math import factorial, sqrt
 
         def element(model, j, bra, ket):
@@ -255,10 +261,28 @@ class TestFockOracle:
                        g_prime=float(rng.uniform(-2, 2)),
                        g=float(rng.uniform(-2, 2))), Fraction(5, 2)),
             (two_site_model(0.6, 0.9), Fraction(7, 2)),
+            (ModelSpec(M=1, r=3, s=1, k=(3,), w=(1.3,), g_prime=-0.4, g=0.9,
+                       constant_shift=-1.1), Fraction(3)),
+            (ModelSpec(M=2, r=3, s=2, k=(3, 1), w=tuple(rng.uniform(-2, 2, 2)),
+                       g_prime=float(rng.uniform(-2, 2)), g=float(rng.uniform(-2, 2)),
+                       constant_shift=0.25), Fraction(5, 2)),
         ):
             basis, h = dense_fock_hamiltonian(model, j, 3)
             want = np.array([[element(model, j, a, b) for b in basis] for a in basis])
             assert np.array_equal(h, (want + want.T) / 2.0)
+            blocks = fock_oracle(model, j, 3, include_incomplete=True)
+            assert sum(len(blk.basis) for blk in blocks) == len(basis)
+            for blk in blocks:
+                want = np.array([[element(model, j, a, b) for b in blk.basis]
+                                 for a in blk.basis])
+                assert np.array_equal(blk.H, (want + want.T) / 2.0)
+                # complete: no block state that J-^r can lower has an
+                # occupation that a^dag^k lifts past the cap
+                assert blk.complete == (not any(
+                    mu - model.r >= -j and any(ni + ki > 3 for ni, ki in zip(ns, model.k))
+                    for mu, ns in blk.basis))
+            assert any(blk.complete for blk in blocks)
+            assert model.M == 0 or not all(blk.complete for blk in blocks)
 
     def test_charge_conservation_on_dense_hamiltonian(self):
         model = ModelSpec(M=1, r=2, s=1, k=(2,), w=(0.8,), g_prime=0.5, g=0.7)
