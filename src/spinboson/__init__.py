@@ -45,6 +45,7 @@ from .bethe import (
     bae_residuals,
     energy_from_roots,
     solve_sector,
+    solve_sectors,
 )
 from .presets import (
     DEFAULT_GRIDS,

@@ -23,6 +23,13 @@ simple-pole residues of (H psi)/psi); the certificate of a stack forms the
 root differences once and evaluates every P_i in one Horner pass, and
 bae_residuals is its raising form.  The closed-form energy is cross-checked
 against the leading-coefficient ratio of H psi.
+
+solve_sectors solves many sectors of one model: the sectors of one
+dimension whose P_d have the same sizes share one stacked eigensolve, one
+set of twisted coefficients, one root-finder call and one certificate and
+verification pass.  Every step works matrix by matrix or row by row, so
+each sector's states equal, bit for bit, what solve_sector gives for that
+sector alone; solve_sector is the one-sector case of the same code.
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ def bae_residuals(
         return np.zeros(roots.shape, dtype=complex)
     if polys is None:
         polys = monomial_action(model, sector)[1]
-    residuals, scaled, _, _ = _scaled_bae_residuals(roots.reshape(-1, n), polys,
+    residuals, scaled, _, _ = _scaled_bae_residuals(roots.reshape(-1, n), [polys],
                                                     cluster_rtol)
     if np.isinf(scaled).any():
         raise ValueError("coincident roots: residuals are not defined")
@@ -329,18 +336,21 @@ def _verify_eigen_equation(
 ) -> np.ndarray:
     """Per row of psi (ascending coefficients, at most mono's width): whether
     the monomial action reproduces energies[row] * psi within tol, relative to
-    the scales of the action, the energy and psi."""
-    n_cols = mono.shape[1]
+    the scales of the action, the energy and psi.  A (G, ...) stack of
+    actions takes (G, S, ...) rows and (G, S) energies, each sector's rows
+    judged against its own action."""
+    n_cols = mono.shape[-1]
     padded = psi
-    if psi.shape[1] < n_cols:
-        padded = np.zeros((psi.shape[0], n_cols), dtype=complex)
-        padded[:, : psi.shape[1]] = psi
+    if psi.shape[-1] < n_cols:
+        padded = np.zeros(psi.shape[:-1] + (n_cols,), dtype=complex)
+        padded[..., : psi.shape[-1]] = psi
     # H psi - E psi; E psi has no z^(N+1) term
-    image = padded @ mono.T
-    image[:, :n_cols] -= energies[:, None] * padded
-    scale = np.maximum(max(1.0, float(np.abs(mono).max())), np.abs(energies))
-    dev = (np.abs(image).max(axis=1)
-           / (scale * np.maximum(1.0, np.abs(psi).max(axis=1))))
+    image = padded @ mono.swapaxes(-2, -1)
+    image[..., :n_cols] -= energies[..., None] * padded
+    mono_scale = _at_least_one(np.abs(mono).max(axis=(-2, -1)))[..., None]
+    scale = np.maximum(mono_scale, np.abs(energies))
+    dev = (np.abs(image).max(axis=-1)
+           / (scale * np.maximum(1.0, np.abs(psi).max(axis=-1))))
     return dev <= tol
 
 
@@ -357,43 +367,54 @@ def _twisted_coeffs(sq: np.ndarray, values: np.ndarray) -> np.ndarray:
     eigenvalue alone (Fernando's twisted factorization: Parlett & Dhillon,
     LAA 267, 1997).  A pivot below eps * max|sq| is replaced by that bound,
     as in LAPACK.  Each row is what a call with that eigenvalue alone gives.
+
+    sq may also be a (G, n+1, n+1) stack of the actions of G sectors, with
+    values (G, S) holding S eigenvalues of each; the rows come back as
+    (G, S, n+1), each sector's as a call with that sector alone gives them
+    (its own pivot bound included).
     """
-    n = sq.shape[0] - 1
-    shifted = sq.diagonal()[:, None] - np.asarray(values, dtype=float)
-    sup, sub = sq.diagonal(1)[:, None], sq.diagonal(-1)[:, None]
-    pivmin = _EPS * np.abs(sq).max()
+    n = sq.shape[-1] - 1
+    # the level m runs along the first axis, then the sector, then the state
+    shifted = sq.diagonal(0, -2, -1).T[..., None] - np.asarray(values, dtype=float)
+    sup = sq.diagonal(1, -2, -1).T[..., None]
+    sub = sq.diagonal(-1, -2, -1).T[..., None]
     # step i eliminates row i from the top ([:, 0]) and row n - i from the
     # bottom ([:, 1]); the pivots overwrite the shifted diagonal in place
-    pivots = np.empty((n + 1, 2, shifted.shape[1]))
+    pivots = np.empty((n + 1, 2) + shifted.shape[1:])
+    pivmin = np.empty(pivots.shape[1:])
+    pivmin[...] = _EPS * np.abs(sq).max(axis=(-2, -1))[..., None]
     pivots[:, 0] = shifted
     pivots[:, 1] = shifted[::-1]
-    couple = np.empty((n, 2, 1))
+    couple = np.empty((n, 2) + sup.shape[1:])
     couple[:, 0] = sub * sup
     couple[:, 1] = couple[::-1, 0]
     for i in range(n + 1):
         pivot = pivots[i]
         if i:
             pivot -= couple[i - 1] / pivots[i - 1]
-        pivot[np.abs(pivot) < pivmin] = pivmin
+        small = np.abs(pivot) < pivmin
+        pivot[small] = pivmin[small]
     top, bottom = pivots[:, 0], pivots[::-1, 1]
     twist = np.abs(top + bottom - shifted).argmin(axis=0)
     # c_m / c_{m+1} comes from the top elimination for m < k and from the
     # bottom one for m >= k; the monic row is their product from z^N down
-    ratio = np.where(np.arange(n)[:, None] < twist,
-                     -sup / top[:-1], -bottom[1:] / sub)
-    monic = np.ones((n + 1, shifted.shape[1]))
+    level = np.arange(n).reshape((n,) + (1,) * twist.ndim)
+    ratio = np.where(level < twist, -sup / top[:-1], -bottom[1:] / sub)
+    monic = np.ones(shifted.shape)
     monic[:n] = ratio[::-1].cumprod(axis=0)[::-1]
-    return monic.T
+    return monic.transpose(tuple(range(1, monic.ndim)) + (0,))
 
 
 def _scaled_bae_residuals(
     roots: np.ndarray,
-    polys: list[np.ndarray],
+    polys: list[list[np.ndarray]],
     cluster_rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Residuals and max |residual| / residual_scale of each row of roots
     (at least one root), with the row's min_root_distance and root_scale.
 
+    polys holds the P_i of G sectors whose P_i have the same sizes, and the
+    rows of roots are those sectors' root sets in G equal blocks, in order.
     One root-difference matrix serves the distance, the cluster test and
     the residuals, and one Horner pass gives every P_i at the roots and
     every |P_i| at the root scale; the scale equals residual_scale on the
@@ -401,21 +422,24 @@ def _scaled_bae_residuals(
     other has no certificate: NaN residuals and an infinite scaled residual.
     """
     n = roots.shape[1]
-    order = len(polys) - 1
+    order = len(polys[0]) - 1
     diff = roots[:, :, None] - roots[:, None, :]
     gap = np.abs(diff)
     gap[:, np.arange(n), np.arange(n)] = np.inf
     dist = gap.min(axis=(1, 2))
     zscale = np.maximum(1.0, np.abs(roots).max(axis=1))
-    coeffs = _padded(polys[1:])
-    values = horner(np.concatenate([coeffs, np.abs(coeffs)])[:, None, None],
-                    np.concatenate([roots, zscale[:, None]], axis=1))
+    # (G, order, K): each sector's P_1..P_order, evaluated on its own block
+    coeffs = np.array([_padded(p[1:]) for p in polys])
+    points = np.concatenate([roots, zscale[:, None]], axis=1)
+    values = horner(np.concatenate([coeffs, np.abs(coeffs)], axis=1).swapaxes(0, 1)
+                    [:, :, None, None], points.reshape(len(polys), -1, n + 1)
+                    ).reshape(2 * order, -1, n + 1)
     residuals = np.full(roots.shape, np.nan, dtype=complex)
     scaled = np.full(roots.shape[0], np.inf)
     ok = ~(dist <= cluster_rtol * zscale)
     if ok.any():
         rows = slice(None) if ok.all() else ok
-        residuals[rows] = res = _residuals_from(polys, values[:order, rows, :n],
+        residuals[rows] = res = _residuals_from(polys[0], values[:order, rows, :n],
                                                 diff[rows])
         bound = values[order:, rows, n].real.max(axis=0, initial=0.0)
         scaled[rows] = np.abs(res).max(axis=1) / np.maximum(bound, 1.0)
@@ -454,93 +478,123 @@ def _polish_roots(
 
 def _pinned(
     model: ModelSpec,
-    sector: SectorLabels,
+    sectors: list[SectorLabels],
     roots: np.ndarray,
     values: np.ndarray,
     tols: Tolerances,
 ) -> np.ndarray:
-    """Per row of roots: whether its closed-form energy lies within
-    tols.match of E (the energy pin)."""
-    return (np.abs(closed_form_energy(model, sector, roots.sum(axis=1)) - values)
+    """Per root set roots[g, i] of sector g: whether its closed-form energy
+    lies within tols.match of E = values[g, i] (the energy pin)."""
+    sums = roots.sum(axis=-1)
+    energies = np.array([closed_form_energy(model, sector, row)
+                         for sector, row in zip(sectors, sums)])
+    return (np.abs(energies - values)
             <= tols.match * np.maximum(1.0, np.abs(values)))
 
 
 def _verified(
     model: ModelSpec,
-    sector: SectorLabels,
+    sectors: list[SectorLabels],
     roots: np.ndarray,
     values: np.ndarray,
-    mono: np.ndarray,
+    monos: np.ndarray,
     tols: Tolerances,
 ) -> np.ndarray:
-    """Per row of roots: whether prod (z - root) reproduces H psi = E psi and
+    """Per root set roots[g, i] of sector g: whether prod (z - root)
+    reproduces H psi = E psi under sector g's monomial action monos[g] and
     its closed-form energy passes the energy pin."""
-    return (_pinned(model, sector, roots, values, tols)
-            & _verify_eigen_equation(mono, poly_from_roots(roots), values,
+    return (_pinned(model, sectors, roots, values, tols)
+            & _verify_eigen_equation(monos, poly_from_roots(roots), values,
                                      tols.match))
+
+
+def _group_roots(
+    monos: np.ndarray, values: np.ndarray, tols: Tolerances
+) -> np.ndarray:
+    """The roots recovered from each eigenvalue values[g, i] of sector g of
+    a group of sectors of one dimension, shape (G, dim, dim - 1): one set of
+    twisted coefficients and one polynomial_roots call for all of them, each
+    row as a call with that eigenvalue of that sector alone gives it.
+    monos[g] is sector g's monomial action."""
+    n_sectors, dim = values.shape
+    if dim == 1:
+        return np.zeros((n_sectors, 1, 0), dtype=complex)
+    coeffs = _twisted_coeffs(monos[:, :dim], values)
+    return polynomial_roots(coeffs.reshape(-1, dim), tols.roots).reshape(
+        n_sectors, dim, dim - 1)
 
 
 def _recover_states(
     model: ModelSpec,
-    sector: SectorLabels,
+    sectors: list[SectorLabels],
     values: np.ndarray,
-    polys: list[np.ndarray],
-    mono: np.ndarray,
+    roots: np.ndarray,
+    monos: np.ndarray,
+    polys: list[list[np.ndarray]],
     tols: Tolerances,
     refine: bool = False,
-) -> list[BetheState]:
-    """The states of the eigenvalues values[i], with eigen_index i, recovered
-    together.
+) -> list[list[BetheState]]:
+    """The states of the eigenvalues values[g, i], with eigen_index i, of
+    each sector g of a group of one dimension, from the roots roots[g, i]
+    that _group_roots recovered from them; roots is updated in place with
+    the roots each state keeps.  monos[g] and polys[g] are sector g's
+    monomial action and P_d, whose sizes are the same in every sector.
 
-    The coefficients, roots, certificate and verification of every state come
-    from one stacked pass.  A state whose scaled certificate exceeds
-    1e-2 * tols.bae, or whose roots do not verify, is polished by Newton on
-    the root equations, one at a time; refine polishes every state that has a
-    certificate.  A state keeps the polished roots when their scaled residual
-    is no larger and their closed-form energy passes the energy pin: Newton
-    can converge to another state's roots, which only the energy tells apart.
-    Each state's flags are those of the roots it keeps.
+    The certificate and verification of every state come from one stacked
+    pass.  A state whose scaled certificate exceeds 1e-2 * tols.bae, or
+    whose roots do not verify, is polished by Newton on the root equations,
+    one at a time; refine polishes every state that has a certificate.  A
+    state keeps the polished roots when their scaled residual is no larger
+    and their closed-form energy passes the energy pin: Newton can converge
+    to another state's roots, which only the energy tells apart.  Each
+    state's flags are those of the roots it keeps.
     """
     values = np.asarray(values, dtype=float)
-    n_top = sector.n_top
+    n_top = sectors[0].n_top
     if n_top == 0:
         return [
-            BetheState(sector, idx, np.zeros(0, dtype=complex), float(value),
-                       np.zeros(0, dtype=complex), False,
-                       bool(abs(mono[0, 0] - value)
-                            <= tols.match * max(1.0, abs(value))))
-            for idx, value in enumerate(values)
+            [BetheState(sector, idx, np.zeros(0, dtype=complex), float(value),
+                        np.zeros(0, dtype=complex), False,
+                        bool(abs(mono[0, 0] - value)
+                             <= tols.match * max(1.0, abs(value))))
+             for idx, value in enumerate(row)]
+            for sector, row, mono in zip(sectors, values, monos)
         ]
 
-    roots = polynomial_roots(_twisted_coeffs(mono[: n_top + 1], values),
-                             tols.roots)
-    residuals, scaled, dist, zscale = _scaled_bae_residuals(roots, polys,
-                                                            tols.cluster)
-    verified = _verified(model, sector, roots, values, mono, tols)
-    refined = np.zeros(values.size, dtype=bool)
+    residuals, scaled, dist, zscale = (
+        part.reshape(values.shape + part.shape[1:]) for part in
+        _scaled_bae_residuals(roots.reshape(-1, n_top), polys, tols.cluster))
+    verified = _verified(model, sectors, roots, values, monos, tols)
+    refined = np.zeros(values.shape, dtype=bool)
     retry = np.isfinite(scaled) & (refine | (scaled > 1e-2 * tols.bae) | ~verified)
-    for i in np.flatnonzero(retry):
-        polished = _polish_roots(model, sector, roots[i], polys, tols)
+    for g, i in zip(*np.nonzero(retry)):
+        sector, sector_polys = sectors[g], polys[g]
+        polished = _polish_roots(model, sector, roots[g, i], sector_polys, tols)
         if polished is None:
             continue
         cand = polished[None]
         cand_res, cand_scaled, cand_dist, cand_zscale = _scaled_bae_residuals(
-            cand, polys, tols.cluster)
-        if (cand_scaled[0] <= scaled[i]
-                and _pinned(model, sector, cand, values[i : i + 1], tols)[0]):
-            roots[i], residuals[i], refined[i] = polished, cand_res[0], True
-            dist[i], zscale[i] = cand_dist[0], cand_zscale[0]
-            verified[i] = _verified(model, sector, cand, values[i : i + 1],
-                                    mono, tols)[0]
+            cand, [sector_polys], tols.cluster)
+        value = values[g : g + 1, i : i + 1]
+        if (cand_scaled[0] <= scaled[g, i]
+                and _pinned(model, [sector], cand[None], value, tols)[0, 0]):
+            roots[g, i], residuals[g, i], refined[g, i] = polished, cand_res[0], True
+            dist[g, i], zscale[g, i] = cand_dist[0], cand_zscale[0]
+            verified[g, i] = _verified(model, [sector], cand[None], value,
+                                       monos[g : g + 1], tols)[0, 0]
 
     degenerate = ((dist <= tols.bae_guard * zscale)
-                  | ~np.isfinite(residuals.view(float)).all(axis=1))
+                  | ~np.isfinite(residuals.view(float)).all(axis=-1))
     # each state holds its own row of the stacked roots and residuals
     return [
-        BetheState(sector, i, row, value, res, degen, ok, refined=polish)
-        for i, (row, value, res, degen, ok, polish) in enumerate(zip(
-            roots, values.tolist(), residuals, degenerate.tolist(),
-            verified.tolist(), refined.tolist()))
+        [BetheState(sector, i, row, value, res, degen, ok, refined=polish)
+         for i, (row, value, res, degen, ok, polish) in enumerate(zip(
+             sector_roots, sector_values, sector_residuals, sector_degenerate,
+             sector_verified, sector_refined))]
+        for sector, sector_roots, sector_values, sector_residuals,
+        sector_degenerate, sector_verified, sector_refined in zip(
+            sectors, roots, values.tolist(), residuals, degenerate.tolist(),
+            verified.tolist(), refined.tolist())
     ]
 
 
@@ -558,21 +612,85 @@ def solve_sector(
     refine sends every other state with a certificate through the Newton
     polish of _recover_states, under the same acceptance rule.
     """
-    mats = sector_matrices(model, sector)
-    mono, polys = monomial_action(model, sector)
+    return _solve_group(model, [sector], refine, tols)[0]
 
-    if model.g == 0.0 and sector.n_top > 0:
-        energies = mats.H.diagonal().copy()
-        verified = _verify_eigen_equation(
-            mono, np.eye(sector.dim, dtype=complex), energies, tols.match)
-        states = [
-            BetheState(sector, k, np.zeros(k, dtype=complex), float(energies[k]),
-                       np.full(k, np.nan, dtype=complex),
-                       degenerate_roots=k >= 2, verified=bool(verified[k]))
-            for k in range(sector.dim)
-        ]
-        return sorted(states, key=lambda st: st.energy)
 
-    values = jacobi_eigen(mats.H, tols.eigen)
-    states = _recover_states(model, sector, values, polys, mono, tols, refine)
-    return sorted(states, key=lambda st: st.energy)
+def solve_sectors(
+    model: ModelSpec,
+    sectors: list[SectorLabels],
+    refine: bool = False,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> list[list[BetheState]]:
+    """The states of each sector, in the order the sectors are given: each
+    list equals, bit for bit, what solve_sector returns for that sector alone.
+
+    The sectors of one dimension are solved together by _solve_group; a
+    dimension with one sector goes through solve_sector.  When a group
+    raises, the sectors are solved again one at a time, in the order given,
+    so that the error raised is the one the first failing sector raises
+    alone.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, sector in enumerate(sectors):
+        groups.setdefault(sector.dim, []).append(index)
+    out: list[list[BetheState]] = [[] for _ in sectors]
+    try:
+        for indices in groups.values():
+            group = [sectors[i] for i in indices]
+            solved = ([solve_sector(model, group[0], refine, tols)]
+                      if len(group) == 1 else
+                      _solve_group(model, group, refine, tols))
+            for i, states in zip(indices, solved):
+                out[i] = states
+    except Exception:
+        for sector in sectors:
+            solve_sector(model, sector, refine, tols)
+        raise
+    return out
+
+
+def _solve_group(
+    model: ModelSpec,
+    sectors: list[SectorLabels],
+    refine: bool,
+    tols: Tolerances,
+) -> list[list[BetheState]]:
+    """solve_sector on each of the sectors, which share one dimension.  The
+    sectors whose P_d have the same sizes are solved together: one stacked
+    eigensolve, one _group_roots and one _recover_states for them all."""
+    mats = [sector_matrices(model, sector).H for sector in sectors]
+    actions = [monomial_action(model, sector) for sector in sectors]
+    dim = sectors[0].dim
+
+    if model.g == 0.0 and dim > 1:
+        solved = []
+        for sector, h, (mono, _) in zip(sectors, mats, actions):
+            energies = h.diagonal().copy()
+            verified = _verify_eigen_equation(
+                mono, np.eye(dim, dtype=complex), energies, tols.match)
+            solved.append([
+                BetheState(sector, k, np.zeros(k, dtype=complex),
+                           float(energies[k]), np.full(k, np.nan, dtype=complex),
+                           degenerate_roots=k >= 2, verified=bool(verified[k]))
+                for k in range(dim)
+            ])
+        return [sorted(states, key=lambda st: st.energy) for states in solved]
+
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for g, (_, polys) in enumerate(actions):
+        blocks.setdefault(tuple(p.size for p in polys), []).append(g)
+    solved = [[] for _ in sectors]
+    for block in blocks.values():
+        # a block of one sector passes its (n, n) matrix, the shape that
+        # per-call eigensolve counts read
+        values = jacobi_eigen(mats[block[0]] if len(block) == 1
+                              else np.array([mats[g] for g in block]),
+                              tols.eigen).reshape(len(block), dim)
+        monos = np.array([actions[g][0] for g in block])
+        states = _recover_states(
+            model, [sectors[g] for g in block], values,
+            _group_roots(monos, values, tols), monos,
+            [actions[g][1] for g in block], tols, refine)
+        for g, sector_states in zip(block, states):
+            solved[g] = sorted(sector_states, key=lambda st: st.energy)
+    return solved

@@ -21,7 +21,7 @@ import shutil
 import sys
 from dataclasses import replace
 
-from .bethe import BetheState, solve_sector
+from .bethe import BetheState, solve_sectors
 from .config import DEFAULT_TOLS, Tolerances
 from .linalg import ConvergenceError
 from .model import (
@@ -293,14 +293,12 @@ def _spectrum_report(args: argparse.Namespace, model: ModelSpec,
         longest = max(sector.dim for sector in sectors)
         if only_state >= longest:
             raise UsageError(f"--state {only_state} outside 0..{longest - 1}")
-    refine, tols = getattr(args, "refine", False), _tolerances(args)
-    report = []
-    for sector in sectors:
-        states = solve_sector(model, sector, refine=refine, tols=tols)
-        if only_state is not None:
-            states = states[only_state:only_state + 1]
-        report.append((sector_to_dict(sector), [_state_row(st) for st in states]))
-    return report
+    pick = (slice(None) if only_state is None
+            else slice(only_state, only_state + 1))
+    solved = solve_sectors(model, sectors, refine=getattr(args, "refine", False),
+                           tols=_tolerances(args))
+    return [(sector_to_dict(sector), [_state_row(st) for st in states[pick]])
+            for sector, states in zip(sectors, solved)]
 
 
 def _json_list(items: list[str], pad: str) -> str:

@@ -26,32 +26,38 @@ class ConvergenceError(RuntimeError):
 
 
 def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix by LAPACK
-    (numpy.linalg.eigvalsh).
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
+    (G, n, n) stack, by LAPACK (numpy.linalg.eigvalsh).
 
     Raises ValueError for non-square or non-symmetric input.  The
     eigenvalues w of a symmetric A obey sum(w) = tr A and
     sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1), ConvergenceError
     is raised when the first misses by more than tol * b, the second by more
-    than tol * b^2, or either is not finite.
+    than tol * b^2, or either is not finite.  A stack takes one eigvalsh
+    call and is checked matrix by matrix: each matrix gets the values of a
+    call with that matrix alone, and a matrix that fails raises the error
+    that call raises.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2.0
-
-    values = eigvalsh(a)
-    norm = np.linalg.norm(a)
-    bound = max(norm, 1.0)
-    trace_miss = abs(values.sum() - np.trace(a))
-    norm_miss = abs(values @ values - norm * norm)
-    if not (trace_miss <= tol * bound and norm_miss <= tol * bound * bound):
-        raise ConvergenceError(
-            f"eigenvalues miss the trace by {trace_miss:.3e} and the squared "
-            f"norm by {norm_miss:.3e} (tol {tol:g}, scale {bound:.3e})")
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, "
+                         f"got shape {a.shape}")
+    sym = (a + a.swapaxes(-2, -1)) / 2.0
+    values = eigvalsh(sym)
+    shape = a.shape if a.ndim == 3 else (1,) + a.shape
+    for m, s, w in zip(a.reshape(shape), sym.reshape(shape),
+                       values.reshape(shape[:-1])):
+        scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
+        if np.abs(m - m.T).max(initial=0.0) > 1e-12 * scale:
+            raise ValueError("matrix is not symmetric")
+        norm = np.linalg.norm(s)
+        bound = max(norm, 1.0)
+        trace_miss = abs(w.sum() - np.trace(s))
+        norm_miss = abs(w @ w - norm * norm)
+        if not (trace_miss <= tol * bound and norm_miss <= tol * bound * bound):
+            raise ConvergenceError(
+                f"eigenvalues miss the trace by {trace_miss:.3e} and the squared "
+                f"norm by {norm_miss:.3e} (tol {tol:g}, scale {bound:.3e})")
     return values
 
 
@@ -125,8 +131,7 @@ def _companion_start(c: np.ndarray, real_arithmetic: bool = True) -> np.ndarray:
 def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The polynomials with ascending coefficients along the last axis of c
     evaluated at z; the leading axes of c broadcast against z."""
-    result = np.empty(np.broadcast_shapes(c.shape[:-1], z.shape),
-                      dtype=np.result_type(c, z))
+    result = np.empty(np.broadcast(c[..., 0], z).shape, dtype=np.result_type(c, z))
     result[...] = c[..., -1]
     for k in range(c.shape[-1] - 2, -1, -1):
         result *= z
@@ -187,7 +192,7 @@ def _aberth_steps(
         # the companion start can repeat a multiple root exactly; such pairs,
         # like the diagonal, drop out of the Aberth sum
         diff = za[:, :, None] - za[:, None, :]
-        s = np.divide(1.0, diff, out=np.zeros_like(diff),
+        s = np.divide(1.0, diff, out=np.zeros(diff.shape, dtype=complex),
                       where=diff != 0.0).sum(axis=2)
         denom = 1.0 - w * s
         denom[np.abs(denom) < 1e-300] = 1e-300

@@ -89,9 +89,15 @@ def ladder_operators(
     bands are the ones sector_matrices reads, without its cache: the algebra
     checks judge the matrix elements as the current code computes them.
     """
+    return _ladder_matrices(model, sector, *_ladder_amplitudes(model, sector))
+
+
+def _ladder_matrices(
+    model: ModelSpec, sector: SectorLabels, up: np.ndarray, down: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P0, and Pplus and Pminus from the amplitudes _ladder_amplitudes gives."""
     p0_diag = [float((Fraction(sector.p) - sector.j) / model.r + n - sector.kappa)
                for n in range(sector.dim)]
-    up, down = _ladder_amplitudes(model, sector)
     return np.diag(p0_diag), np.diag(up[:-1], -1), np.diag(down[1:], 1)
 
 
@@ -275,7 +281,9 @@ class AlgebraDiagnostics:
 def check_algebra(model: ModelSpec, sector: SectorLabels) -> AlgebraDiagnostics:
     """Numerically check the ladder relations and annihilation conditions."""
     validate_model(model)
-    P0, Pplus, Pminus = ladder_operators(model, sector)
+    # one set of amplitudes gives the bands and the end conditions
+    up, down = _ladder_amplitudes(model, sector)
+    P0, Pplus, Pminus = _ladder_matrices(model, sector, up, down)
 
     comm_pm_mat = Pplus @ Pminus - Pminus @ Pplus
     rhs = commutator_rhs(model, sector, np.diag(P0))
@@ -283,8 +291,6 @@ def check_algebra(model: ModelSpec, sector: SectorLabels) -> AlgebraDiagnostics:
     dev_plus = np.max(np.abs((P0 @ Pplus - Pplus @ P0) - Pplus), initial=0.0)
     dev_minus = np.max(np.abs((P0 @ Pminus - Pminus @ P0) + Pminus), initial=0.0)
     dev_pm = np.max(np.abs(comm_pm_mat - np.diag(rhs)), initial=0.0)
-
-    up, down = _ladder_amplitudes(model, sector)
     lowest, highest = float(down[0]), float(up[-1])
 
     scale = max(
@@ -334,22 +340,20 @@ def _fock_matrix(
     model: ModelSpec,
     j: Rational,
     basis: Sequence[tuple[Rational, tuple[int, ...]]],
-) -> tuple[np.ndarray, bool]:
+) -> np.ndarray:
     """H in second quantization on the span of the (mu, occupations) basis
-    states, and whether the coupling keeps that span closed.
+    states.
 
     Each term of H is applied to each basis ket: the diagonal, and J+^r a^k,
     which maps the ket to one state (mu up by r, each n_i down by k_i) whose
-    amplitude is written with its transpose.  The span is incomplete when
-    J-^r a^dag^k, with a nonzero spin factor, maps a ket outside it.  States
-    are kept as (2 mu, occupations), so the spin bookkeeping is integer
-    arithmetic; each float is one correctly rounded exact integer ratio.
+    amplitude is written with its transpose.  States are kept as
+    (2 mu, occupations), so the spin bookkeeping is integer arithmetic; each
+    float is one correctly rounded exact integer ratio.
     """
     two_j, r, k = int(2 * j), model.r, model.k
     states = [(int(2 * mu), ns) for mu, ns in basis]
     index = {state: a for a, state in enumerate(states)}
     h = np.zeros((len(states), len(states)))
-    complete = True
     for a, (two_mu, ns) in enumerate(states):
         val = sum(wi * ni for wi, ni in zip(model.w, ns))
         val += model.g_prime * (two_mu**model.s / 2**model.s)
@@ -363,17 +367,31 @@ def _fock_matrix(
             for ni, ki in zip(ns, k):
                 num *= perm(ni, ki)
             h[a, b] = h[b, a] = model.g * sqrt(num / 4**r)
-        lowered = (two_mu - 2 * r, tuple(ni + ki for ni, ki in zip(ns, k)))
-        if lowered[0] >= -two_j and lowered not in index:
-            complete = False
-    return h, complete
+    return h
+
+
+def _span_closed(
+    j: Rational, r: int, k: tuple[int, ...],
+    basis: Sequence[tuple[Rational, tuple[int, ...]]],
+) -> bool:
+    """Whether J-^r a^dag^k, with a nonzero spin factor, maps every
+    (mu, occupations) basis ket inside their span; it depends on the basis
+    alone, not on the couplings."""
+    two_j = int(2 * j)
+    kets = {(int(2 * mu), ns) for mu, ns in basis}
+    return all(two_mu - 2 * r < -two_j
+               or (two_mu - 2 * r, tuple(ni + ki for ni, ki in zip(ns, k))) in kets
+               for two_mu, ns in kets)
 
 
 @lru_cache(maxsize=256)
 def _grouped_basis(
     M: int, r: int, k: tuple[int, ...], j: Rational, boson_cap: int
-) -> tuple[tuple[SectorLabels, tuple[tuple[Rational, tuple[int, ...]], ...]], ...]:
-    """Charge-block decomposition of the truncated basis (couplings irrelevant)."""
+) -> tuple[tuple[SectorLabels, tuple[tuple[Rational, tuple[int, ...]], ...], bool],
+           ...]:
+    """Charge-block decomposition of the truncated basis (couplings
+    irrelevant): each block's labels, its states in ladder order, and
+    whether the coupling keeps its span closed (_span_closed)."""
     shape = ModelSpec(M=M, r=r, s=1, k=k, w=(0.0,) * M, g_prime=0.0, g=0.0)
     groups: dict[SectorLabels, list[tuple[Rational, tuple[int, ...]]]] = {}
     for t in range(int(2 * j) + 1):
@@ -383,8 +401,8 @@ def _grouped_basis(
 
     out = []
     for labels in sorted(groups):
-        states = sorted(groups[labels], key=lambda st: st[0])  # ladder order
-        out.append((labels, tuple(states)))
+        states = tuple(sorted(groups[labels], key=lambda st: st[0]))  # ladder order
+        out.append((labels, states, _span_closed(j, r, k, states)))
     return tuple(out)
 
 
@@ -398,7 +416,8 @@ def fock_oracle(
 
     A block is complete when the boson-raising half of the coupling, applied
     to every block state with nonzero amplitude, stays inside the truncation.
-    Only complete blocks are returned unless include_incomplete is set.
+    Only complete blocks are returned, and only their H is built, unless
+    include_incomplete is set.
     """
     validate_model(model)
     j = parse_rational(j)
@@ -406,10 +425,11 @@ def fock_oracle(
         raise ValueError("boson_cap must be >= 0")
 
     blocks: list[FockBlock] = []
-    for labels, states in _grouped_basis(model.M, model.r, model.k, j, boson_cap):
-        h, complete = _fock_matrix(model, j, states)
+    for labels, states, complete in _grouped_basis(model.M, model.r, model.k, j,
+                                                   boson_cap):
         if complete or include_incomplete:
-            blocks.append(FockBlock(basis=states, H=h, labels=labels, complete=complete))
+            blocks.append(FockBlock(basis=states, H=_fock_matrix(model, j, states),
+                                    labels=labels, complete=complete))
     return blocks
 
 
@@ -420,7 +440,7 @@ def dense_fock_hamiltonian(
     linear in the basis size, memory quadratic: test sizes only)."""
     validate_model(model)
     j = parse_rational(j)
-    basis = sorted(state for _, states in
+    basis = sorted(state for _, states, _ in
                    _grouped_basis(model.M, model.r, model.k, j, boson_cap)
                    for state in states)
-    return basis, _fock_matrix(model, j, basis)[0]
+    return basis, _fock_matrix(model, j, basis)

@@ -10,6 +10,7 @@ equation and the eigenvectors.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from spinboson.bethe import (
     residual_scale,
     root_scale,
     solve_sector,
+    solve_sectors,
 )
 from spinboson.cli import main
 from spinboson.config import DEFAULT_TOLS
@@ -180,7 +182,9 @@ def compare_sector(model, sector):
                 for i in range(sector.dim)]
 
     def batch():
-        return bethe._recover_states(model, sector, values, polys, mono, TOLS)
+        roots = bethe._group_roots(mono[None], values[None], TOLS)
+        return bethe._recover_states(model, [sector], values[None], roots,
+                                     mono[None], [polys], TOLS)[0]
 
     want, got = outcome(per_state), outcome(batch)
     if isinstance(want, type):
@@ -475,6 +479,128 @@ def test_spectrum_of_a_roundoff_eigenvector_sector_exits_zero(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the sectors of one dimension solved together
+# ---------------------------------------------------------------------------
+
+def assert_bitwise_states(got, want):
+    """The same states in the same order, every float bit for bit (NaN too)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.sector, a.eigen_index) == (b.sector, b.eigen_index)
+        assert np.float64(a.energy).tobytes() == np.float64(b.energy).tobytes()
+        assert a.roots.dtype == b.roots.dtype and a.roots.shape == b.roots.shape
+        assert a.roots.tobytes() == b.roots.tobytes()
+        assert a.bae_residuals.shape == b.bae_residuals.shape
+        assert a.bae_residuals.tobytes() == b.bae_residuals.tobytes()
+        assert (a.verified, a.degenerate_roots, a.refined) == (
+            b.verified, b.degenerate_roots, b.refined)
+
+
+def decoupled(name, params):
+    # the rotor's g is (a - b) / 4
+    return ({**params, "a": params["b"]} if name == "rigid_rotor"
+            else {**params, "g": 0.0})
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_stacked_sectors_equal_sector_calls(name, refine):
+    # random models at 2j <= 12 with at most 8 bosons, and their g = 0
+    # twins: every sector of solve_sectors is solve_sector's, bit for bit
+    rng = np.random.default_rng(PRESET_NAMES.index(name))
+    seen = set()
+    for two_j, max_bosons in ((1, 8), (4, 3), (7, 5), (12, 8)):
+        params = random_params(name, rng)
+        j = Fraction(two_j, 2)
+        for coupled in (True, False):
+            model = model_for_j(name, params if coupled else decoupled(name, params), j)
+            sectors = enumerate_sectors(model, j, max_bosons)
+            solved = solve_sectors(model, sectors, refine=refine)
+            assert len(solved) == len(sectors)
+            for sec, states in zip(sectors, solved):
+                assert_bitwise_states(states, solve_sector(model, sec, refine=refine))
+            seen.add("coupled" if coupled else "g = 0")
+            dims = [sec.dim for sec in sectors]
+            if coupled and any(dims.count(d) > 1 for d in dims):
+                seen.add("stacked group")
+    assert {"coupled", "g = 0"} <= seen
+    assert model.M == 0 or "stacked group" in seen
+
+
+def test_stacked_sectors_keep_the_given_order():
+    model = model_for_j("two_mode_tc", random_params("two_mode_tc",
+                                                     np.random.default_rng(4)), 3)
+    sectors = enumerate_sectors(model, Fraction(3), 6)
+    dims = [sec.dim for sec in sectors]
+    assert 1 in dims and max(dims.count(d) for d in dims if d > 1) > 2
+    shuffled = [sectors[i] for i in np.random.default_rng(5).permutation(len(sectors))]
+    for sec, states in zip(shuffled, solve_sectors(model, shuffled)):
+        assert all(st.sector == sec for st in states)
+        assert_bitwise_states(states, solve_sector(model, sec))
+    assert solve_sectors(model, []) == []
+
+
+def first_failure(fn):
+    """The type and message of what fn raises."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_stacked_sectors_raise_what_the_first_failing_sector_raises(capsys):
+    # with a zero eigenvalue tolerance every sector with an off-diagonal
+    # entry misses the trace or norm identity by roundoff; solve_sectors
+    # raises what the first of them, in the given order, raises alone, and
+    # the CLI still exits 3 with that message
+    params = random_params("two_mode_tc", np.random.default_rng(6))
+    model = model_for_j("two_mode_tc", params, 3)
+    sectors = enumerate_sectors(model, Fraction(3), 4)
+    tols = replace(TOLS, eigen=1e-300)
+    alone = []
+    for sec in sectors:
+        try:
+            solve_sector(model, sec, tols=tols)
+        except ConvergenceError as exc:
+            alone.append((type(exc), str(exc)))
+    assert alone
+    assert first_failure(lambda: solve_sectors(model, sectors, tols=tols)) == alone[0]
+    argv = ["spectrum", "--preset", "two_mode_tc", "--j", "3", "--max-bosons", "4",
+            "--tol-eigen", "1e-300"]
+    argv += [f"--param={key}={value!r}" for key, value in params.items()]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"numerical failure: {alone[0][1]}\n")
+
+
+def test_stacked_sectors_report_the_first_failure_in_the_given_order(monkeypatch):
+    # two sectors fail, each with its own error; the one given first is
+    # reported even when its dimension is solved after the other's
+    model = model_for_j("two_mode_tc", random_params("two_mode_tc",
+                                                     np.random.default_rng(7)), 2)
+    sectors = enumerate_sectors(model, Fraction(2), 4)
+    by_dim = {}
+    for sec in sectors:
+        by_dim.setdefault(sec.dim, []).append(sec)
+    big, small = sorted((d for d in by_dim if len(by_dim[d]) > 1), reverse=True)[:2]
+    # the small dimension is met first; the failing big sector comes first
+    order = [by_dim[small][0], by_dim[big][-1], by_dim[small][-1], by_dim[big][0]]
+    failing = {order[1]: OverflowError("big"), order[2]: ArithmeticError("small")}
+    inner = bethe.monomial_action
+
+    def action(mdl, sec):
+        if sec in failing:
+            raise failing[sec]
+        return inner(mdl, sec)
+
+    monkeypatch.setattr(bethe, "monomial_action", action)
+    assert first_failure(lambda: solve_sectors(model, order)) == (OverflowError, "big")
+    assert first_failure(lambda: solve_sector(model, order[2])) == (
+        ArithmeticError, "small")
+    assert first_failure(lambda: solve_sectors(model, order[2:])) == (
+        ArithmeticError, "small")
+
+
+# ---------------------------------------------------------------------------
 # the energy pin
 # ---------------------------------------------------------------------------
 
@@ -516,10 +642,11 @@ def test_a_state_whose_energy_misses_its_eigenvalue_is_not_verified():
     roots = np.array([st.roots for st in refined])
     energies = np.array([st.energy for st in refined])
     assert energies.tolist() == [st.energy for st in states]
-    pinned = bethe._pinned(model, sec, roots, energies, TOLS)
+    pinned = bethe._pinned(model, [sec], roots[None], energies[None], TOLS)[0]
     assert all(pin for st, pin in zip(refined, pinned) if st.refined)
     assert ([st.verified for st in refined]
-            == bethe._verified(model, sec, roots, energies, mono, TOLS).tolist())
+            == bethe._verified(model, [sec], roots[None], energies[None],
+                               mono[None], TOLS)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

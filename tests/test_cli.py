@@ -131,9 +131,9 @@ class TestRoots:
     def test_state_checked_before_any_sector_is_solved(self, capsys, monkeypatch):
         # each sector has dim states, so the index is judged from the labels
         def no_solve(*args, **kwargs):
-            raise AssertionError("solve_sector called for an index out of range")
+            raise AssertionError("solve_sectors called for an index out of range")
 
-        monkeypatch.setattr("spinboson.cli.solve_sector", no_solve)
+        monkeypatch.setattr("spinboson.cli.solve_sectors", no_solve)
         code, out, err = run_cli(capsys, "roots", "--preset", "two_mode_tc",
                                  "--param", "w1=0.9", "--param", "w2=1.3",
                                  "--param", "g_prime=0.4", "--param", "g=0.6",
@@ -381,11 +381,11 @@ class TestConfigKeysMirrorFlags:
 
         seen = []
 
-        def solve(model, sector, refine, tols):
-            seen.append(refine)
-            return []
+        def solve(model, sectors, refine, tols):
+            seen.extend([refine] * len(sectors))
+            return [[] for _ in sectors]
 
-        monkeypatch.setattr(cli_mod, "solve_sector", solve)
+        monkeypatch.setattr(cli_mod, "solve_sectors", solve)
         path = tmp_path / "run.json"
         for refine in (True, False):
             path.write_text(json.dumps({**LMG_CONFIG, "refine": refine}))
@@ -425,7 +425,7 @@ class TestNumericalFailure:
         def overflow(*args, **kwargs):
             raise OverflowError("int too large to convert to float")
 
-        monkeypatch.setattr(cli_mod, "solve_sector", overflow)
+        monkeypatch.setattr(cli_mod, "solve_sectors", overflow)
         code, out, err = run_cli(capsys, "spectrum", "--preset", "lmg",
                                  "--param", "g_prime=0.3", "--param", "g=0.7",
                                  "--j", "2", "--mu", "-2")
@@ -618,16 +618,16 @@ class TestReportWriters:
     @pytest.fixture
     def solved(self, monkeypatch):
         import spinboson.cli as cli_mod
-        from spinboson.bethe import solve_sector
+        from spinboson.bethe import solve_sectors
 
         calls = []
 
-        def record(model, sector, refine, tols):
-            calls.append((sector, solve_sector(model, sector, refine=refine,
-                                               tols=tols)))
-            return calls[-1][1]
+        def record(model, sectors, refine, tols):
+            solved = solve_sectors(model, sectors, refine=refine, tols=tols)
+            calls.extend(zip(sectors, solved))
+            return solved
 
-        monkeypatch.setattr(cli_mod, "solve_sector", record)
+        monkeypatch.setattr(cli_mod, "solve_sectors", record)
         return calls
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -689,11 +689,12 @@ class TestReportWriters:
 
         recorded = []
 
-        def record(model, sector, refine, tols):
-            recorded.append((sector, states(model, sector, refine, tols)))
-            return recorded[-1][1]
+        def record(model, sectors, refine, tols):
+            solved = [states(model, sector, refine, tols) for sector in sectors]
+            recorded.extend(zip(sectors, solved))
+            return solved
 
-        monkeypatch.setattr(cli_mod, "solve_sector", record)
+        monkeypatch.setattr(cli_mod, "solve_sectors", record)
         argv = ("--preset", "lmg", "--param", "g=1", "--param", "g_prime=1",
                 "--j", "1", "--mu=-1", "--format", fmt)
         for state in (None, 1):

@@ -136,6 +136,25 @@ class TestCheckAlgebra:
         monkeypatch.setattr(rep, "_ladder_amplitudes", flipped)
         assert check_algebra(model, sec).max_relative() > 1e-2
 
+    def test_one_set_of_amplitudes_per_sector(self, monkeypatch):
+        # the bands and the end conditions down[0], up[-1] come from one call
+        model = tc_model(g=0.5)
+        sec = sector_from_reference(model, Fraction(3, 2),
+                                    ReferenceState(Fraction(-3, 2), (2,)))
+        original = rep._ladder_amplitudes
+        calls = []
+
+        def counted(m, s):
+            calls.append(s)
+            return original(m, s)
+
+        monkeypatch.setattr(rep, "_ladder_amplitudes", counted)
+        diag = check_algebra(model, sec)
+        assert calls == [sec]
+        up, down = original(model, sec)
+        assert (diag.lowest_state, diag.highest_state) == (float(down[0]),
+                                                            float(up[-1]))
+
 
 class TestMonomialConjugation:
     def test_trivial_sector_exact(self):
@@ -222,6 +241,29 @@ class TestFockOracle:
         assert incomplete
         for blk in incomplete:
             assert len(blk.basis) < blk.labels.dim
+
+    def test_only_kept_blocks_are_built(self, monkeypatch):
+        # completeness comes with the basis, so a held-back block's H is
+        # never filled; the kept blocks are those of include_incomplete
+        model = ModelSpec(M=2, r=1, s=2, k=(1, 2), w=(0.9, 1.3), g_prime=0.4,
+                          g=0.6)
+        j = Fraction(3, 2)
+        everything = fock_oracle(model, j, 3, include_incomplete=True)
+        original = rep._fock_matrix
+        built = []
+
+        def counted(mdl, jj, basis):
+            built.append(basis)
+            return original(mdl, jj, basis)
+
+        monkeypatch.setattr(rep, "_fock_matrix", counted)
+        kept = fock_oracle(model, j, 3)
+        want = [blk for blk in everything if blk.complete]
+        assert 0 < len(want) < len(everything)
+        assert built == [blk.basis for blk in want]
+        assert [(b.basis, b.labels, b.complete) for b in kept] == [
+            (b.basis, b.labels, b.complete) for b in want]
+        assert all(a.H.tobytes() == b.H.tobytes() for a, b in zip(kept, want))
 
     def test_block_dimensions_match_labels(self):
         model = ModelSpec(M=2, r=1, s=1, k=(1, 2), w=(1.0, 0.5),
