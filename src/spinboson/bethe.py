@@ -30,6 +30,14 @@ set of twisted coefficients, one root-finder call and one certificate and
 verification pass.  Every step works matrix by matrix or row by row, so
 each sector's states equal, bit for bit, what solve_sector gives for that
 sector alone; solve_sector is the one-sector case of the same code.
+
+The checks have stacked cores in the same way.  _energies_from_roots gives
+the closed-form energies and the z^N-ratio cross-check of the root sets of
+many sectors of one dimension, from any models, with each sector's error
+message instead of a raise; energy_from_roots is its one-sector case.
+_residual_scales gives residual_scale for root sets of many sectors with
+the same P_d sizes in one Horner evaluation; residual_scale is its
+one-sector case.  The acceptance sweep checks through both.
 """
 
 from __future__ import annotations
@@ -119,10 +127,21 @@ def min_root_distance(roots: np.ndarray):
 def residual_scale(polys: list[np.ndarray], roots: np.ndarray):
     """max_i sup_{|z| = scale} |P_i| used to normalize residual magnitudes,
     per row for a stack of root sets."""
-    scale = np.asarray(root_scale(roots))
-    coeffs = np.abs(_padded(polys[1:]))
-    bound = horner(np.expand_dims(coeffs, tuple(range(1, scale.ndim + 1))), scale)
-    return _per_row(np.maximum(bound.max(axis=0, initial=0.0), 1.0))
+    roots = np.asarray(roots)
+    return _per_row(_residual_scales(
+        [polys], roots, np.zeros(roots.shape[:-1], dtype=int)))
+
+
+def _residual_scales(
+    polys: list[list[np.ndarray]], roots: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """residual_scale(polys[owner[r]], roots[r]) of each root set roots[r],
+    for sectors whose P_d have the same sizes, from one Horner evaluation;
+    each entry equals, bit for bit, the one-sector call."""
+    scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1, initial=0.0))
+    coeffs = np.abs(np.array([_padded(p[1:]) for p in polys]))
+    bound = horner(np.moveaxis(coeffs[owner], -2, 0), scale)
+    return np.maximum(bound.max(axis=0, initial=0.0), 1.0)
 
 
 def _padded(polys: list[np.ndarray]) -> np.ndarray:
@@ -286,7 +305,8 @@ def energy_from_roots(
     `roots` is one root set (a float comes back) or an (S, N) stack of them
     (an array of S energies comes back).  Each row gets the energy a call
     with that row alone returns, and the first row that fails raises the
-    error that call raises.
+    error that call raises.  This is the one-sector case of
+    _energies_from_roots.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.ndim > 2:
@@ -295,31 +315,50 @@ def energy_from_roots(
     stack = np.ascontiguousarray(np.atleast_1d(roots)[None] if single else roots)
     if stack.shape[1] != sector.n_top:
         raise ValueError(f"expected {sector.n_top} roots, got {stack.shape[1]}")
-    sums = np.sum(stack, axis=1)
-    imag_bad = np.abs(sums.imag) > 1e-9 * _at_least_one(np.abs(sums))
-
-    energies = np.array(np.broadcast_to(closed_form_energy(model, sector, sums),
-                                        sums.shape), dtype=float)
-
     if mono is None:
         mono = monomial_action(model, sector)[0]
-    top = mono[sector.n_top, :]
+    energies, (error,) = _energies_from_roots(
+        [model], [sector], stack[None], mono[None, sector.n_top], tols)
+    if error is not None:
+        raise ValueError(error)
+    return float(energies[0, 0]) if single else energies[0]
+
+
+def _energies_from_roots(
+    models: list[ModelSpec],
+    sectors: list[SectorLabels],
+    roots: np.ndarray,
+    tops: np.ndarray,
+    tols: Tolerances,
+) -> tuple[np.ndarray, list[str | None]]:
+    """The closed-form energies of the root sets roots[g, i] of sector
+    sectors[g] of models[g], for G sectors with one n_top, and per sector
+    the message of the error energy_from_roots raises for its rows (None
+    when every row passes).  tops[g] is the z^N row of sector g's monomial
+    action.  One root sum, one set of psi coefficients and one ratio
+    product serve the whole stack, and each sector's energies and message
+    equal, bit for bit, those of energy_from_roots on that sector alone.
+    """
+    sums = roots.sum(axis=-1)
+    imag_bad = np.abs(sums.imag) > 1e-9 * _at_least_one(np.abs(sums))
+    energies = np.array([
+        np.broadcast_to(closed_form_energy(model, sector, row), row.shape)
+        for model, sector, row in zip(models, sectors, sums)], dtype=float)
     # [z^N] psi = 1 (monic)
-    ratios = poly_from_roots(stack) @ top
+    ratios = (poly_from_roots(roots) @ tops[..., None])[..., 0]
     ratio_bad = (np.abs(ratios - energies)
                  > tols.energy_cross * _at_least_one(np.abs(energies)))
-
-    bad = np.flatnonzero(imag_bad | ratio_bad)
-    if bad.size:
-        i = bad[0]
-        if imag_bad[i]:
-            raise ValueError(
-                f"root sum has non-negligible imaginary part {complex(sums[i])}")
-        raise ValueError(
-            f"energy formula {float(energies[i]):.12g} disagrees with coefficient "
-            f"ratio {complex(ratios[i]):.12g}"
-        )
-    return float(energies[0]) if single else energies
+    errors: list[str | None] = [None] * len(sectors)
+    for g, i in zip(*np.nonzero(imag_bad | ratio_bad)):
+        if errors[g] is not None:
+            continue
+        if imag_bad[g, i]:
+            errors[g] = (f"root sum has non-negligible imaginary part "
+                         f"{complex(sums[g, i])}")
+        else:
+            errors[g] = (f"energy formula {float(energies[g, i]):.12g} disagrees "
+                         f"with coefficient ratio {complex(ratios[g, i]):.12g}")
+    return energies, errors
 
 
 def _at_least_one(values: np.ndarray) -> np.ndarray:

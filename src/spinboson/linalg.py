@@ -29,35 +29,46 @@ def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
     (G, n, n) stack, by LAPACK (numpy.linalg.eigvalsh).
 
-    Raises ValueError for non-square or non-symmetric input.  The
+    Raises ValueError for non-square or non-symmetric input, symmetric
+    meaning |A - A^T| <= 1e-12 max(max |A|, 1).  A is not symmetrized:
+    eigvalsh reads its lower triangle, so callers pass exactly symmetric
+    matrices.  The
     eigenvalues w of a symmetric A obey sum(w) = tr A and
     sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1), ConvergenceError
     is raised when the first misses by more than tol * b, the second by more
     than tol * b^2, or either is not finite.  A stack takes one eigvalsh
-    call and is checked matrix by matrix: each matrix gets the values of a
-    call with that matrix alone, and a matrix that fails raises the error
-    that call raises.
+    call and one set of whole-stack checks: each matrix gets the values of a
+    call with that matrix alone, and the first matrix that fails raises the
+    error that call raises.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, "
                          f"got shape {a.shape}")
-    sym = (a + a.swapaxes(-2, -1)) / 2.0
-    values = eigvalsh(sym)
-    shape = a.shape if a.ndim == 3 else (1,) + a.shape
-    for m, s, w in zip(a.reshape(shape), sym.reshape(shape),
-                       values.reshape(shape[:-1])):
-        scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
-        if np.abs(m - m.T).max(initial=0.0) > 1e-12 * scale:
+    values = eigvalsh(a)
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    norm_sq = (flat * flat).sum(axis=-1)
+    bound = np.sqrt(np.maximum(norm_sq, 1.0))
+    trace_miss = np.abs(values.sum(axis=-1) - a.trace(axis1=-2, axis2=-1))
+    norm_miss = np.abs((values * values).sum(axis=-1) - norm_sq)
+    margin = tol * bound
+    missed = ~((trace_miss <= margin) & (norm_miss <= margin * bound))
+    # exactly symmetric input, the usual case, needs no tolerance test
+    unsymmetric = np.zeros(missed.shape, dtype=bool)
+    if not (a == a.swapaxes(-2, -1)).all():
+        scale = np.maximum(np.abs(flat).max(axis=-1, initial=0.0), 1.0)
+        asym = np.abs(a - a.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+        unsymmetric = asym > 1e-12 * scale
+    bad = unsymmetric | missed
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        if unsymmetric.reshape(-1)[i]:
             raise ValueError("matrix is not symmetric")
-        norm = np.linalg.norm(s)
-        bound = max(norm, 1.0)
-        trace_miss = abs(w.sum() - np.trace(s))
-        norm_miss = abs(w @ w - norm * norm)
-        if not (trace_miss <= tol * bound and norm_miss <= tol * bound * bound):
-            raise ConvergenceError(
-                f"eigenvalues miss the trace by {trace_miss:.3e} and the squared "
-                f"norm by {norm_miss:.3e} (tol {tol:g}, scale {bound:.3e})")
+        trace_miss, norm_miss, bound = (
+            float(part.reshape(-1)[i]) for part in (trace_miss, norm_miss, bound))
+        raise ConvergenceError(
+            f"eigenvalues miss the trace by {trace_miss:.3e} and the squared "
+            f"norm by {norm_miss:.3e} (tol {tol:g}, scale {bound:.3e})")
     return values
 
 

@@ -25,6 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .bethe import (
+    BetheState,
+    _energies_from_roots,
+    _residual_scales,
     energy_from_roots,
     liouville_ratio,
     residual_scale,
@@ -32,10 +35,11 @@ from .bethe import (
     solve_sector,
 )
 from .config import DEFAULT_TOLS, Tolerances
-from .linalg import jacobi_eigen
+from .linalg import ConvergenceError, jacobi_eigen
 from .model import (
     ModelSpec,
     ReferenceState,
+    SectorLabels,
     enumerate_sectors,
     level_occupations,
     sector_from_reference,
@@ -58,7 +62,7 @@ from .presets import (
     random_couplings,
     random_params,
 )
-from .representation import check_algebra, fock_oracle
+from .representation import FockBlock, check_algebra, fock_oracle
 
 N_TOP_LIMIT = 12
 DEFAULT_SEED = 20240817
@@ -76,16 +80,23 @@ class CheckResult:
         return f"{status}  {self.name}: {self.detail} [{self.elapsed:.1f}s]"
 
 
-def multiset_close(x: np.ndarray, y: np.ndarray, rtol: float) -> float:
-    """Max deviation between sorted spectra, scaled; inf on size mismatch."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    if x.size != y.size:
-        return float("inf")
-    if x.size == 0:
-        return 0.0
-    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    return float(np.max(np.abs(x - y))) / scale
+def multiset_close(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Max deviation between sorted spectra, scaled by
+    max(1, max |x|, max |y|); inf on size mismatch.  x and y may also be
+    rows, (..., n) and (..., m) arrays: each row of the result is what a
+    call with those two rows alone returns."""
+    x = np.sort(np.asarray(x, dtype=float), axis=-1)
+    y = np.sort(np.asarray(y, dtype=float), axis=-1)
+    rows = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    if x.shape[-1] != y.shape[-1]:
+        dev = np.full(rows, np.inf)
+    elif x.shape[-1] == 0:
+        dev = np.zeros(rows)
+    else:
+        scale = np.maximum(np.maximum(np.abs(x).max(axis=-1),
+                                      np.abs(y).max(axis=-1)), 1.0)
+        dev = np.abs(x - y).max(axis=-1) / scale
+    return float(dev) if dev.ndim == 0 else dev
 
 
 def _oracle_cap(model: ModelSpec, sectors) -> int:
@@ -95,16 +106,36 @@ def _oracle_cap(model: ModelSpec, sectors) -> int:
                 for sec in sectors), default=0)
 
 
-def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
-    """Shared loop behind the oracle-equivalence and certificate checks."""
-    rng = np.random.default_rng(seed)
-    worst_match = 0.0
-    worst_residual = 0.0
-    n_sectors = 0
-    n_states = 0
-    n_degenerate = 0
-    failures: list[str] = []
+@dataclass(frozen=True)
+class _Swept:
+    """One sector of the acceptance sweep: where it was met, its states,
+    its monomial action and P_d, and its complete Fock block (None when the
+    oracle has none)."""
 
+    name: str
+    j: Fraction
+    model: ModelSpec
+    sector: SectorLabels
+    states: list[BetheState]
+    mono: np.ndarray
+    polys: list[np.ndarray]
+    block: FockBlock | None
+
+
+def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
+    """Shared loop behind the oracle-equivalence and certificate checks.
+
+    The first pass walks presets, draws, j values and sectors, and makes
+    one solve_sector call per sector in that order, through this module's
+    name, so that a wrapper of verify.solve_sector sees every sector's
+    states.  _check_swept then checks all the sectors of one dimension
+    together, and a last walk in sweep order tallies counts, worst values
+    and failures.  A sector whose energy cross-check or Fock eigensolve
+    fails raises that error in the last walk, after every sector is solved:
+    the first such sector in sweep order raises its own error.
+    """
+    rng = np.random.default_rng(seed)
+    swept: list[_Swept] = []
     for name in PRESET_NAMES:
         grid = DEFAULT_GRIDS[name]
         for _ in range(n_draws):
@@ -120,53 +151,153 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                     for blk in fock_oracle(model, j, _oracle_cap(model, sectors))
                 }
                 for sec in sectors:
-                    n_sectors += 1
                     states = solve_sector(model, sec, tols=tols)
-                    mono, polys = monomial_action(model, sec)
-                    bethe = energy_from_roots(
-                        model, sec, np.array([st.roots for st in states]),
-                        mono=mono, tols=tols)
-                    # solve_sector's energies are the sector eigenvalues
-                    sector_eig = [st.energy for st in states]
-                    block = blocks.get(sec)
-                    if block is None:
-                        failures.append(
-                            f"match: {name} j={j}: no oracle block for {sec}")
-                        continue
-                    fock_eig = jacobi_eigen(block.H, tols.eigen)
-                    dev = max(multiset_close(bethe, sector_eig, tols.match),
-                              multiset_close(bethe, fock_eig, tols.match))
-                    worst_match = max(worst_match, dev)
-                    if dev > tols.match:
-                        failures.append(
-                            f"match: {name} j={j} sector p={sec.p}: dev {dev:.2e}")
-                    n_states += len(states)
-                    live = [st for st in states if not st.degenerate_roots]
-                    n_degenerate += len(states) - len(live)
-                    if sec.n_top == 0 or not live:
-                        continue
-                    # max_residual per state: NaN unless every residual is finite
-                    res = np.abs(np.array([st.bae_residuals for st in live]))
-                    top = np.where(np.all(np.isfinite(res), axis=1),
-                                   np.max(res, axis=1), np.nan)
-                    scaled = top / residual_scale(
-                        polys, np.array([st.roots for st in live]))
-                    # a NaN scaled residual leaves worst_residual as it is
-                    if not np.all(np.isnan(scaled)):
-                        worst_residual = max(worst_residual,
-                                             float(np.nanmax(scaled)))
-                    for i in np.flatnonzero(scaled > tols.bae):
-                        failures.append(
-                            f"residual: {name} j={j} p={sec.p} state "
-                            f"{live[i].eigen_index}: {scaled[i]:.2e}")
+                    swept.append(_Swept(name, j, model, sec, states,
+                                        *monomial_action(model, sec), blocks.get(sec)))
+
+    worst_match = 0.0
+    worst_residual = 0.0
+    n_states = 0
+    n_degenerate = 0
+    failures: list[str] = []
+    for item, (error, dev, n_live, residual, residual_failures) in zip(
+            swept, _check_swept(swept, tols)):
+        if error is not None:
+            raise error
+        if item.block is None:
+            failures.append(
+                f"match: {item.name} j={item.j}: no oracle block for {item.sector}")
+            continue
+        worst_match = max(worst_match, dev)
+        if dev > tols.match:
+            failures.append(f"match: {item.name} j={item.j} sector "
+                            f"p={item.sector.p}: dev {dev:.2e}")
+        n_states += len(item.states)
+        n_degenerate += len(item.states) - n_live
+        # a sector whose scaled residuals are all NaN leaves worst_residual
+        if residual is not None:
+            worst_residual = max(worst_residual, residual)
+        failures.extend(residual_failures)
     return {
         "worst_match": worst_match,
         "worst_residual": worst_residual,
-        "n_sectors": n_sectors,
+        "n_sectors": len(swept),
         "n_states": n_states,
         "n_degenerate": n_degenerate,
         "failures": failures,
     }
+
+
+def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
+    """Per swept sector: the error its checks raise (or None), the larger
+    multiset deviation of its root energies from its eigenvalues and from
+    its Fock spectrum, its number of non-degenerate states, the largest
+    of their scaled residuals that is not NaN (None when there is none)
+    and the failure lines of those above tols.bae.
+
+    The sectors of one dimension are checked together, whatever their
+    preset, draw or j: one _energies_from_roots, one jacobi_eigen per Fock
+    block size, one multiset_close and one residual scale per P_d-size
+    pattern.  Every value equals what the per-sector checks give.
+    """
+    out: list[tuple] = [()] * len(swept)
+    by_dim: dict[int, list[int]] = {}
+    for i, item in enumerate(swept):
+        by_dim.setdefault(item.sector.dim, []).append(i)
+    for dim, where in by_dim.items():
+        items = [swept[i] for i in where]
+        n_top = dim - 1
+        roots = np.array([[st.roots for st in item.states] for item in items])
+        energies, messages = _energies_from_roots(
+            [item.model for item in items], [item.sector for item in items],
+            roots, np.array([item.mono[n_top] for item in items]), tols)
+        errors = [None if msg is None else ValueError(msg) for msg in messages]
+
+        # oracle equivalence for the sectors with a Fock block
+        dev = [0.0] * len(items)
+        held = [g for g, item in enumerate(items) if item.block is not None]
+        if held:
+            fock, fock_errors = _fock_spectra([items[g].block.H for g in held],
+                                              tols.eigen)
+            sector_eig = np.array([[st.energy for st in items[g].states]
+                                   for g in held])
+            if all(values.size == dim for values in fock):
+                devs = multiset_close(np.concatenate([energies[held]] * 2),
+                                      np.concatenate([sector_eig, fock]))
+            else:
+                devs = np.concatenate([
+                    multiset_close(energies[held], sector_eig),
+                    [multiset_close(energies[g], values)
+                     for g, values in zip(held, fock)]])
+            for g, error, to_sector, to_fock in zip(
+                    held, fock_errors, devs[: len(held)].tolist(),
+                    devs[len(held):].tolist()):
+                dev[g] = max(to_sector, to_fock)
+                if errors[g] is None:
+                    errors[g] = error
+
+        # root-equation certificates of the non-degenerate states
+        live = ~np.array([[st.degenerate_roots for st in item.states]
+                          for item in items])
+        residual = [None] * len(items)
+        residual_failures: list[list[str]] = [[] for _ in items]
+        if n_top > 0:
+            patterns: dict[tuple[int, ...], list[int]] = {}
+            for g, item in enumerate(items):
+                patterns.setdefault(tuple(p.size for p in item.polys), []).append(g)
+            for members in patterns.values():
+                rows = live[members]
+                owner, state = np.nonzero(rows)
+                if not owner.size:
+                    continue
+                res = np.abs(np.array([
+                    [st.bae_residuals for st in items[g].states] for g in members]
+                    )[rows])
+                # max |residual| per state: NaN unless every residual is finite
+                top = np.where(np.isfinite(res).all(axis=1), res.max(axis=1), np.nan)
+                scaled = top / _residual_scales(
+                    [items[g].polys for g in members], roots[members][rows], owner)
+                # each sector's largest scaled residual that is not NaN
+                # (fmax skips NaN); an all-NaN sector keeps None
+                held_rows = np.flatnonzero(rows.any(axis=1))
+                worst = np.fmax.reduceat(scaled, np.searchsorted(owner, held_rows))
+                finite = ~np.isnan(worst)
+                for k, value in zip(held_rows[finite].tolist(), worst[finite].tolist()):
+                    residual[members[k]] = value
+                for r in np.flatnonzero(scaled > tols.bae).tolist():
+                    g = members[owner[r]]
+                    item = items[g]
+                    residual_failures[g].append(
+                        f"residual: {item.name} j={item.j} p={item.sector.p} state "
+                        f"{item.states[state[r]].eigen_index}: {scaled[r]:.2e}")
+        n_live = live.sum(axis=1).tolist()
+        for g, i in enumerate(where):
+            out[i] = (errors[g], dev[g], n_live[g], residual[g], residual_failures[g])
+    return out
+
+
+def _fock_spectra(mats: list[np.ndarray], tol: float):
+    """jacobi_eigen of each matrix, and the error each raises alone (None
+    when it passes): one call per matrix size, and one call per matrix of a
+    size whose stacked call raises; a failing matrix gets NaN values."""
+    values: list = [None] * len(mats)
+    errors: list = [None] * len(mats)
+    by_size: dict[int, list[int]] = {}
+    for k, mat in enumerate(mats):
+        by_size.setdefault(len(mat), []).append(k)
+    for ks in by_size.values():
+        try:
+            stacked = jacobi_eigen(mats[ks[0]] if len(ks) == 1
+                                   else np.array([mats[k] for k in ks]), tol)
+            for k, row in zip(ks, stacked.reshape(len(ks), -1)):
+                values[k] = row
+        except (ValueError, ConvergenceError):
+            for k in ks:
+                try:
+                    values[k] = jacobi_eigen(mats[k], tol)
+                except (ValueError, ConvergenceError) as exc:
+                    values[k], errors[k] = np.full(len(mats[k]), np.nan), exc
+    return values, errors
 
 
 def check_oracle_equivalence(
@@ -371,7 +502,8 @@ def _direct_rotor_spectrum(a: float, b: float, c: float, j: Fraction) -> np.ndar
     jy_sq = -0.25 * (jplus - jminus) @ (jplus - jminus)
     jz = np.diag(mvals)
     h = a * jx @ jx + b * jy_sq + c * jz @ jz
-    return jacobi_eigen(h)
+    # the products are symmetric only up to roundoff
+    return jacobi_eigen((h + h.T) / 2.0)
 
 
 def check_rotor_cross(
@@ -392,7 +524,7 @@ def check_rotor_cross(
         for e in (st.energy for st in solve_sector(model, sec, tols=tols))
     )
     expected = sorted([a + b, b + c, a + c])
-    dev = multiset_close(np.array(energies), np.array(expected), 1e-9)
+    dev = multiset_close(np.array(energies), np.array(expected))
     worst = max(worst, dev)
     if dev > 1e-9:
         failures.append(f"analytic j=1 triple deviates by {dev:.2e}")
@@ -413,7 +545,7 @@ def check_rotor_cross(
                     energy_from_roots(model, sec, st.roots, mono=mono, tols=tols)
                     for st in states)
             direct = _direct_rotor_spectrum(a, b, c, j)
-            dev = multiset_close(np.array(energies), direct, 1e-9)
+            dev = multiset_close(np.array(energies), direct)
             worst = max(worst, dev)
             if dev > 1e-9:
                 failures.append(f"(a,b,c)=({a:.2f},{b:.2f},{c:.2f}) j={j}: {dev:.2e}")

@@ -37,6 +37,7 @@ from spinboson.operators import (
     apply_to_monomials,
     build_hamiltonian_operator,
     extract_polynomials,
+    monomial_action,
     poly_eval,
 )
 from spinboson.presets import DEFAULT_GRIDS, PRESET_NAMES, model_for_j, random_params
@@ -743,7 +744,7 @@ def test_stacked_energy_checks_the_root_count():
 
 
 # ---------------------------------------------------------------------------
-# the acceptance sweep checks one sector at a time
+# the acceptance sweep against its per-sector checking loop
 # ---------------------------------------------------------------------------
 
 def sweep_reference(seed, n_draws, tols):
@@ -776,8 +777,8 @@ def sweep_reference(seed, n_draws, tols):
                         failures.append(f"match: {name} j={j}: no oracle block for {sec}")
                         continue
                     fock_eig = jacobi_eigen(block.H, tols.eigen)
-                    dev = max(verify.multiset_close(energies, sector_eig, tols.match),
-                              verify.multiset_close(energies, fock_eig, tols.match))
+                    dev = max(verify.multiset_close(energies, sector_eig),
+                              verify.multiset_close(energies, fock_eig))
                     worst_match = max(worst_match, dev)
                     if dev > tols.match:
                         failures.append(
@@ -816,29 +817,164 @@ def test_oracle_cap_equals_the_occupation_formula():
             assert verify._oracle_cap(model, []) == 0
 
 
-@pytest.mark.parametrize("seed", [686310523, 101, 20240817])
-def test_sweep_equals_the_per_state_loop(seed):
-    got = verify._sweep_presets(seed, 1, TOLS)
-    want = sweep_reference(seed, 1, TOLS)
+@pytest.mark.parametrize("seed, n_draws", [
+    pytest.param(686310523, 1, id="686310523"),
+    pytest.param(101, 1, id="101"),
+    pytest.param(20240817, 1, id="20240817"),
+    # the checks group sectors across draws
+    pytest.param(5, 3, id="5-three-draws"),
+])
+def test_sweep_equals_the_per_state_loop(seed, n_draws):
+    got = verify._sweep_presets(seed, n_draws, TOLS)
+    want = sweep_reference(seed, n_draws, TOLS)
     assert got == want
     assert [type(got[key]) for key in sorted(got)] == [
         type(want[key]) for key in sorted(want)]
 
 
+def sweep_sectors(seed, n_draws):
+    """The (model, sector) pairs of the acceptance sweep, in sweep order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for name in PRESET_NAMES:
+        grid = DEFAULT_GRIDS[name]
+        for _ in range(n_draws):
+            params = random_params(name, rng)
+            for j in grid.j_values:
+                model = model_for_j(name, params, j)
+                out += [(model, sec)
+                        for sec in enumerate_sectors(model, j, grid.max_total_bosons)
+                        if sec.n_top <= verify.N_TOP_LIMIT]
+    return out
+
+
 def test_sweep_solves_and_checks_each_sector_once(monkeypatch):
-    calls = {"solve_sector": 0, "energy_from_roots": 0}
+    # one solve_sector call per sector, through verify's name and in sweep
+    # order (the benchmark captures the states there), and one stacked
+    # energy cross-check per sector dimension
+    solved = []
+    checked = []
+    inner_solve = verify.solve_sector
+    inner_check = verify._energies_from_roots
 
-    def counted(name):
-        inner = getattr(verify, name)
+    def solve(model, sector, *args, **kwargs):
+        solved.append((model, sector))
+        return inner_solve(model, sector, *args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
+    def check(models, sectors, *args):
+        checked.append([sec.dim for sec in sectors])
+        return inner_check(models, sectors, *args)
 
-    for name in calls:
-        monkeypatch.setattr(verify, name, counted(name))
-    data = verify._sweep_presets(7, 1, TOLS)
-    assert data["n_sectors"] > 200
-    assert calls == {"solve_sector": data["n_sectors"],
-                     "energy_from_roots": data["n_sectors"]}
+    monkeypatch.setattr(verify, "solve_sector", solve)
+    monkeypatch.setattr(verify, "_energies_from_roots", check)
+    monkeypatch.setattr(verify, "energy_from_roots", None)
+    data = verify._sweep_presets(7, 2, TOLS)
+    want = sweep_sectors(7, 2)
+    assert data["n_sectors"] == len(want) > 400
+    assert solved == want
+    dims = [dims[0] for dims in checked]
+    assert sorted(dims) == sorted({sec.dim for _, sec in want})
+    assert all(set(dims) == {dim} for dims, dim in zip(checked, dims))
+    assert sum(map(len, checked)) == len(want)
+
+
+def test_sweep_raises_the_first_failing_sector_in_sweep_order(monkeypatch):
+    # two sectors fail the energy cross-check; the one met first in the
+    # sweep raises, although the other's dimension is checked first
+    sectors = sweep_sectors(3, 1)
+    first_dim = sectors[0][1].dim
+    early = next(i for i, (_, sec) in enumerate(sectors) if sec.dim != first_dim)
+    late = next(i for i, (_, sec) in enumerate(sectors)
+                if i > early and sec.dim == first_dim and sec.n_top == 0)
+    failing = {sectors[early], sectors[late]}
+    inner = verify.monomial_action
+
+    def action(model, sector):
+        mono, polys = inner(model, sector)
+        if (model, sector) in failing:
+            mono = mono.copy()
+            mono[sector.n_top, sector.n_top] += 1.0
+        return mono, polys
+
+    monkeypatch.setattr(verify, "monomial_action", action)
+    alone = []
+    for model, sec in (sectors[early], sectors[late]):
+        roots = np.array([st.roots for st in solve_sector(model, sec)])
+        alone.append(first_error(lambda: energy_from_roots(
+            model, sec, roots, mono=action(model, sec)[0])))
+    assert alone[0] != alone[1]
+    assert first_error(lambda: verify._sweep_presets(3, 1, TOLS)) == alone[0]
+
+
+def test_stacked_energy_core_equals_sector_calls():
+    # sectors of one dimension from every preset, draw and j, stacked; each
+    # sector gets energy_from_roots' energies and error message bit for bit
+    groups = {}
+    for model, sec in sweep_sectors(11, 1):
+        mono = monomial_action(model, sec)[0]
+        roots = np.array([st.roots for st in solve_sector(model, sec)])
+        groups.setdefault(sec.dim, []).append((model, sec, roots, mono))
+    n_failing = 0
+    for dim, items in groups.items():
+        tops = np.array([mono[dim - 1] for *_, mono in items])
+        # break the cross-check of two sectors of the group: their
+        # coefficient ratio moves by one ([z^N] psi = 1)
+        failing = [1, 2] if len(items) > 2 else []
+        tops[failing, dim - 1] += 1.0
+        energies, errors = bethe._energies_from_roots(
+            [model for model, *_ in items], [sec for _, sec, *_ in items],
+            np.array([roots for *_, roots, _ in items]), tops, TOLS)
+        assert energies.shape == (len(items), dim) and energies.dtype == float
+        for g, ((model, sec, roots, mono), row, error) in enumerate(
+                zip(items, energies, errors)):
+            assert np.array_equal(row, energy_from_roots(model, sec, roots, mono=mono))
+            if g in failing:
+                broken = mono.copy()
+                broken[dim - 1] = tops[g]
+                assert error == first_error(
+                    lambda: energy_from_roots(model, sec, roots, mono=broken))
+                n_failing += 1
+            else:
+                assert error is None
+    assert n_failing >= 10
+    assert max(groups) >= 10
+
+
+def test_stacked_residual_scale_equals_sector_calls():
+    # the live root sets of many sectors with one P_d-size pattern, in one
+    # evaluation: each row equals residual_scale of its sector, bit for bit
+    patterns = {}
+    for model, sec in sweep_sectors(12, 1):
+        if sec.n_top == 0:
+            continue
+        polys = monomial_action(model, sec)[1]
+        live = [st.roots for st in solve_sector(model, sec) if not st.degenerate_roots]
+        if live:
+            key = (sec.n_top, tuple(p.size for p in polys))
+            patterns.setdefault(key, []).append((polys, np.array(live)))
+    n_rows = 0
+    for items in patterns.values():
+        roots = np.concatenate([live for _, live in items])
+        owner = np.repeat(np.arange(len(items)), [len(live) for _, live in items])
+        got = bethe._residual_scales([polys for polys, _ in items], roots, owner)
+        want = np.concatenate([residual_scale(polys, live) for polys, live in items])
+        assert np.array_equal(got, want)
+        assert got.tolist() == [residual_scale(items[g][0], row)
+                                for g, row in zip(owner, roots)]
+        n_rows += len(roots)
+    assert n_rows > 1000
+    assert max(len(items) for items in patterns.values()) > 10
+
+
+def test_multiset_close_takes_rows():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 4)) * 3
+    y = x[:, ::-1] + rng.standard_normal((6, 4)) * 1e-9
+    rows = verify.multiset_close(x, y)
+    assert rows.shape == (6,)
+    assert rows.tolist() == [verify.multiset_close(a, b) for a, b in zip(x, y)]
+    assert all(type(verify.multiset_close(a, b)) is float for a, b in zip(x, y))
+    assert np.all(rows < 1e-8)
+    assert verify.multiset_close(x, y[:, :3]).tolist() == [np.inf] * 6
+    assert verify.multiset_close(np.zeros((3, 0)), np.zeros((3, 0))).tolist() == [0.0] * 3
+    assert verify.multiset_close([1.0], [1.0, 2.0]) == np.inf

@@ -87,6 +87,47 @@ class TestJacobiEigen:
             jacobi_eigen(a)
 
 
+    def test_stack_equals_matrix_calls(self):
+        rng = np.random.default_rng(23)
+        for n in (0, 1, 2, 5, 13):
+            stack = np.array([random_symmetric(rng, n) * 10.0 ** k for k in range(-3, 4)])
+            values = jacobi_eigen(stack)
+            assert values.shape == (7, n)
+            for mat, row in zip(stack, values):
+                assert np.array_equal(row, jacobi_eigen(mat))
+
+    def test_stack_raises_the_first_failing_matrix_error(self, monkeypatch):
+        # matrices whose (0, 0) entry is nonzero get eigenvalues shifted by
+        # it, each missing the trace by its own amount; the stack raises
+        # what the first of them raises alone
+        rng = np.random.default_rng(29)
+        stack = np.array([random_symmetric(rng, 5) for _ in range(6)])
+        stack[:, 0, 0] = [0.0, 0.0, 2.0, 0.0, 3.0, 0.0]
+
+        def shifted(m):
+            values = np.linalg.eigvalsh(m)
+            values[..., -1] += 1e-6 * m[..., 0, 0]
+            return values
+
+        monkeypatch.setattr(linalg, "eigvalsh", shifted)
+        with pytest.raises(ConvergenceError) as alone:
+            jacobi_eigen(stack[2])
+        with pytest.raises(ConvergenceError) as stacked:
+            jacobi_eigen(stack)
+        assert str(stacked.value) == str(alone.value)
+        assert np.array_equal(jacobi_eigen(stack[[0, 1, 3, 5]]),
+                              [jacobi_eigen(stack[k]) for k in (0, 1, 3, 5)])
+
+    def test_stack_rejects_a_nonsymmetric_matrix(self):
+        rng = np.random.default_rng(31)
+        stack = np.array([random_symmetric(rng, 4) for _ in range(3)])
+        stack[1, 0, 3] += 1e-9
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigen(stack)
+        # a roundoff asymmetry is accepted
+        stack[1, 0, 3] = stack[1, 3, 0] * (1 + 1e-15)
+        assert jacobi_eigen(stack).shape == (3, 4)
+
 def clustered(roots):
     """The cluster test the solver applies to a root set."""
     return min_root_distance(roots) <= DEFAULT_TOLS.cluster * root_scale(roots)
