@@ -29,7 +29,11 @@ dimension whose P_d have the same sizes share one stacked eigensolve, one
 set of twisted coefficients, one root-finder call and one certificate and
 verification pass.  Every step works matrix by matrix or row by row, so
 each sector's states equal, bit for bit, what solve_sector gives for that
-sector alone; solve_sector is the one-sector case of the same code.
+sector alone; solve_sector is the one-sector case of the same code.  The
+stacked eigensolve and root finder report their outcome per matrix and per
+row (linalg._eigen_stack, linalg._root_stack), so a group knows which of
+its sectors fail, and with which error, from the one pass: a failed sector
+leaves the later stages and no sector is solved twice.
 
 The checks have stacked cores in the same way.  _energies_from_roots gives
 the closed-form energies and the z^N-ratio cross-check of the root sets of
@@ -49,8 +53,8 @@ from math import factorial, isfinite
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .linalg import (ConvergenceError, horner, jacobi_eigen, newton_solve,
-                     polynomial_roots)
+from .linalg import (_UNSETTLED, ConvergenceError, _eigen_stack, _root_stack,
+                     horner, newton_solve)
 from .model import ModelSpec, SectorLabels
 from .operators import monomial_action, poly_eval
 from .representation import sector_levels, sector_matrices
@@ -112,16 +116,6 @@ def _per_row(values: np.ndarray):
 def root_scale(roots: np.ndarray):
     """max(1, max |root|), per row for a stack of root sets."""
     return _per_row(np.maximum(1.0, np.max(np.abs(roots), axis=-1, initial=0.0)))
-
-
-def min_root_distance(roots: np.ndarray):
-    """Smallest pairwise root distance (inf below two roots), per row."""
-    n = roots.shape[-1]
-    if n < 2:
-        return _per_row(np.full(roots.shape[:-1], np.inf))
-    diff = np.abs(roots[..., :, None] - roots[..., None, :])
-    diff[..., np.arange(n), np.arange(n)] = np.inf
-    return _per_row(np.min(diff, axis=(-2, -1)))
 
 
 def residual_scale(polys: list[np.ndarray], roots: np.ndarray):
@@ -450,7 +444,7 @@ def _scaled_bae_residuals(
     cluster_rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Residuals and max |residual| / residual_scale of each row of roots
-    (at least one root), with the row's min_root_distance and root_scale.
+    (at least one root), with the row's smallest root distance and root_scale.
 
     polys holds the P_i of G sectors whose P_i have the same sizes, and the
     rows of roots are those sectors' root sets in G equal blocks, in order.
@@ -549,18 +543,22 @@ def _verified(
 
 def _group_roots(
     monos: np.ndarray, values: np.ndarray, tols: Tolerances
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The roots recovered from each eigenvalue values[g, i] of sector g of
-    a group of sectors of one dimension, shape (G, dim, dim - 1): one set of
-    twisted coefficients and one polynomial_roots call for all of them, each
-    row as a call with that eigenvalue of that sector alone gives it.
-    monos[g] is sector g's monomial action."""
+    a group of sectors of one dimension, shape (G, dim, dim - 1), and per
+    sector whether a row did not settle (polynomial_roots on that sector
+    alone raises): one set of twisted coefficients and one root-finder call
+    for all of them, each row as a call with that eigenvalue of that sector
+    alone gives it.  monos[g] is sector g's monomial action."""
     n_sectors, dim = values.shape
     if dim == 1:
-        return np.zeros((n_sectors, 1, 0), dtype=complex)
+        return (np.zeros((n_sectors, 1, 0), dtype=complex),
+                np.zeros(n_sectors, dtype=bool))
     coeffs = _twisted_coeffs(monos[:, :dim], values)
-    return polynomial_roots(coeffs.reshape(-1, dim), tols.roots).reshape(
-        n_sectors, dim, dim - 1)
+    roots, unsettled = _root_stack(coeffs.reshape(-1, dim).astype(complex),
+                                   tols.roots)
+    return (roots.reshape(n_sectors, dim, dim - 1),
+            unsettled.reshape(n_sectors, dim).any(axis=1))
 
 
 def _recover_states(
@@ -651,7 +649,10 @@ def solve_sector(
     refine sends every other state with a certificate through the Newton
     polish of _recover_states, under the same acceptance rule.
     """
-    return _solve_group(model, [sector], refine, tols)[0]
+    (solved,) = _solve_group(model, [sector], refine, tols)
+    if isinstance(solved, Exception):
+        raise solved
+    return solved
 
 
 def solve_sectors(
@@ -664,27 +665,33 @@ def solve_sectors(
     list equals, bit for bit, what solve_sector returns for that sector alone.
 
     The sectors of one dimension are solved together by _solve_group; a
-    dimension with one sector goes through solve_sector.  When a group
-    raises, the sectors are solved again one at a time, in the order given,
-    so that the error raised is the one the first failing sector raises
-    alone.
+    dimension with one sector goes through solve_sector.  Every sector is
+    solved at most once, and the sectors given after the first failure
+    found so far are skipped: the error raised is the one the first failing
+    sector, in the order given, raises alone.
     """
     groups: dict[int, list[int]] = {}
     for index, sector in enumerate(sectors):
         groups.setdefault(sector.dim, []).append(index)
-    out: list[list[BetheState]] = [[] for _ in sectors]
-    try:
-        for indices in groups.values():
-            group = [sectors[i] for i in indices]
-            solved = ([solve_sector(model, group[0], refine, tols)]
-                      if len(group) == 1 else
-                      _solve_group(model, group, refine, tols))
-            for i, states in zip(indices, solved):
-                out[i] = states
-    except Exception:
-        for sector in sectors:
-            solve_sector(model, sector, refine, tols)
-        raise
+    out: list = [None] * len(sectors)
+    first_failure = len(sectors)
+    for indices in groups.values():
+        indices = [i for i in indices if i < first_failure]
+        if not indices:
+            continue
+        if len(indices) == 1:
+            try:
+                solved = [solve_sector(model, sectors[indices[0]], refine, tols)]
+            except Exception as exc:
+                solved = [exc]
+        else:
+            solved = _solve_group(model, [sectors[i] for i in indices], refine, tols)
+        for i, result in zip(indices, solved):
+            out[i] = result
+            if isinstance(result, Exception):
+                first_failure = min(first_failure, i)
+    if first_failure < len(sectors):
+        raise out[first_failure]
     return out
 
 
@@ -693,43 +700,72 @@ def _solve_group(
     sectors: list[SectorLabels],
     refine: bool,
     tols: Tolerances,
-) -> list[list[BetheState]]:
-    """solve_sector on each of the sectors, which share one dimension.  The
-    sectors whose P_d have the same sizes are solved together: one stacked
-    eigensolve, one _group_roots and one _recover_states for them all."""
-    mats = [sector_matrices(model, sector).H for sector in sectors]
-    actions = [monomial_action(model, sector) for sector in sectors]
+) -> list[list[BetheState] | Exception]:
+    """solve_sector on each of the sectors, which share one dimension: per
+    sector its states, or the exception it raises alone.  That exception
+    comes from building the sector's matrices, from its eigensolve or from
+    a root row that does not settle; a failed sector takes no part in the
+    later stages.  The sectors whose P_d have the same sizes are solved
+    together: one stacked eigensolve, one _group_roots and one
+    _recover_states for them all."""
+    solved: list = [None] * len(sectors)
+    mats, actions = {}, {}
+    for g, sector in enumerate(sectors):
+        try:
+            mats[g] = sector_matrices(model, sector).H
+            actions[g] = monomial_action(model, sector)
+        except Exception as exc:
+            solved[g] = exc
     dim = sectors[0].dim
 
     if model.g == 0.0 and dim > 1:
-        solved = []
-        for sector, h, (mono, _) in zip(sectors, mats, actions):
-            energies = h.diagonal().copy()
+        for g, (mono, _) in actions.items():
+            energies = mats[g].diagonal().copy()
             verified = _verify_eigen_equation(
                 mono, np.eye(dim, dtype=complex), energies, tols.match)
-            solved.append([
-                BetheState(sector, k, np.zeros(k, dtype=complex),
+            solved[g] = sorted((
+                BetheState(sectors[g], k, np.zeros(k, dtype=complex),
                            float(energies[k]), np.full(k, np.nan, dtype=complex),
                            degenerate_roots=k >= 2, verified=bool(verified[k]))
-                for k in range(dim)
-            ])
-        return [sorted(states, key=lambda st: st.energy) for states in solved]
+                for k in range(dim)), key=lambda st: st.energy)
+        return solved
 
     blocks: dict[tuple[int, ...], list[int]] = {}
-    for g, (_, polys) in enumerate(actions):
+    for g, (_, polys) in actions.items():
         blocks.setdefault(tuple(p.size for p in polys), []).append(g)
-    solved = [[] for _ in sectors]
     for block in blocks.values():
-        # a block of one sector passes its (n, n) matrix, the shape that
-        # per-call eigensolve counts read
-        values = jacobi_eigen(mats[block[0]] if len(block) == 1
-                              else np.array([mats[g] for g in block]),
-                              tols.eigen).reshape(len(block), dim)
+        # a block of one sector passes its (n, n) matrix, which eigvalsh
+        # takes faster than a stack of one
+        values, errors = _eigen_stack(
+            mats[block[0]] if len(block) == 1 else np.array([mats[g] for g in block]),
+            tols.eigen)
+        values = values.reshape(len(block), dim)
         monos = np.array([actions[g][0] for g in block])
+        # a failed sector leaves the later stages; without a failure the
+        # block's arrays go on as they are
+        if any(error is not None for error in errors):
+            for g, error in zip(block, errors):
+                solved[g] = error
+            kept = np.array([error is None for error in errors])
+            block, values, monos = _kept(kept, block, values, monos)
+            if not block:
+                continue
+        roots, unsettled = _group_roots(monos, values, tols)
+        if unsettled.any():
+            for g in _kept(unsettled, block)[0]:
+                solved[g] = ConvergenceError(_UNSETTLED)
+            block, values, monos, roots = _kept(~unsettled, block, values, monos, roots)
+            if not block:
+                continue
         states = _recover_states(
-            model, [sectors[g] for g in block], values,
-            _group_roots(monos, values, tols), monos,
+            model, [sectors[g] for g in block], values, roots, monos,
             [actions[g][1] for g in block], tols, refine)
         for g, sector_states in zip(block, states):
             solved[g] = sorted(sector_states, key=lambda st: st.energy)
     return solved
+
+
+def _kept(mask: np.ndarray, block: list[int], *arrays: np.ndarray) -> tuple:
+    """The entries of block, and the rows of each array, where mask holds."""
+    return ([g for g, keep in zip(block, mask) if keep],
+            *(array[mask] for array in arrays))

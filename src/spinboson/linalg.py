@@ -11,6 +11,10 @@ for all but the smallest degrees; complex rows keep the complex eigensolve.
 
 Each routine checks its own result against a tolerance, defaulting to the
 values in config.DEFAULT_TOLS, and raises ConvergenceError when it misses.
+The eigensolve and the root finder are thin raising wrappers of private
+stacked cores (_eigen_stack, _root_stack) that return, next to the result,
+each matrix's error or each row's failure to settle: a caller solving many
+sectors at once reads every sector's outcome from one call.
 """
 
 from __future__ import annotations
@@ -37,14 +41,28 @@ def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
     sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1), ConvergenceError
     is raised when the first misses by more than tol * b, the second by more
     than tol * b^2, or either is not finite.  A stack takes one eigvalsh
-    call and one set of whole-stack checks: each matrix gets the values of a
-    call with that matrix alone, and the first matrix that fails raises the
-    error that call raises.
+    call and one set of whole-stack checks (_eigen_stack): each matrix gets
+    the values of a call with that matrix alone, and the first matrix that
+    fails raises the error that call raises.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, "
                          f"got shape {a.shape}")
+    values, errors = _eigen_stack(a, tol)
+    for error in errors:
+        if error is not None:
+            raise error
+    return values
+
+
+def _eigen_stack(
+    a: np.ndarray, tol: float
+) -> tuple[np.ndarray, list[Exception | None]]:
+    """The eigenvalues of a square float matrix or of each matrix of a
+    (G, n, n) stack, as jacobi_eigen gives them, and per matrix the error a
+    jacobi_eigen call with that matrix alone raises (None when it passes;
+    one entry for a single matrix)."""
     values = eigvalsh(a)
     flat = a.reshape(a.shape[:-2] + (-1,))
     norm_sq = (flat * flat).sum(axis=-1)
@@ -59,17 +77,17 @@ def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
         scale = np.maximum(np.abs(flat).max(axis=-1, initial=0.0), 1.0)
         asym = np.abs(a - a.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
         unsymmetric = asym > 1e-12 * scale
-    bad = unsymmetric | missed
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
+    errors: list[Exception | None] = [None] * missed.size
+    for i in np.flatnonzero(unsymmetric | missed).tolist():
         if unsymmetric.reshape(-1)[i]:
-            raise ValueError("matrix is not symmetric")
-        trace_miss, norm_miss, bound = (
+            errors[i] = ValueError("matrix is not symmetric")
+            continue
+        trace_i, norm_i, bound_i = (
             float(part.reshape(-1)[i]) for part in (trace_miss, norm_miss, bound))
-        raise ConvergenceError(
-            f"eigenvalues miss the trace by {trace_miss:.3e} and the squared "
-            f"norm by {norm_miss:.3e} (tol {tol:g}, scale {bound:.3e})")
-    return values
+        errors[i] = ConvergenceError(
+            f"eigenvalues miss the trace by {trace_i:.3e} and the squared "
+            f"norm by {norm_i:.3e} (tol {tol:g}, scale {bound_i:.3e})")
+    return values, errors
 
 
 def polynomial_roots(
@@ -104,14 +122,29 @@ def polynomial_roots(
         raise ValueError(f"expected one row or a 2-D stack of rows, got shape {c.shape}")
     elif (c[:, -1] == 0.0).any():
         raise ValueError("the rows of a stack must share one degree")
-    deg = c.shape[1] - 1
-    if deg == 0:
-        roots = np.zeros((c.shape[0], 0), dtype=complex)
-    elif deg == 1:
-        roots = -c[:, :1] / c[:, 1:]
-    else:
-        roots = _aberth(c, tol, max_iter)
+    roots, unsettled = _root_stack(c, tol, max_iter)
+    if unsettled.any():
+        raise ConvergenceError(_UNSETTLED)
     return roots[0] if single else roots
+
+
+# the message polynomial_roots raises when a row does not settle
+_UNSETTLED = "Aberth-Ehrlich iteration did not converge"
+
+
+def _root_stack(
+    c: np.ndarray, tol: float, max_iter: int = 200
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted roots of each row of a 2-D complex stack c of one degree
+    (nonzero last column), as polynomial_roots gives them, and per row
+    whether its iteration ran out with its residual above sqrt(tol): the
+    rows for which a polynomial_roots call with that row alone raises."""
+    deg = c.shape[1] - 1
+    if deg >= 2:
+        return _aberth(c, tol, max_iter)
+    roots = (np.zeros((c.shape[0], 0), dtype=complex) if deg == 0
+             else -c[:, :1] / c[:, 1:])
+    return roots, np.zeros(c.shape[0], dtype=bool)
 
 
 def _companion_start(c: np.ndarray, real_arithmetic: bool = True) -> np.ndarray:
@@ -150,15 +183,16 @@ def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return result
 
 
-def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted roots of each row of c (degree >= 2, nonzero leading
-    coefficients)."""
+    coefficients), and per row whether it did not settle (_root_stack)."""
     deg = c.shape[1] - 1
     # p and p' evaluated together: p' padded with a zero top coefficient
     both = np.zeros((2,) + c.shape, dtype=complex)
     both[0] = c
     both[1, :, :deg] = c[:, 1:] * np.arange(1, deg + 1)
     z, res = _aberth_steps(both, _companion_start(c), tol, max_iter)
+    unsettled = np.zeros(c.shape[0], dtype=bool)
     if res is not None:
         # From a real start a real row's iterates stay symmetric about the
         # real axis, so real starting roots cannot reach a conjugate pair of
@@ -171,10 +205,9 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
                 both[:, again], _companion_start(c[again], real_arithmetic=False),
                 tol, max_iter)
             res[again] = np.nan if res_again is None else res_again
-        if (res > np.sqrt(tol)).any():
-            raise ConvergenceError("Aberth-Ehrlich iteration did not converge")
+        unsettled = res > np.sqrt(tol)
     # by real part, then imaginary part; stable, so equal roots keep their order
-    return np.sort(z, axis=-1, kind="stable")
+    return np.sort(z, axis=-1, kind="stable"), unsettled
 
 
 def _aberth_steps(

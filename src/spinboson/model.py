@@ -22,7 +22,8 @@ from typing import Iterator, Sequence
 Rational = Fraction
 
 # Bounds of the coupling-free caches: label enumerations per (M, r, k, j, cap),
-# and per-sector data per (M, r, s, k, sector) in operators and representation.
+# per-sector data per (M, r, s, k, sector) in operators and representation,
+# and each sector's level-0 maximum per (k, sector) for the Fock oracle.
 # One acceptance-sweep draw touches 292 sectors in 42 enumerations.
 ENUMERATION_CACHE_SIZE = 64
 SECTOR_CACHE_SIZE = 1024
@@ -285,6 +286,14 @@ def level_occupations(k: tuple[int, ...], sector: SectorLabels) -> list[tuple[in
             raise ValueError(f"level n={sector.n_top} is outside the sector "
                              f"(occupation {ni - ki * sector.n_top})")
     return [tuple(ni - ki * n for ni, ki in zip(occ0, k)) for n in range(sector.dim)]
+
+
+@lru_cache(maxsize=SECTOR_CACHE_SIZE)
+def _level0_top(k: tuple[int, ...], sector: SectorLabels) -> int:
+    """The largest level-0 occupation of the sector's modes (0 without
+    modes), in a cache bounded by SECTOR_CACHE_SIZE: the Fock oracle's
+    truncation reads it for every sector of every acceptance-sweep draw."""
+    return max(level_occupations(k, sector)[0], default=0)
 
 
 def sector_to_dict(sector: SectorLabels) -> dict:

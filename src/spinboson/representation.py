@@ -431,16 +431,3 @@ def fock_oracle(
             blocks.append(FockBlock(basis=states, H=_fock_matrix(model, j, states),
                                     labels=labels, complete=complete))
     return blocks
-
-
-def dense_fock_hamiltonian(
-    model: ModelSpec, j: Rational, boson_cap: int
-) -> tuple[list[tuple[Rational, tuple[int, ...]]], np.ndarray]:
-    """Full H on the truncated product space, in sorted basis order (work
-    linear in the basis size, memory quadratic: test sizes only)."""
-    validate_model(model)
-    j = parse_rational(j)
-    basis = sorted(state for _, states, _ in
-                   _grouped_basis(model.M, model.r, model.k, j, boson_cap)
-                   for state in states)
-    return basis, _fock_matrix(model, j, basis)

@@ -35,13 +35,13 @@ from .bethe import (
     solve_sector,
 )
 from .config import DEFAULT_TOLS, Tolerances
-from .linalg import ConvergenceError, jacobi_eigen
+from .linalg import _eigen_stack, jacobi_eigen
 from .model import (
     ModelSpec,
     ReferenceState,
     SectorLabels,
+    _level0_top,
     enumerate_sectors,
-    level_occupations,
     sector_from_reference,
 )
 from .operators import (
@@ -102,8 +102,7 @@ def multiset_close(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
 def _oracle_cap(model: ModelSpec, sectors) -> int:
     """Per-mode truncation covering every listed sector's largest occupation
     (each mode is fullest at ladder level 0)."""
-    return max((max(level_occupations(model.k, sec)[0], default=0)
-                for sec in sectors), default=0)
+    return max((_level0_top(model.k, sec) for sec in sectors), default=0)
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
     and the failure lines of those above tols.bae.
 
     The sectors of one dimension are checked together, whatever their
-    preset, draw or j: one _energies_from_roots, one jacobi_eigen per Fock
+    preset, draw or j: one _energies_from_roots, one eigensolve per Fock
     block size, one multiset_close and one residual scale per P_d-size
     pattern.  Every value equals what the per-sector checks give.
     """
@@ -278,25 +277,19 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
 
 def _fock_spectra(mats: list[np.ndarray], tol: float):
     """jacobi_eigen of each matrix, and the error each raises alone (None
-    when it passes): one call per matrix size, and one call per matrix of a
-    size whose stacked call raises; a failing matrix gets NaN values."""
+    when it passes), from one eigensolve per matrix size; a failing matrix
+    gets NaN values."""
     values: list = [None] * len(mats)
     errors: list = [None] * len(mats)
     by_size: dict[int, list[int]] = {}
     for k, mat in enumerate(mats):
         by_size.setdefault(len(mat), []).append(k)
     for ks in by_size.values():
-        try:
-            stacked = jacobi_eigen(mats[ks[0]] if len(ks) == 1
-                                   else np.array([mats[k] for k in ks]), tol)
-            for k, row in zip(ks, stacked.reshape(len(ks), -1)):
-                values[k] = row
-        except (ValueError, ConvergenceError):
-            for k in ks:
-                try:
-                    values[k] = jacobi_eigen(mats[k], tol)
-                except (ValueError, ConvergenceError) as exc:
-                    values[k], errors[k] = np.full(len(mats[k]), np.nan), exc
+        stacked, stack_errors = _eigen_stack(
+            mats[ks[0]] if len(ks) == 1 else np.array([mats[k] for k in ks]), tol)
+        for k, row, error in zip(ks, stacked.reshape(len(ks), -1), stack_errors):
+            values[k] = row if error is None else np.full(row.shape, np.nan)
+            errors[k] = error
     return values, errors
 
 

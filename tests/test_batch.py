@@ -22,7 +22,6 @@ from spinboson.bethe import (
     bae_residuals,
     closed_form_energy,
     energy_from_roots,
-    min_root_distance,
     poly_from_roots,
     residual_scale,
     root_scale,
@@ -97,6 +96,13 @@ def roots_reference(coeffs, tol=TOLS.roots, max_iter=200):
         z, _ = aberth_reference(c, np.roots(c[::-1]).astype(complex), tol, max_iter)
     order = np.lexsort((z.imag, z.real))
     return z[order]
+
+
+def min_root_distance(roots):
+    """Smallest pairwise distance of one root set (inf below two roots)."""
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    gaps[np.diag_indices(roots.size)] = np.inf
+    return float(gaps.min(initial=np.inf))
 
 
 def scaled_residual_reference(model, sector, roots, polys):
@@ -183,7 +189,9 @@ def compare_sector(model, sector):
                 for i in range(sector.dim)]
 
     def batch():
-        roots = bethe._group_roots(mono[None], values[None], TOLS)
+        roots, (unsettled,) = bethe._group_roots(mono[None], values[None], TOLS)
+        if unsettled:
+            raise ConvergenceError("a root row did not settle")
         return bethe._recover_states(model, [sector], values[None], roots,
                                      mono[None], [polys], TOLS)[0]
 
@@ -373,7 +381,6 @@ def test_stacked_bae_residuals_equal_row_calls():
     scales = residual_scale(polys, roots)
     assert [float(x) for x in scales] == [residual_scale(polys, row) for row in roots]
     assert list(root_scale(roots)) == [root_scale(row) for row in roots]
-    assert list(min_root_distance(roots)) == [min_root_distance(row) for row in roots]
     assert np.array_equal(poly_from_roots(roots),
                           np.array([poly_from_roots(row) for row in roots]))
 
@@ -599,6 +606,124 @@ def test_stacked_sectors_report_the_first_failure_in_the_given_order(monkeypatch
         ArithmeticError, "small")
     assert first_failure(lambda: solve_sectors(model, order[2:])) == (
         ArithmeticError, "small")
+
+
+# the couplings of the two_mode_tc request that CI runs with --tol-roots 1e-300
+TC_PARAMS = {"w1": 0.9, "w2": 1.3, "g_prime": 0.4, "g": 0.6}
+
+
+def test_stacked_sectors_raise_the_first_root_failure(capsys):
+    # with a root tolerance far below roundoff no Aberth row of degree >= 2
+    # settles; solve_sectors raises what the first failing sector, in the
+    # given order, raises alone, and the CLI exits 3 with that message
+    model = model_for_j("two_mode_tc", TC_PARAMS, 3)
+    sectors = enumerate_sectors(model, Fraction(3), 4)
+    tols = replace(TOLS, roots=1e-300)
+    alone = []
+    for sec in sectors:
+        try:
+            solve_sector(model, sec, tols=tols)
+        except ConvergenceError as exc:
+            alone.append((type(exc), str(exc)))
+    assert alone and alone[0][1] == "Aberth-Ehrlich iteration did not converge"
+    assert first_failure(lambda: solve_sectors(model, sectors, tols=tols)) == alone[0]
+    argv = ["spectrum", "--preset", "two_mode_tc", "--j", "3", "--max-bosons", "4",
+            "--tol-roots", "1e-300"]
+    argv += [f"--param={key}={value!r}" for key, value in TC_PARAMS.items()]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"numerical failure: {alone[0][1]}\n")
+
+
+def test_stacked_sectors_raise_the_first_failure_whatever_its_stage(monkeypatch):
+    # two sectors of one dimension: the one given first fails at the root
+    # stage, the one given after it already when its action is built; the
+    # error of the one given first is raised
+    model = model_for_j("two_mode_tc", TC_PARAMS, 3)
+    tols = replace(TOLS, roots=1e-300)
+    late, early = [sec for sec in enumerate_sectors(model, Fraction(3), 4)
+                   if sec.dim == 4][:2]
+    inner = bethe.monomial_action
+
+    def action(mdl, sec):
+        if sec == early:
+            raise OverflowError("setup")
+        return inner(mdl, sec)
+
+    monkeypatch.setattr(bethe, "monomial_action", action)
+    roots_error = first_failure(lambda: solve_sector(model, late, tols=tols))
+    assert roots_error == (ConvergenceError, "Aberth-Ehrlich iteration did not converge")
+    assert first_failure(lambda: solve_sectors(model, [late, early], tols=tols)) == (
+        roots_error)
+    assert first_failure(lambda: solve_sectors(model, [early, late], tols=tols)) == (
+        OverflowError, "setup")
+
+
+@pytest.mark.parametrize("field", ["eigen", "roots"])
+def test_a_failing_request_solves_each_sector_at_most_once(monkeypatch, field):
+    # the sectors that reach the solve, whether alone or in a group, on a
+    # request whose sectors fail at the eigensolve or at the root stage
+    model = model_for_j("two_mode_tc", TC_PARAMS, 3)
+    sectors = enumerate_sectors(model, Fraction(3), 4)
+    tols = replace(TOLS, **{field: 1e-300})
+    reached = []
+    inner = bethe._solve_group
+
+    def group(mdl, secs, *args):
+        reached.extend(secs)
+        return inner(mdl, secs, *args)
+
+    monkeypatch.setattr(bethe, "_solve_group", group)
+    with pytest.raises(ConvergenceError):
+        solve_sectors(model, sectors, tols=tols)
+    assert reached and len(set(reached)) == len(reached)
+    # the sectors after the first failing one in the given order are only
+    # solved when their dimension's group came first
+    first = next(i for i, sec in enumerate(sectors)
+                 if outcome(lambda: solve_sector(model, sec, tols=tols))
+                 is ConvergenceError)
+    assert sectors[first] in reached
+    assert len(reached) < len(sectors)
+
+
+def test_fock_spectra_report_each_failing_matrix(monkeypatch):
+    # two failing matrices of one size and a passing one of another: one
+    # eigensolve per size, and each matrix gets the values or the error of
+    # a jacobi_eigen call with that matrix alone
+    rng = np.random.default_rng(41)
+    mats = []
+    for n, corner in ((4, 0.0), (4, 2.0), (3, 0.0), (4, 0.0), (4, 3.0)):
+        a = rng.standard_normal((n, n))
+        mats.append((a + a.T) / 2.0)
+        mats[-1][0, 0] = corner
+
+    def shifted(m):
+        values = np.linalg.eigvalsh(m)
+        values[..., -1] += 1e-6 * m[..., 0, 0]
+        return values
+
+    monkeypatch.setattr(linalg, "eigvalsh", shifted)
+    calls = []
+    inner = verify._eigen_stack
+
+    def stack(a, tol):
+        calls.append(a.shape)
+        return inner(a, tol)
+
+    monkeypatch.setattr(verify, "_eigen_stack", stack)
+    values, errors = verify._fock_spectra(mats, TOLS.eigen)
+    assert sorted(calls) == [(3, 3), (4, 4, 4)]
+    for mat, row, error in zip(mats, values, errors):
+        want = outcome(lambda: jacobi_eigen(mat, TOLS.eigen))
+        if error is None:
+            assert np.array_equal(row, want)
+        else:
+            with pytest.raises(ConvergenceError) as alone:
+                jacobi_eigen(mat, TOLS.eigen)
+            assert (type(error), str(error)) == (ConvergenceError, str(alone.value))
+            assert np.isnan(row).all() and row.shape == (len(mat),)
+    assert [error is not None for error in errors] == [False, True, False, False, True]
+    assert str(errors[1]) != str(errors[4])
 
 
 # ---------------------------------------------------------------------------

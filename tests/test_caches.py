@@ -235,3 +235,17 @@ def test_caches_stay_within_their_bounds():
     for cache, bound in CACHES:
         assert 0 < cache.cache_info().currsize <= bound
     assert operators._hamiltonian_pieces.cache_info().currsize == SECTOR_CACHE_SIZE
+
+
+def test_oracle_cap_cache_stays_within_its_bound():
+    # the acceptance sweep's Fock truncation reads each sector's level-0
+    # maximum from a cache keyed by (k, sector); it equals the occupation
+    # formula and holds at most SECTOR_CACHE_SIZE sectors
+    mdl = model_for_j("two_mode_tc", {"w1": 0.9, "w2": 1.3, "g_prime": 0.4,
+                                      "g": 0.6}, Fraction(6))
+    sectors = enumerate_sectors(mdl, Fraction(6), 30)
+    for sec in sectors:
+        assert model_mod._level0_top(mdl.k, sec) == max(
+            int(ki * (ai + qi - Fraction(1, ki * ki)))
+            for ki, qi, ai in zip(mdl.k, sec.q, sec.A))
+    assert model_mod._level0_top.cache_info().currsize == SECTOR_CACHE_SIZE

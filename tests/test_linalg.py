@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinboson.bethe import min_root_distance, root_scale
+from spinboson.bethe import root_scale
 from spinboson import linalg
 from spinboson.config import DEFAULT_TOLS
 from spinboson.linalg import (
@@ -118,6 +118,32 @@ class TestJacobiEigen:
         assert np.array_equal(jacobi_eigen(stack[[0, 1, 3, 5]]),
                               [jacobi_eigen(stack[k]) for k in (0, 1, 3, 5)])
 
+    def test_stack_core_reports_each_failing_matrix_error(self, monkeypatch):
+        # one matrix misses the trace, another is not symmetric: the core
+        # returns, per matrix, the error a call with that matrix alone
+        # raises, and None next to the values of each passing matrix
+        rng = np.random.default_rng(37)
+        stack = np.array([random_symmetric(rng, 4) for _ in range(5)])
+        stack[:, 0, 0] = [0.0, 2.0, 0.0, 0.0, 0.0]
+        stack[3, 0, 2] += 1e-6
+
+        def shifted(m):
+            values = np.linalg.eigvalsh(m)
+            values[..., -1] += 1e-6 * m[..., 0, 0]
+            return values
+
+        monkeypatch.setattr(linalg, "eigvalsh", shifted)
+        values, errors = linalg._eigen_stack(stack, DEFAULT_TOLS.eigen)
+        assert [type(error) for error in errors] == [
+            type(None), ConvergenceError, type(None), ValueError, type(None)]
+        for mat, row, error in zip(stack, values, errors):
+            if error is None:
+                assert np.array_equal(row, jacobi_eigen(mat))
+            else:
+                with pytest.raises(type(error)) as alone:
+                    jacobi_eigen(mat)
+                assert str(error) == str(alone.value)
+
     def test_stack_rejects_a_nonsymmetric_matrix(self):
         rng = np.random.default_rng(31)
         stack = np.array([random_symmetric(rng, 4) for _ in range(3)])
@@ -127,6 +153,14 @@ class TestJacobiEigen:
         # a roundoff asymmetry is accepted
         stack[1, 0, 3] = stack[1, 3, 0] * (1 + 1e-15)
         assert jacobi_eigen(stack).shape == (3, 4)
+
+
+def min_root_distance(roots):
+    """Smallest pairwise distance of one root set (inf below two roots)."""
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    gaps[np.diag_indices(roots.size)] = np.inf
+    return float(gaps.min(initial=np.inf))
+
 
 def clustered(roots):
     """The cluster test the solver applies to a root set."""
