@@ -20,9 +20,9 @@ equations
 
 are then evaluated as a certificate (they express the vanishing of the
 simple-pole residues of (H psi)/psi); the certificate of a stack forms the
-root differences once and evaluates every P_i in one Horner pass, and
-bae_residuals is its raising form.  The closed-form energy is cross-checked
-against the leading-coefficient ratio of H psi.
+root differences once and evaluates every P_i in one Horner pass.  The
+closed-form energy is cross-checked against the leading-coefficient ratio
+of H psi.
 
 solve_sectors solves many sectors of one model: the sectors of one
 dimension whose P_d have the same sizes share one stacked eigensolve, one
@@ -35,19 +35,21 @@ row (linalg._eigen_stack, linalg._root_stack), so a group knows which of
 its sectors fail, and with which error, from the one pass: a failed sector
 leaves the later stages and no sector is solved twice.
 
-The checks have stacked cores in the same way.  _energies_from_roots gives
-the closed-form energies and the z^N-ratio cross-check of the root sets of
-many sectors of one dimension, from any models, with each sector's error
-message instead of a raise; energy_from_roots is its one-sector case.
-_residual_scales gives residual_scale for root sets of many sectors with
-the same P_d sizes in one Horner evaluation; residual_scale is its
-one-sector case.  The acceptance sweep checks through both.
+The public checks take one root set each (energy_from_roots, bae_residuals,
+residual_scale, root_scale) and raise ValueError on any other shape; the
+stacks live in private cores.  _scaled_bae_residuals certifies the root
+sets of many sectors with the same P_d sizes at once, and bae_residuals is
+its raising one-root-set case.  _energies_from_roots gives the closed-form
+energies and the z^N-ratio cross-check of the root sets of many sectors of
+one dimension, from any models, with each sector's error message instead
+of a raise; energy_from_roots is its one-root-set case.  _residual_scales
+gives residual_scale for root sets of many sectors with the same P_d sizes
+in one Horner evaluation.  The acceptance sweep checks through these two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, isfinite
 
 import numpy as np
@@ -108,22 +110,24 @@ def _elem_sym(values: np.ndarray, upto: int) -> np.ndarray:
     return e
 
 
-def _per_row(values: np.ndarray):
-    """A float for one root set, the array for a stack of them."""
-    return float(values) if values.ndim == 0 else values
+def _root_set(roots) -> np.ndarray:
+    """roots as one contiguous complex root set; ValueError for any other
+    shape."""
+    roots = np.ascontiguousarray(roots, dtype=complex)
+    if roots.ndim != 1:
+        raise ValueError(f"expected one root set, got shape {roots.shape}")
+    return roots
 
 
-def root_scale(roots: np.ndarray):
-    """max(1, max |root|), per row for a stack of root sets."""
-    return _per_row(np.maximum(1.0, np.max(np.abs(roots), axis=-1, initial=0.0)))
+def root_scale(roots: np.ndarray) -> float:
+    """max(1, max |root|) of one root set."""
+    return float(np.maximum(1.0, np.max(np.abs(_root_set(roots)), initial=0.0)))
 
 
-def residual_scale(polys: list[np.ndarray], roots: np.ndarray):
-    """max_i sup_{|z| = scale} |P_i| used to normalize residual magnitudes,
-    per row for a stack of root sets."""
-    roots = np.asarray(roots)
-    return _per_row(_residual_scales(
-        [polys], roots, np.zeros(roots.shape[:-1], dtype=int)))
+def residual_scale(polys: list[np.ndarray], roots: np.ndarray) -> float:
+    """max_i sup_{|z| = scale} |P_i| used to normalize the residual
+    magnitudes of one root set; the one-sector case of _residual_scales."""
+    return float(_residual_scales([polys], _root_set(roots), np.zeros((), dtype=int)))
 
 
 def _residual_scales(
@@ -154,30 +158,23 @@ def bae_residuals(
     polys: list[np.ndarray] | None = None,
     cluster_rtol: float = DEFAULT_TOLS.cluster,
 ) -> np.ndarray:
-    """Residual of each coupled root equation at the given roots.
+    """Residual of each coupled root equation at one root set.
 
-    `roots` is one root set or a stack of them (leading batch axis); each
-    row's residuals are those of a call with that row alone.  Requires
-    pairwise distinct roots (the derivation assumes simple poles); raises
-    ValueError when two roots of a row are closer than cluster_rtol x scale,
-    the rows _scaled_bae_residuals gives no certificate.
+    Requires pairwise distinct roots (the derivation assumes simple poles);
+    raises ValueError when two roots are closer than cluster_rtol x scale,
+    the root sets _scaled_bae_residuals gives no certificate.
     """
-    roots = np.asarray(roots, dtype=complex)
-    if roots.ndim == 0:
-        roots = roots[None]
-    n = roots.shape[-1]
-    expected = sector.n_top
-    if n != expected:
-        raise ValueError(f"expected {expected} roots, got {n}")
-    if n == 0:
-        return np.zeros(roots.shape, dtype=complex)
+    roots = _root_set(roots)
+    if roots.size != sector.n_top:
+        raise ValueError(f"expected {sector.n_top} roots, got {roots.size}")
+    if roots.size == 0:
+        return np.zeros(0, dtype=complex)
     if polys is None:
         polys = monomial_action(model, sector)[1]
-    residuals, scaled, _, _ = _scaled_bae_residuals(roots.reshape(-1, n), [polys],
-                                                    cluster_rtol)
-    if np.isinf(scaled).any():
+    residuals, scaled, _, _ = _scaled_bae_residuals(roots[None], [polys], cluster_rtol)
+    if np.isinf(scaled[0]):
         raise ValueError("coincident roots: residuals are not defined")
-    return residuals.reshape(roots.shape)
+    return residuals[0]
 
 
 def _residuals_from(polys: list[np.ndarray], at_roots: np.ndarray,
@@ -239,7 +236,6 @@ def closed_form_energy(
     model: ModelSpec,
     sector: SectorLabels,
     roots_sum: complex,
-    printed_weight: bool = False,
 ) -> float:
     """Energy from the leading-order expansion of H psi.
 
@@ -247,31 +243,20 @@ def closed_form_energy(
         - g [prod spin factors at n = N-1][prod boson factors at n = N-1]
           * sum_i alpha_i  +  constant_shift
 
-    nbar_i is the level-N boson occupation.  Its exact form carries the
-    mode-weighted combination sum_mu mu*l_mu; printed_weight=True evaluates
-    the unweighted variant instead (wrong for M >= 3, kept for the erratum
-    regression).  The occupations, the spin power and the integer product
-    multiplying sum_i alpha_i are read from the sector's cached levels.
+    nbar_i is the level-N boson occupation, whose exact form carries the
+    mode-weighted combination sum_mu mu*l_mu (the printed unweighted variant
+    lives in the erratum check presets._check_energy_weight).  The
+    occupations, the spin power and the integer product multiplying
+    sum_i alpha_i are read from the sector's cached levels.
     An array of root sums gives one energy per entry.
     """
-    j, p, r = sector.j, sector.p, model.r
     n_top = sector.n_top
     levels = sector_levels(model, sector)
 
     energy = 0.0
     if model.M > 0:
-        if printed_weight:
-            M = model.M
-            weighted = sum(sector.l, start=Fraction(0)) / M
-            for i, (wi, ki) in enumerate(zip(model.w, model.k)):
-                tail = sum(sector.l[i:], start=Fraction(0))
-                nbar = ki * (Fraction(M + 1, M) * sector.kappa
-                             - (Fraction(p) - j) / r - n_top - weighted + tail
-                             ) - Fraction(1, ki)
-                energy += wi * float(nbar)
-        else:
-            occ_top = levels.occupations[n_top].tolist()
-            energy += sum(wi * ni for wi, ni in zip(model.w, occ_top))
+        occ_top = levels.occupations[n_top].tolist()
+        energy += sum(wi * ni for wi, ni in zip(model.w, occ_top))
 
     energy += model.g_prime * float(levels.spin_powers[n_top])
     energy += model.constant_shift
@@ -287,35 +272,27 @@ def energy_from_roots(
     roots: np.ndarray,
     mono: np.ndarray | None = None,
     tols: Tolerances = DEFAULT_TOLS,
-) -> float | np.ndarray:
-    """Closed-form energy, cross-checked against the z^N coefficient ratio.
+) -> float:
+    """Closed-form energy of one root set, cross-checked against the z^N
+    coefficient ratio.
 
     The ratio [z^N](H psi) / [z^N]psi is computed independently from the
     operator action on monomials; disagreement beyond tolerance means a
     transcription bug and raises.  `mono` is that action,
     operators.monomial_action(model, sector)[0]; callers solving many states
-    of one sector pass it in, otherwise it is built here.
-
-    `roots` is one root set (a float comes back) or an (S, N) stack of them
-    (an array of S energies comes back).  Each row gets the energy a call
-    with that row alone returns, and the first row that fails raises the
-    error that call raises.  This is the one-sector case of
-    _energies_from_roots.
+    of one sector pass it in, otherwise it is built here.  This is the
+    one-state case of _energies_from_roots.
     """
-    roots = np.asarray(roots, dtype=complex)
-    if roots.ndim > 2:
-        raise ValueError(f"expected one root set or a 2-D stack, got shape {roots.shape}")
-    single = roots.ndim < 2
-    stack = np.ascontiguousarray(np.atleast_1d(roots)[None] if single else roots)
-    if stack.shape[1] != sector.n_top:
-        raise ValueError(f"expected {sector.n_top} roots, got {stack.shape[1]}")
+    roots = _root_set(roots)
+    if roots.size != sector.n_top:
+        raise ValueError(f"expected {sector.n_top} roots, got {roots.size}")
     if mono is None:
         mono = monomial_action(model, sector)[0]
     energies, (error,) = _energies_from_roots(
-        [model], [sector], stack[None], mono[None, sector.n_top], tols)
+        [model], [sector], roots[None, None], mono[None, sector.n_top], tols)
     if error is not None:
         raise ValueError(error)
-    return float(energies[0, 0]) if single else energies[0]
+    return float(energies[0, 0])
 
 
 def _energies_from_roots(
@@ -327,11 +304,11 @@ def _energies_from_roots(
 ) -> tuple[np.ndarray, list[str | None]]:
     """The closed-form energies of the root sets roots[g, i] of sector
     sectors[g] of models[g], for G sectors with one n_top, and per sector
-    the message of the error energy_from_roots raises for its rows (None
-    when every row passes).  tops[g] is the z^N row of sector g's monomial
-    action.  One root sum, one set of psi coefficients and one ratio
-    product serve the whole stack, and each sector's energies and message
-    equal, bit for bit, those of energy_from_roots on that sector alone.
+    the message of the error energy_from_roots raises for its first failing
+    root set (None when every root set passes).  tops[g] is the z^N row of
+    sector g's monomial action.  One root sum, one set of psi coefficients
+    and one ratio product serve the whole stack, and each energy and message
+    equals, bit for bit, that of energy_from_roots on its root set alone.
     """
     sums = roots.sum(axis=-1)
     imag_bad = np.abs(sums.imag) > 1e-9 * _at_least_one(np.abs(sums))

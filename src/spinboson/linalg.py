@@ -2,19 +2,19 @@
 Aberth-Ehrlich root polish from companion-matrix eigenvalues, one stacked
 Horner evaluation, damped Newton with a forward-difference Jacobian.
 
-The root finder takes one polynomial or a stack of equal-degree ones (the
-states of one sector): a stack shares one companion eigensolve per kind of
-row and one Aberth loop, and each row comes out exactly as it would alone.
-Rows with real coefficients (every sector's monic rows) start from a real
-companion eigensolve (LAPACK dgeev), cheaper than the complex one (zgeev)
-for all but the smallest degrees; complex rows keep the complex eigensolve.
-
-Each routine checks its own result against a tolerance, defaulting to the
-values in config.DEFAULT_TOLS, and raises ConvergenceError when it misses.
-The eigensolve and the root finder are thin raising wrappers of private
+Each public routine takes one item (jacobi_eigen one square matrix,
+polynomial_roots one coefficient row), checks its own result against a
+tolerance, defaulting to the values in config.DEFAULT_TOLS, and raises
+ConvergenceError when it misses.  Both are thin raising wrappers of private
 stacked cores (_eigen_stack, _root_stack) that return, next to the result,
-each matrix's error or each row's failure to settle: a caller solving many
-sectors at once reads every sector's outcome from one call.
+each matrix's error or each row's failure to settle: the solver, which
+solves many sectors at once, calls the cores and reads every sector's
+outcome from one call.  The root core shares one companion eigensolve per
+kind of row and one Aberth loop, and each row comes out exactly as it would
+alone.  Rows with real coefficients (every sector's monic rows) start from a
+real companion eigensolve (LAPACK dgeev), cheaper than the complex one
+(zgeev) for all but the smallest degrees; complex rows keep the complex
+eigensolve.
 """
 
 from __future__ import annotations
@@ -30,29 +30,24 @@ class ConvergenceError(RuntimeError):
 
 
 def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
-    (G, n, n) stack, by LAPACK (numpy.linalg.eigvalsh).
+    """Ascending eigenvalues of one symmetric matrix, by LAPACK
+    (numpy.linalg.eigvalsh).
 
-    Raises ValueError for non-square or non-symmetric input, symmetric
-    meaning |A - A^T| <= 1e-12 max(max |A|, 1).  A is not symmetrized:
-    eigvalsh reads its lower triangle, so callers pass exactly symmetric
-    matrices.  The
-    eigenvalues w of a symmetric A obey sum(w) = tr A and
-    sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1), ConvergenceError
-    is raised when the first misses by more than tol * b, the second by more
-    than tol * b^2, or either is not finite.  A stack takes one eigvalsh
-    call and one set of whole-stack checks (_eigen_stack): each matrix gets
-    the values of a call with that matrix alone, and the first matrix that
-    fails raises the error that call raises.
+    Raises ValueError for anything but a square matrix, or for a
+    non-symmetric one, symmetric meaning |A - A^T| <= 1e-12 max(max |A|, 1).
+    A is not symmetrized: eigvalsh reads its lower triangle, so callers pass
+    exactly symmetric matrices.  The eigenvalues w of a symmetric A obey
+    sum(w) = tr A and sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1),
+    ConvergenceError is raised when the first misses by more than tol * b,
+    the second by more than tol * b^2, or either is not finite.  This is the
+    one-matrix case of _eigen_stack.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, "
-                         f"got shape {a.shape}")
-    values, errors = _eigen_stack(a, tol)
-    for error in errors:
-        if error is not None:
-            raise error
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected one square matrix, got shape {a.shape}")
+    values, (error,) = _eigen_stack(a, tol)
+    if error is not None:
+        raise error
     return values
 
 
@@ -95,37 +90,26 @@ def polynomial_roots(
     tol: float = DEFAULT_TOLS.roots,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """All complex roots, sorted: companion-matrix eigenvalues polished by
-    Aberth-Ehrlich simultaneous iteration.
+    """All complex roots of one polynomial, sorted: companion-matrix
+    eigenvalues polished by Aberth-Ehrlich simultaneous iteration.
 
-    `coeffs` holds ascending coefficients, or a 2-D stack of such rows that
-    share one degree (nonzero last column); the roots come back with shape
-    (deg,) or (S, deg).  A stack takes one stacked companion eigensolve per
-    kind of row (real rows in real arithmetic, complex rows in complex
-    arithmetic) and one Aberth loop on all its rows; each row leaves the
-    loop at the iteration where its own step test holds, so every row gets
-    exactly the roots a call with that row alone returns.  A 1-D call drops
-    trailing zeros and is the one-row case.  The polish stops once the
-    largest correction stalls; ConvergenceError is raised when a row's
-    iteration runs out with its residual above sqrt(tol).  Residuals are
-    measured in the backward-error sense |p(z)| / sum |c_i||z|^i.
+    `coeffs` is one row of ascending coefficients; trailing zeros are
+    dropped, and anything but one row raises ValueError.  The polish stops
+    once the largest correction stalls; ConvergenceError is raised when the
+    iteration runs out with the residual above sqrt(tol).  Residuals are
+    measured in the backward-error sense |p(z)| / sum |c_i||z|^i.  This is
+    the one-row case of _root_stack.
     """
     c = np.asarray(coeffs, dtype=complex)
-    single = c.ndim <= 1
-    if single:
-        c = np.atleast_1d(c)
-        nz = np.flatnonzero(c)
-        if nz.size == 0:
-            raise ValueError("zero polynomial has no well-defined roots")
-        c = c[None, : nz[-1] + 1]
-    elif c.ndim != 2:
-        raise ValueError(f"expected one row or a 2-D stack of rows, got shape {c.shape}")
-    elif (c[:, -1] == 0.0).any():
-        raise ValueError("the rows of a stack must share one degree")
-    roots, unsettled = _root_stack(c, tol, max_iter)
-    if unsettled.any():
+    if c.ndim != 1:
+        raise ValueError(f"expected one row of coefficients, got shape {c.shape}")
+    nz = np.flatnonzero(c)
+    if nz.size == 0:
+        raise ValueError("zero polynomial has no well-defined roots")
+    roots, unsettled = _root_stack(c[None, : nz[-1] + 1], tol, max_iter)
+    if unsettled[0]:
         raise ConvergenceError(_UNSETTLED)
-    return roots[0] if single else roots
+    return roots[0]
 
 
 # the message polynomial_roots raises when a row does not settle
@@ -138,7 +122,9 @@ def _root_stack(
     """The sorted roots of each row of a 2-D complex stack c of one degree
     (nonzero last column), as polynomial_roots gives them, and per row
     whether its iteration ran out with its residual above sqrt(tol): the
-    rows for which a polynomial_roots call with that row alone raises."""
+    rows for which a polynomial_roots call with that row alone raises.
+    Each row leaves the Aberth loop at the iteration where its own step
+    test holds, so it gets exactly the roots of a call with that row alone."""
     deg = c.shape[1] - 1
     if deg >= 2:
         return _aberth(c, tol, max_iter)
@@ -210,6 +196,10 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.nd
     return np.sort(z, axis=-1, kind="stable"), unsettled
 
 
+# an iterate far from the roots can overflow the evaluations of p, p' and
+# the residual; a non-finite value already counts as a miss, so numpy's
+# floating-point warnings are silenced for the whole call
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _aberth_steps(
     both: np.ndarray, z: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray | None]:

@@ -32,6 +32,7 @@ from .representation import (
     fock_oracle,
     ladder_operators,
     norm_scale,
+    sector_levels,
 )
 
 PRESET_NAMES = (
@@ -427,12 +428,25 @@ def _check_energy_weight() -> tuple[float, float]:
                       g_prime=0.5, g=0.8)
     j = Fraction(1)
     sector = sector_from_reference(model, j, ReferenceState(Fraction(-1), (1, 2, 3)))
+    levels = sector_levels(model, sector)
+    M, r, p, n_top = model.M, model.r, sector.p, sector.n_top
+    # the printed level-N occupations drop the mode weights mu of sum_mu mu*l_mu
+    weighted = sum(sector.l, start=Fraction(0)) / M
+    printed_boson = 0.0
+    for i, (wi, ki) in enumerate(zip(model.w, model.k)):
+        tail = sum(sector.l[i:], start=Fraction(0))
+        nbar = ki * (Fraction(M + 1, M) * sector.kappa
+                     - (Fraction(p) - sector.j) / r - n_top - weighted + tail
+                     ) - Fraction(1, ki)
+        printed_boson += wi * float(nbar)
     printed = corrected = 0.0
     for state in solve_sector(model, sector):
         roots_sum = complex(np.sum(state.roots))
-        printed = max(printed, abs(
-            closed_form_energy(model, sector, roots_sum, printed_weight=True)
-            - state.energy))
+        # closed_form_energy's terms, in its order, after the printed occupations
+        printed_energy = printed_boson + model.g_prime * float(levels.spin_powers[n_top])
+        printed_energy += model.constant_shift
+        printed_energy -= model.g * levels.root_sum_coeff * roots_sum.real
+        printed = max(printed, abs(printed_energy - state.energy))
         corrected = max(corrected, abs(
             closed_form_energy(model, sector, roots_sum) - state.energy))
     return printed, corrected
@@ -441,7 +455,11 @@ def _check_energy_weight() -> tuple[float, float]:
 def _commutator_dev(model: ModelSpec, sector: SectorLabels, printed: bool) -> float:
     p0, pplus, pminus = ladder_operators(model, sector)
     comm = pplus @ pminus - pminus @ pplus
-    rhs = commutator_rhs(model, sector, np.diag(p0), printed_sign=printed)
+    rhs = commutator_rhs(model, sector, np.diag(p0))
+    if printed:
+        # the printed form lacks the global sign (-1)^(M+1); multiplying by
+        # +-1 again is exact
+        rhs = rhs * (-1) ** (model.M + 1)
     scale = max(1.0, float(np.max(np.abs(comm))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(comm - np.diag(rhs)))) / scale
 

@@ -244,18 +244,17 @@ def commutator_rhs(
     model: ModelSpec,
     sector: SectorLabels,
     p0_diag: np.ndarray,
-    printed_sign: bool = False,
 ) -> np.ndarray:
     """Diagonal of the closed-form [Pplus, Pminus].
 
     The product form needs an overall factor (-1)^(M+1): each of the M+1
     factor polynomials carries one minus sign, and the pair ordering that the
     difference Psi(P0-1) - Psi(P0) encodes is only correct when that global
-    sign is +1 (odd M).  `printed_sign=True` evaluates the uncorrected
-    difference, which is wrong for even M (including the pure-spin case).
+    sign is +1 (odd M).  The printed, uncorrected difference, wrong for even
+    M (including the pure-spin case), lives in the erratum check
+    presets._commutator_dev.
     """
-    sign = 1.0 if printed_sign else float((-1) ** (model.M + 1))
-    return sign * np.array(
+    return float((-1) ** (model.M + 1)) * np.array(
         [structure_rhs(model, sector, x - 1.0) - structure_rhs(model, sector, x)
          for x in p0_diag]
     )
@@ -326,14 +325,12 @@ class FockBlock:
 
     basis lists (mu, occupations) in ladder order; H is the dense symmetric
     block; labels carries the charge eigenvalues (kappa, l_mu) along with the
-    rest of the sector bookkeeping; complete means the coupling never maps a
-    block state past the truncation.
+    rest of the sector bookkeeping.
     """
 
     basis: tuple[tuple[Rational, tuple[int, ...]], ...]
     H: np.ndarray
     labels: SectorLabels
-    complete: bool
 
 
 def _fock_matrix(
@@ -410,14 +407,13 @@ def fock_oracle(
     model: ModelSpec,
     j: Rational,
     boson_cap: int,
-    include_incomplete: bool = False,
 ) -> list[FockBlock]:
     """Direct second-quantized blocks of H on {|j,mu> x |n>, n_i <= boson_cap}.
 
     A block is complete when the boson-raising half of the coupling, applied
-    to every block state with nonzero amplitude, stays inside the truncation.
-    Only complete blocks are returned, and only their H is built, unless
-    include_incomplete is set.
+    to every block state with nonzero amplitude, stays inside the truncation
+    (_grouped_basis decides it from the basis alone).  Only complete blocks
+    are returned, and only their H is built.
     """
     validate_model(model)
     j = parse_rational(j)
@@ -427,7 +423,7 @@ def fock_oracle(
     blocks: list[FockBlock] = []
     for labels, states, complete in _grouped_basis(model.M, model.r, model.k, j,
                                                    boson_cap):
-        if complete or include_incomplete:
+        if complete:
             blocks.append(FockBlock(basis=states, H=_fock_matrix(model, j, states),
-                                    labels=labels, complete=complete))
+                                    labels=labels))
     return blocks

@@ -303,8 +303,9 @@ def test_stacked_roots_equal_row_calls(deg):
         rows[5, :2] = 0.0      # and this row's double zero root
         # (z - 1)^2 times a random monic: a cluster
         rows[7] = np.convolve([1.0, -2.0, 1.0], random_rows(rng, 1, deg - 2)[0])
-    stacked = polynomial_roots(rows)
+    stacked, unsettled = linalg._root_stack(rows, TOLS.roots)
     assert stacked.shape == (9, deg) and stacked.dtype == complex
+    assert not unsettled.any()
     for i, row in enumerate(rows):
         single = polynomial_roots(row)
         assert single.shape == (deg,) and single.dtype == complex
@@ -325,7 +326,7 @@ def test_real_and_complex_rows_start_apart():
     rows[[1, 4]] += 1j * random_rows(rng, 2, deg)
     rows[[2, 4], 0] = 0.0      # a real and a complex row left to numpy.roots
     start = linalg._companion_start(rows)
-    stacked = polynomial_roots(rows)
+    stacked = linalg._root_stack(rows, TOLS.roots)[0]
     for i, row in enumerate(rows):
         real = not np.any(row.imag)
         assert np.array_equal(start[i], linalg._companion_start(row[None])[0])
@@ -359,9 +360,11 @@ def test_a_real_row_held_on_the_real_axis_starts_again(monkeypatch):
 
 
 def test_stacked_roots_low_degree_and_rejects_mixed_degrees():
-    rows = np.array([[6.0, -2.0], [1.0, 4.0]])
-    stacked = polynomial_roots(rows)
-    assert np.array_equal(stacked, [[3.0], [-0.25]])
+    rows = np.array([[6.0, -2.0], [1.0, 4.0]], dtype=complex)
+    stacked, unsettled = linalg._root_stack(rows, TOLS.roots)
+    assert np.array_equal(stacked, [[3.0], [-0.25]]) and not unsettled.any()
+    # stacks reach only the core, which the solver gives monic rows;
+    # polynomial_roots takes one row
     with pytest.raises(ValueError):
         polynomial_roots(np.array([[1.0, 2.0, 1.0], [1.0, 2.0, 0.0]]))
 
@@ -374,13 +377,15 @@ def test_stacked_bae_residuals_equal_row_calls():
     rng = np.random.default_rng(4)
     roots = (rng.standard_normal((6, sec.n_top))
              + 1j * rng.standard_normal((6, sec.n_top)))
-    stacked = bae_residuals(model, sec, roots, polys)
+    stacked, scaled, _, zscale = bethe._scaled_bae_residuals(roots, [polys], TOLS.cluster)
     assert stacked.shape == roots.shape
-    for row, res in zip(roots, stacked):
+    scales = bethe._residual_scales([polys], roots, np.zeros(len(roots), dtype=int))
+    for row, res, row_scaled, row_zscale, scale in zip(
+            roots, stacked, scaled, zscale, scales):
         assert np.array_equal(res, bae_residuals(model, sec, row, polys))
-    scales = residual_scale(polys, roots)
-    assert [float(x) for x in scales] == [residual_scale(polys, row) for row in roots]
-    assert list(root_scale(roots)) == [root_scale(row) for row in roots]
+        assert scale == residual_scale(polys, row)
+        assert row_scaled == np.abs(res).max() / scale
+        assert row_zscale == root_scale(row)
     assert np.array_equal(poly_from_roots(roots),
                           np.array([poly_from_roots(row) for row in roots]))
 
@@ -803,6 +808,24 @@ def first_error(fn):
     return str(info.value)
 
 
+def energies_core(model, sec, roots, mono):
+    """The energies and the error message of _energies_from_roots for the
+    root sets of one sector."""
+    energies, (error,) = bethe._energies_from_roots(
+        [model], [sec], roots[None], mono[None, sec.n_top], TOLS)
+    return energies[0], error
+
+
+def first_row_error(model, sec, roots, mono):
+    """The message energy_from_roots raises for the first failing root set."""
+    for row in roots:
+        try:
+            energy_from_roots(model, sec, row, mono=mono)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
 def test_stacked_energy_equals_row_calls_on_random_models():
     rng = np.random.default_rng(77)
     n_models = n_states = 0
@@ -818,14 +841,16 @@ def test_stacked_energy_equals_row_calls_on_random_models():
                     mono = apply_to_monomials(build_hamiltonian_operator(model, sec),
                                               sec.n_top)
                     roots = np.array([st.roots for st in solve_sector(model, sec)])
-                    stacked = energy_from_roots(model, sec, roots, mono=mono)
+                    stacked, error = energies_core(model, sec, roots, mono)
                     assert stacked.shape == (sec.dim,) and stacked.dtype == float
+                    assert error is None
                     rows = [energy_from_roots(model, sec, r, mono=mono) for r in roots]
                     assert all(type(e) is float for e in rows)
                     want = [energy_reference(model, sec, r, mono) for r in roots]
                     assert np.array_equal(stacked, rows)
                     assert np.array_equal(stacked, want)
-                    assert np.array_equal(energy_from_roots(model, sec, roots), stacked)
+                    assert np.array_equal(
+                        [energy_from_roots(model, sec, r) for r in roots], stacked)
                     n_states += sec.dim
                 n_models += 1
     assert n_models >= 40
@@ -852,9 +877,10 @@ def test_stacked_energy_raises_the_first_row_error(order):
                   for r in roots[2:]]
     want = row_errors[0]
     assert ("disagrees" if order == "ratio_first" else "imaginary") in want
-    assert first_error(lambda: energy_from_roots(model, sec, roots, mono=mono)) == want
+    energies, error = energies_core(model, sec, roots, mono)
+    assert error == first_row_error(model, sec, roots, mono) == want
     # the rows before the failure pass, with the row calls' energies
-    assert np.array_equal(energy_from_roots(model, sec, roots[:2], mono=mono),
+    assert np.array_equal(energies[:2],
                           [energy_reference(model, sec, r, mono) for r in roots[:2]])
 
 
@@ -863,9 +889,10 @@ def test_stacked_energy_checks_the_root_count():
     model = model_for_j("lmg", params, 3)
     sec = largest_sector(model, 3)
     with pytest.raises(ValueError, match=f"expected {sec.n_top} roots, got 2"):
-        energy_from_roots(model, sec, np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        energy_from_roots(model, sec, np.zeros((2, 2, sec.n_top)))
+        energy_from_roots(model, sec, np.zeros(2))
+    # a stack of root sets reaches only the core
+    with pytest.raises(ValueError, match="one root set"):
+        energy_from_roots(model, sec, np.zeros((2, sec.n_top)))
 
 
 # ---------------------------------------------------------------------------
@@ -1025,15 +1052,15 @@ def test_sweep_raises_the_first_failing_sector_in_sweep_order(monkeypatch):
     alone = []
     for model, sec in (sectors[early], sectors[late]):
         roots = np.array([st.roots for st in solve_sector(model, sec)])
-        alone.append(first_error(lambda: energy_from_roots(
-            model, sec, roots, mono=action(model, sec)[0])))
+        alone.append(first_row_error(model, sec, roots, action(model, sec)[0]))
     assert alone[0] != alone[1]
     assert first_error(lambda: verify._sweep_presets(3, 1, TOLS)) == alone[0]
 
 
 def test_stacked_energy_core_equals_sector_calls():
     # sectors of one dimension from every preset, draw and j, stacked; each
-    # sector gets energy_from_roots' energies and error message bit for bit
+    # root set gets energy_from_roots' energy bit for bit, and each sector
+    # the error message of its first failing root set
     groups = {}
     for model, sec in sweep_sectors(11, 1):
         mono = monomial_action(model, sec)[0]
@@ -1052,12 +1079,12 @@ def test_stacked_energy_core_equals_sector_calls():
         assert energies.shape == (len(items), dim) and energies.dtype == float
         for g, ((model, sec, roots, mono), row, error) in enumerate(
                 zip(items, energies, errors)):
-            assert np.array_equal(row, energy_from_roots(model, sec, roots, mono=mono))
+            assert np.array_equal(
+                row, [energy_from_roots(model, sec, r, mono=mono) for r in roots])
             if g in failing:
                 broken = mono.copy()
                 broken[dim - 1] = tops[g]
-                assert error == first_error(
-                    lambda: energy_from_roots(model, sec, roots, mono=broken))
+                assert error == first_row_error(model, sec, roots, broken)
                 n_failing += 1
             else:
                 assert error is None
@@ -1082,8 +1109,6 @@ def test_stacked_residual_scale_equals_sector_calls():
         roots = np.concatenate([live for _, live in items])
         owner = np.repeat(np.arange(len(items)), [len(live) for _, live in items])
         got = bethe._residual_scales([polys for polys, _ in items], roots, owner)
-        want = np.concatenate([residual_scale(polys, live) for polys, live in items])
-        assert np.array_equal(got, want)
         assert got.tolist() == [residual_scale(items[g][0], row)
                                 for g, row in zip(owner, roots)]
         n_rows += len(roots)

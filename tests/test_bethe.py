@@ -8,14 +8,15 @@ from spinboson.bethe import (
     _elem_sym,
     _polish_roots,
     bae_residuals,
-    closed_form_energy,
     energy_from_roots,
     liouville_ratio,
     poly_from_roots,
+    residual_scale,
+    root_scale,
     solve_sector,
 )
 from spinboson.config import DEFAULT_TOLS
-from spinboson.linalg import jacobi_eigen
+from spinboson.linalg import jacobi_eigen, polynomial_roots
 from spinboson.model import (
     ModelSpec,
     ReferenceState,
@@ -204,17 +205,29 @@ class TestEnergyFromRoots:
         for alpha in (0.0, 1.7, -42.0):
             energy_from_roots(model, sec, np.array([alpha]))  # must not raise
 
-    def test_printed_mode_weight_differs_for_three_modes(self):
-        model = ModelSpec(M=3, r=1, s=1, k=(1, 1, 1), w=(1.0, 0.7, 1.3),
-                          g_prime=0.5, g=0.8)
-        sec = sector_from_reference(model, Fraction(1),
-                                    ReferenceState(Fraction(-1), (1, 2, 3)))
-        state = solve_sector(model, sec)[0]
-        s = complex(np.sum(state.roots))
-        good = closed_form_energy(model, sec, s)
-        bad = closed_form_energy(model, sec, s, printed_weight=True)
-        assert good == pytest.approx(state.energy, rel=1e-9)
-        assert abs(bad - state.energy) > 1e-2
+
+# one stacked input per public numerics function: a (2, n, n) matrix stack,
+# a 2-D coefficient array, a 2-D array of root sets
+STACKED_CALLS = {
+    "jacobi_eigen": lambda model, sec, roots: jacobi_eigen(np.zeros((2, 3, 3))),
+    "polynomial_roots": lambda model, sec, roots: polynomial_roots(np.ones((2, 3))),
+    "energy_from_roots": lambda model, sec, roots: energy_from_roots(model, sec, roots),
+    "bae_residuals": lambda model, sec, roots: bae_residuals(model, sec, roots),
+    "residual_scale": lambda model, sec, roots: residual_scale(
+        extract_polynomials(build_hamiltonian_operator(model, sec)), roots),
+    "root_scale": lambda model, sec, roots: root_scale(roots),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CALLS))
+def test_public_numerics_reject_a_stack(name):
+    # the stacks belong to the private cores the solver calls; a public
+    # function given one raises instead of batching it
+    model = tc_model(1.0, 0.45, 0.2)
+    sec = tc_doublet_sector(model)
+    roots = np.arange(2.0 * sec.n_top).reshape(2, sec.n_top) + 0.5
+    with pytest.raises(ValueError, match="expected one"):
+        STACKED_CALLS[name](model, sec, roots)
 
 
 class TestSolveSector:

@@ -242,22 +242,23 @@ class TestFockOracle:
         model = tc_model(g=0.5)
         j = Fraction(3, 2)
         # cap 1 truncates every block containing the |mu=-3/2, n=1> state
-        complete = fock_oracle(model, j, 1)
-        everything = fock_oracle(model, j, 1, include_incomplete=True)
-        assert len(everything) > len(complete)
-        assert all(b.complete for b in complete)
-        incomplete = [b for b in everything if not b.complete]
+        grouped = rep._grouped_basis(model.M, model.r, model.k, j, 1)
+        assert [(b.labels, b.basis) for b in fock_oracle(model, j, 1)] == [
+            (labels, states) for labels, states, complete in grouped if complete]
+        incomplete = [(labels, states) for labels, states, complete in grouped
+                      if not complete]
         assert incomplete
-        for blk in incomplete:
-            assert len(blk.basis) < blk.labels.dim
+        for labels, states in incomplete:
+            assert len(states) < labels.dim
 
     def test_only_kept_blocks_are_built(self, monkeypatch):
         # completeness comes with the basis, so a held-back block's H is
-        # never filled; the kept blocks are those of include_incomplete
+        # never filled; the kept blocks are the complete ones of the
+        # cached decomposition
         model = ModelSpec(M=2, r=1, s=2, k=(1, 2), w=(0.9, 1.3), g_prime=0.4,
                           g=0.6)
         j = Fraction(3, 2)
-        everything = fock_oracle(model, j, 3, include_incomplete=True)
+        grouped = rep._grouped_basis(model.M, model.r, model.k, j, 3)
         original = rep._fock_matrix
         built = []
 
@@ -267,12 +268,12 @@ class TestFockOracle:
 
         monkeypatch.setattr(rep, "_fock_matrix", counted)
         kept = fock_oracle(model, j, 3)
-        want = [blk for blk in everything if blk.complete]
-        assert 0 < len(want) < len(everything)
-        assert built == [blk.basis for blk in want]
-        assert [(b.basis, b.labels, b.complete) for b in kept] == [
-            (b.basis, b.labels, b.complete) for b in want]
-        assert all(a.H.tobytes() == b.H.tobytes() for a, b in zip(kept, want))
+        want = [(states, labels) for labels, states, complete in grouped if complete]
+        assert 0 < len(want) < len(grouped)
+        assert built == [states for states, _ in want]
+        assert [(b.basis, b.labels) for b in kept] == want
+        assert all(blk.H.tobytes() == original(model, j, blk.basis).tobytes()
+                   for blk in kept)
 
     def test_block_dimensions_match_labels(self):
         model = ModelSpec(M=2, r=1, s=1, k=(1, 2), w=(1.0, 0.5),
@@ -283,8 +284,8 @@ class TestFockOracle:
 
     def test_elements_equal_rational_arithmetic(self):
         # the integer 2 mu bookkeeping rounds the same exact ratios as
-        # Fraction arithmetic in mu and j: the dense matrix and every oracle
-        # block, complete or not, agree bit for bit
+        # Fraction arithmetic in mu and j: the dense matrix and every block
+        # of the decomposition, complete or not, agree bit for bit
         from math import factorial, sqrt
 
         def element(model, j, bra, ket):
@@ -321,19 +322,25 @@ class TestFockOracle:
             basis, h = dense_fock_hamiltonian(model, j, 3)
             want = np.array([[element(model, j, a, b) for b in basis] for a in basis])
             assert np.array_equal(h, (want + want.T) / 2.0)
-            blocks = fock_oracle(model, j, 3, include_incomplete=True)
-            assert sum(len(blk.basis) for blk in blocks) == len(basis)
-            for blk in blocks:
-                want = np.array([[element(model, j, a, b) for b in blk.basis]
-                                 for a in blk.basis])
-                assert np.array_equal(blk.H, (want + want.T) / 2.0)
+            grouped = rep._grouped_basis(model.M, model.r, model.k, j, 3)
+            assert sum(len(states) for _, states, _ in grouped) == len(basis)
+            for _, states, complete in grouped:
+                want = np.array([[element(model, j, a, b) for b in states]
+                                 for a in states])
+                assert np.array_equal(rep._fock_matrix(model, j, states),
+                                      (want + want.T) / 2.0)
                 # complete: no block state that J-^r can lower has an
                 # occupation that a^dag^k lifts past the cap
-                assert blk.complete == (not any(
+                assert complete == (not any(
                     mu - model.r >= -j and any(ni + ki > 3 for ni, ki in zip(ns, model.k))
-                    for mu, ns in blk.basis))
-            assert any(blk.complete for blk in blocks)
-            assert model.M == 0 or not all(blk.complete for blk in blocks)
+                    for mu, ns in states))
+            flags = [complete for *_, complete in grouped]
+            assert any(flags)
+            assert model.M == 0 or not all(flags)
+            # the oracle returns the complete blocks, with the same H
+            assert [(blk.basis, blk.H.tobytes()) for blk in fock_oracle(model, j, 3)] == [
+                (states, rep._fock_matrix(model, j, states).tobytes())
+                for _, states, complete in grouped if complete]
 
     def test_charge_conservation_on_dense_hamiltonian(self):
         model = ModelSpec(M=1, r=2, s=1, k=(2,), w=(0.8,), g_prime=0.5, g=0.7)
