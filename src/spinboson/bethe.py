@@ -22,7 +22,9 @@ are then evaluated as a certificate (they express the vanishing of the
 simple-pole residues of (H psi)/psi); the certificate of a stack forms the
 root differences once and evaluates every P_i in one Horner pass.  The
 closed-form energy is cross-checked against the leading-coefficient ratio
-of H psi.
+of H psi.  Each state carries the scaled residual it was judged by, max
+|residual| / residual_scale, so a caller checks it against Tolerances.bae
+without scaling again.
 
 solve_sectors solves many sectors of one model: the sectors of one
 dimension whose P_d have the same sizes share one stacked eigensolve, one
@@ -39,12 +41,13 @@ The public checks take one root set each (energy_from_roots, bae_residuals,
 residual_scale, root_scale) and raise ValueError on any other shape; the
 stacks live in private cores.  _scaled_bae_residuals certifies the root
 sets of many sectors with the same P_d sizes at once, and bae_residuals is
-its raising one-root-set case.  _energies_from_roots gives the closed-form
-energies and the z^N-ratio cross-check of the root sets of many sectors of
-one dimension, from any models, with each sector's error message instead
-of a raise; energy_from_roots is its one-root-set case.  _residual_scales
-gives residual_scale for root sets of many sectors with the same P_d sizes
-in one Horner evaluation.  The acceptance sweep checks through these two.
+its raising one-root-set case; residual_scale evaluates one root set's
+scale alone, as an independent check of the stacked one.
+_energies_from_roots gives the closed-form energies and the z^N-ratio
+cross-check of the root sets of many sectors of one dimension, from any
+models, with each sector's error message instead of a raise;
+energy_from_roots is its one-root-set case.  The acceptance sweep checks
+energies through it and reads each state's scaled residual.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ class BetheState:
     roots: np.ndarray              # complex, one per polynomial degree
     energy: float
     bae_residuals: np.ndarray      # complex; NaN when roots are too close
+    # max |residual| / residual_scale, the certificate judged against
+    # Tolerances.bae; NaN unless every residual is finite, 0.0 without roots
+    scaled_residual: float
     degenerate_roots: bool
     verified: bool                 # H psi = E psi reproduced from the roots
     refined: bool = False          # roots were polished by Newton on the BAE
@@ -125,21 +131,11 @@ def root_scale(roots: np.ndarray) -> float:
 
 
 def residual_scale(polys: list[np.ndarray], roots: np.ndarray) -> float:
-    """max_i sup_{|z| = scale} |P_i| used to normalize the residual
-    magnitudes of one root set; the one-sector case of _residual_scales."""
-    return float(_residual_scales([polys], _root_set(roots), np.zeros((), dtype=int)))
-
-
-def _residual_scales(
-    polys: list[list[np.ndarray]], roots: np.ndarray, owner: np.ndarray
-) -> np.ndarray:
-    """residual_scale(polys[owner[r]], roots[r]) of each root set roots[r],
-    for sectors whose P_d have the same sizes, from one Horner evaluation;
-    each entry equals, bit for bit, the one-sector call."""
-    scale = np.maximum(1.0, np.max(np.abs(roots), axis=-1, initial=0.0))
-    coeffs = np.abs(np.array([_padded(p[1:]) for p in polys]))
-    bound = horner(np.moveaxis(coeffs[owner], -2, 0), scale)
-    return np.maximum(bound.max(axis=0, initial=0.0), 1.0)
+    """max(1, max_i sup_{|z| = root_scale} |P_i|), which normalizes the
+    residual magnitudes of one root set; _scaled_bae_residuals gives the
+    same value, bit for bit, for each row of a stack."""
+    bound = horner(np.abs(_padded(polys[1:])), root_scale(roots))
+    return max(float(bound.max(initial=0.0)), 1.0)
 
 
 def _padded(polys: list[np.ndarray]) -> np.ndarray:
@@ -171,7 +167,7 @@ def bae_residuals(
         return np.zeros(0, dtype=complex)
     if polys is None:
         polys = monomial_action(model, sector)[1]
-    residuals, scaled, _, _ = _scaled_bae_residuals(roots[None], [polys], cluster_rtol)
+    residuals, scaled, *_ = _scaled_bae_residuals(roots[None], [polys], cluster_rtol)
     if np.isinf(scaled[0]):
         raise ValueError("coincident roots: residuals are not defined")
     return residuals[0]
@@ -419,17 +415,19 @@ def _scaled_bae_residuals(
     roots: np.ndarray,
     polys: list[list[np.ndarray]],
     cluster_rtol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals and max |residual| / residual_scale of each row of roots
-    (at least one root), with the row's smallest root distance and root_scale.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals, max |residual| / residual_scale and residual_scale of each
+    row of roots (at least one root), with the row's smallest root distance
+    and root_scale.
 
     polys holds the P_i of G sectors whose P_i have the same sizes, and the
     rows of roots are those sectors' root sets in G equal blocks, in order.
     One root-difference matrix serves the distance, the cluster test and
     the residuals, and one Horner pass gives every P_i at the roots and
-    every |P_i| at the root scale; the scale equals residual_scale on the
-    same rows.  A row whose roots lie within cluster_rtol x scale of each
-    other has no certificate: NaN residuals and an infinite scaled residual.
+    every |P_i| at the root scale; the residual scale equals residual_scale
+    on the same rows.  A row whose roots lie within cluster_rtol x root_scale
+    of each other has no certificate: NaN residuals and an infinite scaled
+    residual.
     """
     n = roots.shape[1]
     order = len(polys[0]) - 1
@@ -444,6 +442,7 @@ def _scaled_bae_residuals(
     values = horner(np.concatenate([coeffs, np.abs(coeffs)], axis=1).swapaxes(0, 1)
                     [:, :, None, None], points.reshape(len(polys), -1, n + 1)
                     ).reshape(2 * order, -1, n + 1)
+    scale = np.maximum(values[order:, :, n].real.max(axis=0, initial=0.0), 1.0)
     residuals = np.full(roots.shape, np.nan, dtype=complex)
     scaled = np.full(roots.shape[0], np.inf)
     ok = ~(dist <= cluster_rtol * zscale)
@@ -451,9 +450,8 @@ def _scaled_bae_residuals(
         rows = slice(None) if ok.all() else ok
         residuals[rows] = res = _residuals_from(polys[0], values[:order, rows, :n],
                                                 diff[rows])
-        bound = values[order:, rows, n].real.max(axis=0, initial=0.0)
-        scaled[rows] = np.abs(res).max(axis=1) / np.maximum(bound, 1.0)
-    return residuals, scaled, dist, zscale
+        scaled[rows] = np.abs(res).max(axis=1) / scale[rows]
+    return residuals, scaled, scale, dist, zscale
 
 
 def _polish_roots(
@@ -461,9 +459,11 @@ def _polish_roots(
     sector: SectorLabels,
     roots: np.ndarray,
     polys: list[np.ndarray],
+    scale: float,
     tols: Tolerances,
 ) -> np.ndarray | None:
-    """Newton on the coupled root equations; None when it fails."""
+    """Newton on the coupled root equations, to tols.newton x scale, the
+    residual_scale of the starting roots; None when it fails."""
     n = roots.size
 
     def residual_map(x: np.ndarray) -> np.ndarray:
@@ -474,7 +474,6 @@ def _polish_roots(
             return np.full(2 * n, 1e6)
         return np.concatenate([res.real, res.imag])
 
-    scale = residual_scale(polys, roots)
     try:
         x = newton_solve(residual_map,
                          np.concatenate([roots.real, roots.imag]),
@@ -561,21 +560,21 @@ def _recover_states(
     state keeps the polished roots when their scaled residual is no larger
     and their closed-form energy passes the energy pin: Newton can converge
     to another state's roots, which only the energy tells apart.  Each
-    state's flags are those of the roots it keeps.
+    state's flags and scaled residual are those of the roots it keeps.
     """
     values = np.asarray(values, dtype=float)
     n_top = sectors[0].n_top
     if n_top == 0:
         return [
             [BetheState(sector, idx, np.zeros(0, dtype=complex), float(value),
-                        np.zeros(0, dtype=complex), False,
+                        np.zeros(0, dtype=complex), 0.0, False,
                         bool(abs(mono[0, 0] - value)
                              <= tols.match * max(1.0, abs(value))))
              for idx, value in enumerate(row)]
             for sector, row, mono in zip(sectors, values, monos)
         ]
 
-    residuals, scaled, dist, zscale = (
+    residuals, scaled, scale, dist, zscale = (
         part.reshape(values.shape + part.shape[1:]) for part in
         _scaled_bae_residuals(roots.reshape(-1, n_top), polys, tols.cluster))
     verified = _verified(model, sectors, roots, values, monos, tols)
@@ -583,32 +582,35 @@ def _recover_states(
     retry = np.isfinite(scaled) & (refine | (scaled > 1e-2 * tols.bae) | ~verified)
     for g, i in zip(*np.nonzero(retry)):
         sector, sector_polys = sectors[g], polys[g]
-        polished = _polish_roots(model, sector, roots[g, i], sector_polys, tols)
+        polished = _polish_roots(model, sector, roots[g, i], sector_polys,
+                                 float(scale[g, i]), tols)
         if polished is None:
             continue
         cand = polished[None]
-        cand_res, cand_scaled, cand_dist, cand_zscale = _scaled_bae_residuals(
+        cand_res, cand_scaled, _, cand_dist, cand_zscale = _scaled_bae_residuals(
             cand, [sector_polys], tols.cluster)
         value = values[g : g + 1, i : i + 1]
         if (cand_scaled[0] <= scaled[g, i]
                 and _pinned(model, [sector], cand[None], value, tols)[0, 0]):
             roots[g, i], residuals[g, i], refined[g, i] = polished, cand_res[0], True
-            dist[g, i], zscale[g, i] = cand_dist[0], cand_zscale[0]
+            scaled[g, i], dist[g, i], zscale[g, i] = (
+                cand_scaled[0], cand_dist[0], cand_zscale[0])
             verified[g, i] = _verified(model, [sector], cand[None], value,
                                        monos[g : g + 1], tols)[0, 0]
 
-    degenerate = ((dist <= tols.bae_guard * zscale)
-                  | ~np.isfinite(residuals.view(float)).all(axis=-1))
+    finite = np.isfinite(residuals.view(float)).all(axis=-1)
+    degenerate = (dist <= tols.bae_guard * zscale) | ~finite
+    scaled[~finite] = np.nan
     # each state holds its own row of the stacked roots and residuals
     return [
-        [BetheState(sector, i, row, value, res, degen, ok, refined=polish)
-         for i, (row, value, res, degen, ok, polish) in enumerate(zip(
-             sector_roots, sector_values, sector_residuals, sector_degenerate,
-             sector_verified, sector_refined))]
-        for sector, sector_roots, sector_values, sector_residuals,
+        [BetheState(sector, i, row, value, res, cert, degen, ok, refined=polish)
+         for i, (row, value, res, cert, degen, ok, polish) in enumerate(zip(
+             sector_roots, sector_values, sector_residuals, sector_scaled,
+             sector_degenerate, sector_verified, sector_refined))]
+        for sector, sector_roots, sector_values, sector_residuals, sector_scaled,
         sector_degenerate, sector_verified, sector_refined in zip(
-            sectors, roots, values.tolist(), residuals, degenerate.tolist(),
-            verified.tolist(), refined.tolist())
+            sectors, roots, values.tolist(), residuals, scaled.tolist(),
+            degenerate.tolist(), verified.tolist(), refined.tolist())
     ]
 
 
@@ -703,6 +705,7 @@ def _solve_group(
             solved[g] = sorted((
                 BetheState(sectors[g], k, np.zeros(k, dtype=complex),
                            float(energies[k]), np.full(k, np.nan, dtype=complex),
+                           0.0 if k == 0 else np.nan,
                            degenerate_roots=k >= 2, verified=bool(verified[k]))
                 for k in range(dim)), key=lambda st: st.energy)
         return solved

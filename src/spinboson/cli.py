@@ -17,7 +17,6 @@ import io
 import json
 import math
 import os
-import shutil
 import sys
 from dataclasses import replace
 
@@ -86,15 +85,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _command_parser(command: str) -> _Parser:
     """The parser of one command, with the flags it reads: the model and
     sector flags except on verify, the --tol-* flags except on sectors.  A
-    flag is matched only in full, so that a config key names one flag."""
-    # HelpFormatter's default width, looked up once rather than per flag
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
-    p = _Parser(prog=f"spinboson {command}", allow_abbrev=False,
-                formatter_class=formatter)
+    flag is matched only in full, so that a config key names one flag.
+    Built once per command; parsing leaves it unchanged."""
+    p = _Parser(prog=f"spinboson {command}", allow_abbrev=False)
     if command == "preset":
         p.add_argument("action", choices=("list",))
         return p

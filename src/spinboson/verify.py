@@ -27,10 +27,8 @@ import numpy as np
 from .bethe import (
     BetheState,
     _energies_from_roots,
-    _residual_scales,
     energy_from_roots,
     liouville_ratio,
-    residual_scale,
     root_scale,
     solve_sector,
 )
@@ -108,8 +106,8 @@ def _oracle_cap(model: ModelSpec, sectors) -> int:
 @dataclass(frozen=True)
 class _Swept:
     """One sector of the acceptance sweep: where it was met, its states,
-    its monomial action and P_d, and its complete Fock block (None when the
-    oracle has none)."""
+    its monomial action, and its complete Fock block (None when the oracle
+    has none)."""
 
     name: str
     j: Fraction
@@ -117,7 +115,6 @@ class _Swept:
     sector: SectorLabels
     states: list[BetheState]
     mono: np.ndarray
-    polys: list[np.ndarray]
     block: FockBlock | None
 
 
@@ -152,7 +149,7 @@ def _sweep_presets(seed: int, n_draws: int, tols: Tolerances):
                 for sec in sectors:
                     states = solve_sector(model, sec, tols=tols)
                     swept.append(_Swept(name, j, model, sec, states,
-                                        *monomial_action(model, sec), blocks.get(sec)))
+                                        monomial_action(model, sec)[0], blocks.get(sec)))
 
     worst_match = 0.0
     worst_residual = 0.0
@@ -192,12 +189,14 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
     multiset deviation of its root energies from its eigenvalues and from
     its Fock spectrum, its number of non-degenerate states, the largest
     of their scaled residuals that is not NaN (None when there is none)
-    and the failure lines of those above tols.bae.
+    and the failure lines of those above tols.bae.  Each scaled residual
+    is the one the state carries from its solve; a sector of dimension 1
+    has no roots and gets no certificate.
 
     The sectors of one dimension are checked together, whatever their
     preset, draw or j: one _energies_from_roots, one eigensolve per Fock
-    block size, one multiset_close and one residual scale per P_d-size
-    pattern.  Every value equals what the per-sector checks give.
+    block size and one multiset_close.  Every value equals what the
+    per-sector checks give.
     """
     out: list[tuple] = [()] * len(swept)
     by_dim: dict[int, list[int]] = {}
@@ -241,34 +240,18 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
         residual = [None] * len(items)
         residual_failures: list[list[str]] = [[] for _ in items]
         if n_top > 0:
-            patterns: dict[tuple[int, ...], list[int]] = {}
-            for g, item in enumerate(items):
-                patterns.setdefault(tuple(p.size for p in item.polys), []).append(g)
-            for members in patterns.values():
-                rows = live[members]
-                owner, state = np.nonzero(rows)
-                if not owner.size:
-                    continue
-                res = np.abs(np.array([
-                    [st.bae_residuals for st in items[g].states] for g in members]
-                    )[rows])
-                # max |residual| per state: NaN unless every residual is finite
-                top = np.where(np.isfinite(res).all(axis=1), res.max(axis=1), np.nan)
-                scaled = top / _residual_scales(
-                    [items[g].polys for g in members], roots[members][rows], owner)
-                # each sector's largest scaled residual that is not NaN
-                # (fmax skips NaN); an all-NaN sector keeps None
-                held_rows = np.flatnonzero(rows.any(axis=1))
-                worst = np.fmax.reduceat(scaled, np.searchsorted(owner, held_rows))
-                finite = ~np.isnan(worst)
-                for k, value in zip(held_rows[finite].tolist(), worst[finite].tolist()):
-                    residual[members[k]] = value
-                for r in np.flatnonzero(scaled > tols.bae).tolist():
-                    g = members[owner[r]]
-                    item = items[g]
-                    residual_failures[g].append(
-                        f"residual: {item.name} j={item.j} p={item.sector.p} state "
-                        f"{item.states[state[r]].eigen_index}: {scaled[r]:.2e}")
+            scaled = np.where(live, [[st.scaled_residual for st in item.states]
+                                     for item in items], np.nan)
+            # each sector's largest scaled residual that is not NaN (fmax
+            # skips NaN); an all-NaN sector keeps None
+            worst = np.fmax.reduce(scaled, axis=1)
+            for g in np.flatnonzero(~np.isnan(worst)).tolist():
+                residual[g] = float(worst[g])
+            for g, i in zip(*np.nonzero(scaled > tols.bae)):
+                item = items[g]
+                residual_failures[g].append(
+                    f"residual: {item.name} j={item.j} p={item.sector.p} state "
+                    f"{item.states[i].eigen_index}: {scaled[g, i]:.2e}")
         n_live = live.sum(axis=1).tolist()
         for g, i in enumerate(where):
             out[i] = (errors[g], dev[g], n_live[g], residual[g], residual_failures[g])

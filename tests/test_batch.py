@@ -112,6 +112,12 @@ def scaled_residual_reference(model, sector, roots, polys):
     return res, float(np.max(np.abs(res))) / residual_scale(polys, roots)
 
 
+def polish(model, sector, roots, polys):
+    """The Newton polish from roots, to the tolerance of their residual scale."""
+    return bethe._polish_roots(model, sector, roots, polys,
+                               residual_scale(polys, roots), TOLS)
+
+
 def verify_reference(mono, psi, energy):
     n_rows, n_cols = mono.shape
     padded = np.zeros(n_cols, dtype=complex)
@@ -140,18 +146,18 @@ def state_reference(model, sector, value, index, polys, mono):
 
     refined, ok = False, verified(roots)
     if np.isfinite(scaled) and (scaled > 1e-2 * TOLS.bae or not ok):
-        polished = bethe._polish_roots(model, sector, roots, polys, TOLS)
+        polished = polish(model, sector, roots, polys)
         if polished is not None:
             cand_res, cand_scaled = scaled_residual_reference(
                 model, sector, polished, polys)
             if cand_scaled <= scaled and pinned(polished):
-                roots, residuals, refined = polished, cand_res, True
+                roots, residuals, scaled, refined = polished, cand_res, cand_scaled, True
                 ok = verified(roots)
 
     degenerate = bool(min_root_distance(roots) <= TOLS.bae_guard * root_scale(roots))
     if not np.all(np.isfinite(residuals.view(float))):
-        degenerate = True
-    return BetheState(sector, index, roots, float(value), residuals,
+        degenerate, scaled = True, float("nan")
+    return BetheState(sector, index, roots, float(value), residuals, scaled,
                       degenerate, ok, refined=refined)
 
 
@@ -176,6 +182,7 @@ def assert_same_states(got, want):
         assert a.energy == b.energy
         assert np.array_equal(a.roots, b.roots)
         assert np.array_equal(a.bae_residuals, b.bae_residuals, equal_nan=True)
+        assert np.array_equal(a.scaled_residual, b.scaled_residual, equal_nan=True)
         assert (a.verified, a.degenerate_roots, a.refined) == (
             b.verified, b.degenerate_roots, b.refined)
 
@@ -244,7 +251,7 @@ def pin_rejected(model, sector, states):
                 st.verified
                 and residual <= 1e-2 * TOLS.bae * residual_scale(polys, st.roots)):
             continue
-        cand = bethe._polish_roots(model, sector, st.roots, polys, TOLS)
+        cand = polish(model, sector, st.roots, polys)
         if cand is None:
             continue
         cand_scaled = scaled_residual_reference(model, sector, cand, polys)[1]
@@ -377,9 +384,9 @@ def test_stacked_bae_residuals_equal_row_calls():
     rng = np.random.default_rng(4)
     roots = (rng.standard_normal((6, sec.n_top))
              + 1j * rng.standard_normal((6, sec.n_top)))
-    stacked, scaled, _, zscale = bethe._scaled_bae_residuals(roots, [polys], TOLS.cluster)
+    stacked, scaled, scales, _, zscale = bethe._scaled_bae_residuals(
+        roots, [polys], TOLS.cluster)
     assert stacked.shape == roots.shape
-    scales = bethe._residual_scales([polys], roots, np.zeros(len(roots), dtype=int))
     for row, res, row_scaled, row_zscale, scale in zip(
             roots, stacked, scaled, zscale, scales):
         assert np.array_equal(res, bae_residuals(model, sec, row, polys))
@@ -758,7 +765,7 @@ def test_a_state_whose_energy_misses_its_eigenvalue_is_not_verified():
     caught = []
     for i in rejected:
         st = states[i]
-        cand = bethe._polish_roots(model, sec, st.roots, polys, TOLS)
+        cand = polish(model, sec, st.roots, polys)
         eigen_ok = bethe._verify_eigen_equation(
             mono, poly_from_roots(cand[None]), np.array([st.energy]), TOLS.match)[0]
         if eigen_ok and min_root_distance(cand) > TOLS.bae_guard * root_scale(cand):
@@ -1057,6 +1064,41 @@ def test_sweep_raises_the_first_failing_sector_in_sweep_order(monkeypatch):
     assert first_error(lambda: verify._sweep_presets(3, 1, TOLS)) == alone[0]
 
 
+def test_sweep_certificate_verdicts():
+    # each non-degenerate state is judged by the scaled residual it
+    # carries: above tols.bae it fails, in state order, NaN is skipped, a
+    # degenerate state is not judged, and a dim-1 sector has no certificate
+    j = Fraction(2)
+    model = model_for_j("tavis_cummings",
+                        random_params("tavis_cummings", np.random.default_rng(1)), j)
+    sectors = enumerate_sectors(model, j, 6)
+    fives = [sec for sec in sectors if sec.dim == 5]
+    one = next(sec for sec in sectors if sec.dim == 1)
+    bae, nan = TOLS.bae, float("nan")
+    chosen = {
+        fives[0]: [(3 * bae, False), (nan, False), (10.0, True), (2 * bae, False),
+                   (0.5 * bae, False)],
+        one: [(1.0, False)],
+        fives[1]: [(nan, False)] * 4 + [(1.0, True)],
+    }
+    swept = []
+    for sec, certs in chosen.items():
+        states = [replace(st, scaled_residual=cert, degenerate_roots=degenerate)
+                  for st, (cert, degenerate) in zip(solve_sector(model, sec), certs)]
+        swept.append(verify._Swept("tc", j, model, sec, states,
+                                   monomial_action(model, sec)[0], None))
+    (err_a, dev_a, live_a, worst_a, fail_a), one_out, b_out = verify._check_swept(
+        swept, TOLS)
+    states = swept[0].states
+    assert (err_a, dev_a, live_a, worst_a) == (None, 0.0, 4, 3 * bae)
+    assert type(worst_a) is float
+    assert fail_a == [
+        f"residual: tc j=2 p={fives[0].p} state {states[i].eigen_index}: "
+        f"{value:.2e}" for i, value in ((0, 3 * bae), (3, 2 * bae))]
+    assert one_out == (None, 0.0, 1, None, [])
+    assert b_out == (None, 0.0, 4, None, [])
+
+
 def test_stacked_energy_core_equals_sector_calls():
     # sectors of one dimension from every preset, draw and j, stacked; each
     # root set gets energy_from_roots' energy bit for bit, and each sector
@@ -1090,30 +1132,6 @@ def test_stacked_energy_core_equals_sector_calls():
                 assert error is None
     assert n_failing >= 10
     assert max(groups) >= 10
-
-
-def test_stacked_residual_scale_equals_sector_calls():
-    # the live root sets of many sectors with one P_d-size pattern, in one
-    # evaluation: each row equals residual_scale of its sector, bit for bit
-    patterns = {}
-    for model, sec in sweep_sectors(12, 1):
-        if sec.n_top == 0:
-            continue
-        polys = monomial_action(model, sec)[1]
-        live = [st.roots for st in solve_sector(model, sec) if not st.degenerate_roots]
-        if live:
-            key = (sec.n_top, tuple(p.size for p in polys))
-            patterns.setdefault(key, []).append((polys, np.array(live)))
-    n_rows = 0
-    for items in patterns.values():
-        roots = np.concatenate([live for _, live in items])
-        owner = np.repeat(np.arange(len(items)), [len(live) for _, live in items])
-        got = bethe._residual_scales([polys for polys, _ in items], roots, owner)
-        assert got.tolist() == [residual_scale(items[g][0], row)
-                                for g, row in zip(owner, roots)]
-        n_rows += len(roots)
-    assert n_rows > 1000
-    assert max(len(items) for items in patterns.values()) > 10
 
 
 def test_multiset_close_takes_rows():

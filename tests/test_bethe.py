@@ -310,7 +310,8 @@ class TestNewtonRefine:
                                     ReferenceState(Fraction(-3, 2)))
         polys = extract_polynomials(build_hamiltonian_operator(model, sec))
         state = solve_sector(model, sec)[1]
-        polished = _polish_roots(model, sec, state.roots, polys, DEFAULT_TOLS)
+        polished = _polish_roots(model, sec, state.roots, polys,
+                                 residual_scale(polys, state.roots), DEFAULT_TOLS)
         assert polished is not None
         np.testing.assert_allclose(
             np.sort(polished.real), np.sort(state.roots.real), atol=1e-7)
@@ -322,7 +323,9 @@ class TestNewtonRefine:
         sec = sector_from_reference(model, Fraction(1), ReferenceState(Fraction(-1)))
         polys = extract_polynomials(build_hamiltonian_operator(model, sec))
         state = solve_sector(model, sec)[0]
-        polished = _polish_roots(model, sec, state.roots + 1e-3, polys, DEFAULT_TOLS)
+        seed = state.roots + 1e-3
+        polished = _polish_roots(model, sec, seed, polys,
+                                 residual_scale(polys, seed), DEFAULT_TOLS)
         assert polished is not None
         got = np.sort_complex(polished)
         want = np.sort_complex(state.roots)

@@ -280,6 +280,19 @@ class TestUsageErrors:
                          "{sectors,spectrum,roots,verify,preset} ...")
         assert message.startswith("error: ")
 
+    def test_params_of_one_call_do_not_reach_the_next(self, capsys):
+        # each command's parser is built once per process; the --param
+        # values of one call stay out of the next call's parse
+        code, _, err = run_cli(capsys, "spectrum", *LMG, "--j", "1")
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "lmg", "--j", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: preset 'lmg' missing parameters: ['g_prime', 'g']\n"
+        code, _, err = run_cli(capsys, "spectrum", "--preset", "lmg",
+                               "--param", "g=1", "--j", "1")
+        assert code == 1
+        assert err == "error: preset 'lmg' missing parameters: ['g_prime']\n"
+
     def test_n_needs_mu(self, capsys):
         # --n names a reference state only together with --mu; alone it was
         # once dropped, and every sector was listed
@@ -675,9 +688,10 @@ class TestReportWriters:
         inf, nan = float("inf"), float("nan")
 
         def states(model, sector, refine, tols):
+            # the report reads the residuals, not the scaled certificate
             def state(i, energy, roots, residuals, **flags):
                 return BetheState(sector, i, np.array(roots, dtype=complex), energy,
-                                  np.array(residuals, dtype=complex), **flags)
+                                  np.array(residuals, dtype=complex), nan, **flags)
             return [
                 state(0, -inf, [complex(nan, inf), complex(-inf, -0.0)],
                       [1e-12, 2e-13], degenerate_roots=False, verified=False),
@@ -707,37 +721,56 @@ class TestReportWriters:
                 assert "NaN" in out and "-Infinity" in out and "-0.0" not in out
 
 
+HELP_ARGVS = [("--help",), ("-h",), ("spectrum", "--help"), ("sectors", "-h"),
+              ("roots", "--help"), ("verify", "--help"), ("preset", "--help")]
+
+
+def reference_parser():
+    """One `spinboson` parser holding every command as a subparser, each
+    with the flags of that command."""
+    import argparse
+
+    import spinboson.cli as cli_mod
+
+    parser = argparse.ArgumentParser(
+        prog="spinboson", description="Spectra of the spin-boson family, two ways")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary in cli_mod.COMMANDS.items():
+        sub.add_parser(name, help=summary, add_help=False,
+                       parents=[cli_mod._command_parser(name)])
+    return parser
+
+
+def help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
 class TestHelp:
-    """The help texts equal those of one `spinboson` parser holding every
-    command as a subparser, each with the flags of that command."""
+    """The help texts equal those of the reference parser."""
 
-    @pytest.fixture
-    def reference(self):
-        import argparse
-
-        import spinboson.cli as cli_mod
-
-        parser = argparse.ArgumentParser(
-            prog="spinboson", description="Spectra of the spin-boson family, two ways")
-        sub = parser.add_subparsers(dest="command", required=True)
-        for name, summary in cli_mod.COMMANDS.items():
-            sub.add_parser(name, help=summary, add_help=False,
-                           parents=[cli_mod._command_parser(name)])
-        return parser
-
-    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("spectrum", "--help"),
-                                      ("sectors", "-h"), ("roots", "--help"),
-                                      ("verify", "--help"), ("preset", "--help")])
-    def test_help_text(self, capsys, monkeypatch, reference, argv):
+    @pytest.mark.parametrize("argv", HELP_ARGVS)
+    def test_help_text(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        with pytest.raises(SystemExit) as exc:
-            reference.parse_args(list(argv))
-        assert exc.value.code == 0
-        want = capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == want
+        want = help_text(capsys, reference_parser().parse_args, argv)
+        assert help_text(capsys, main, argv) == want
         assert want.startswith(f"usage: spinboson {argv[0]} [-h]" if argv[0] in
                                ("spectrum", "sectors", "roots", "verify", "preset")
                                else "usage: spinboson [-h] {sectors,spectrum,")
+
+    def test_help_width_is_read_when_printed(self, capsys, monkeypatch):
+        # the parsers are built once per process, here under a narrower
+        # terminal; the help still wraps at the width it is printed under
+        import spinboson.cli as cli_mod
+
+        monkeypatch.setenv("COLUMNS", "40")
+        cli_mod._command_parser.cache_clear()
+        for name in cli_mod.COMMANDS:
+            cli_mod._command_parser(name)
+        monkeypatch.setenv("COLUMNS", "80")
+        reference = reference_parser()
+        for argv in HELP_ARGVS:
+            want = help_text(capsys, reference.parse_args, argv)
+            assert help_text(capsys, main, argv) == want
