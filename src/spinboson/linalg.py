@@ -11,10 +11,12 @@ each matrix's error or each row's failure to settle: the solver, which
 solves many sectors at once, calls the cores and reads every sector's
 outcome from one call.  The root core shares one companion eigensolve per
 kind of row and one Aberth loop, and each row comes out exactly as it would
-alone.  Rows with real coefficients (every sector's monic rows) start from a
-real companion eigensolve (LAPACK dgeev), cheaper than the complex one
-(zgeev) for all but the smallest degrees; complex rows keep the complex
-eigensolve.
+alone.  A row leaves the loop when its step falls below the tolerance or
+when two successive iterates are at roundoff, where the steps of a root
+cluster stay above the tolerance.  Rows with real coefficients (every
+sector's monic rows) start from a real companion eigensolve (LAPACK
+dgeev), cheaper than the complex one (zgeev) for all but the smallest
+degrees; complex rows keep the complex eigensolve.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
     (numpy.linalg.eigvalsh).
 
     Raises ValueError for anything but a square matrix, or for a
-    non-symmetric one, symmetric meaning |A - A^T| <= 1e-12 max(max |A|, 1).
+    non-symmetric one, symmetric meaning |A - A^T| <= DEFAULT_TOLS.symmetry
+    max(max |A|, 1).
     A is not symmetrized: eigvalsh reads its lower triangle, so callers pass
     exactly symmetric matrices.  The eigenvalues w of a symmetric A obey
     sum(w) = tr A and sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1),
@@ -71,7 +74,7 @@ def _eigen_stack(
     if not (a == a.swapaxes(-2, -1)).all():
         scale = np.maximum(np.abs(flat).max(axis=-1, initial=0.0), 1.0)
         asym = np.abs(a - a.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
-        unsymmetric = asym > 1e-12 * scale
+        unsymmetric = asym > DEFAULT_TOLS.symmetry * scale
     errors: list[Exception | None] = [None] * missed.size
     for i in np.flatnonzero(unsymmetric | missed).tolist():
         if unsymmetric.reshape(-1)[i]:
@@ -85,20 +88,18 @@ def _eigen_stack(
     return values, errors
 
 
-def polynomial_roots(
-    coeffs,
-    tol: float = DEFAULT_TOLS.roots,
-    max_iter: int = 200,
-) -> np.ndarray:
+def polynomial_roots(coeffs, tol: float = DEFAULT_TOLS.roots) -> np.ndarray:
     """All complex roots of one polynomial, sorted: companion-matrix
     eigenvalues polished by Aberth-Ehrlich simultaneous iteration.
 
     `coeffs` is one row of ascending coefficients; trailing zeros are
     dropped, and anything but one row raises ValueError.  The polish stops
-    once the largest correction stalls; ConvergenceError is raised when the
-    iteration runs out with the residual above sqrt(tol).  Residuals are
-    measured in the backward-error sense |p(z)| / sum |c_i||z|^i.  This is
-    the one-row case of _root_stack.
+    once the largest correction falls below tol, or once two successive
+    iterates are at roundoff, every |p(z)| within the rounding error of its
+    Horner evaluation; ConvergenceError is raised when the iteration runs
+    out with the residual above sqrt(tol).  Residuals are measured in the
+    backward-error sense |p(z)| / sum |c_i||z|^i.  This is the one-row case
+    of _root_stack.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1:
@@ -106,7 +107,7 @@ def polynomial_roots(
     nz = np.flatnonzero(c)
     if nz.size == 0:
         raise ValueError("zero polynomial has no well-defined roots")
-    roots, unsettled = _root_stack(c[None, : nz[-1] + 1], tol, max_iter)
+    roots, unsettled = _root_stack(c[None, : nz[-1] + 1], tol)
     if unsettled[0]:
         raise ConvergenceError(_UNSETTLED)
     return roots[0]
@@ -115,19 +116,20 @@ def polynomial_roots(
 # the message polynomial_roots raises when a row does not settle
 _UNSETTLED = "Aberth-Ehrlich iteration did not converge"
 
+# the Aberth steps a row may take from each start
+_MAX_STEPS = 200
 
-def _root_stack(
-    c: np.ndarray, tol: float, max_iter: int = 200
-) -> tuple[np.ndarray, np.ndarray]:
+
+def _root_stack(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The sorted roots of each row of a 2-D complex stack c of one degree
     (nonzero last column), as polynomial_roots gives them, and per row
     whether its iteration ran out with its residual above sqrt(tol): the
     rows for which a polynomial_roots call with that row alone raises.
-    Each row leaves the Aberth loop at the iteration where its own step
-    test holds, so it gets exactly the roots of a call with that row alone."""
+    Each row leaves the Aberth loop at the iteration where its own stopping
+    rules hold, so it gets exactly the roots of a call with that row alone."""
     deg = c.shape[1] - 1
     if deg >= 2:
-        return _aberth(c, tol, max_iter)
+        return _aberth(c, tol)
     roots = (np.zeros((c.shape[0], 0), dtype=complex) if deg == 0
              else -c[:, :1] / c[:, 1:])
     return roots, np.zeros(c.shape[0], dtype=bool)
@@ -169,7 +171,7 @@ def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return result
 
 
-def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sorted roots of each row of c (degree >= 2, nonzero leading
     coefficients), and per row whether it did not settle (_root_stack)."""
     deg = c.shape[1] - 1
@@ -177,7 +179,7 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.nd
     both = np.zeros((2,) + c.shape, dtype=complex)
     both[0] = c
     both[1, :, :deg] = c[:, 1:] * np.arange(1, deg + 1)
-    z, res = _aberth_steps(both, _companion_start(c), tol, max_iter)
+    z, res = _aberth_steps(both, _companion_start(c), tol, _MAX_STEPS)
     unsettled = np.zeros(c.shape[0], dtype=bool)
     if res is not None:
         # From a real start a real row's iterates stay symmetric about the
@@ -189,7 +191,7 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.nd
         if again.any():
             z[again], res_again = _aberth_steps(
                 both[:, again], _companion_start(c[again], real_arithmetic=False),
-                tol, max_iter)
+                tol, _MAX_STEPS)
             res[again] = np.nan if res_again is None else res_again
         unsettled = res > np.sqrt(tol)
     # by real part, then imaginary part; stable, so equal roots keep their order
@@ -197,30 +199,38 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.nd
 
 
 # an iterate far from the roots can overflow the evaluations of p, p' and
-# the residual; a non-finite value already counts as a miss, so numpy's
+# the bound; a non-finite value already counts as a miss, so numpy's
 # floating-point warnings are silenced for the whole call
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _aberth_steps(
     both: np.ndarray, z: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Aberth-Ehrlich steps on each row of starting roots z, whose p and p'
-    coefficients are both[0] and both[1], until the row's step test holds.
+    coefficients are both[0] and both[1], until the row stops: when its step
+    test holds, or when two successive iterates after the start have every
+    |p(z)| <= sqrt(2n) u sum |c_k||z|^k, u = eps / 2: the size that the
+    rounding errors of a degree-n Horner evaluation take together (Higham,
+    Accuracy and Stability, 2.8 and 5.1), below which a root cluster's
+    steps only wander.  The worst-case bound gamma_2n sum |c_k||z|^k,
+    sqrt(2n) times wider, also holds while a cluster still converges.
 
-    Returns the roots, and None when every row's step test held; otherwise
-    per row the scaled residual of the roots of a row that ran out of steps,
-    NaN for a row whose step test held.
-    Inside a cluster at the conditioning limit the steps can wander for good
-    while |p| stays at roundoff; a row still moving after max_iter steps
-    returns its last iterate when that is within sqrt(tol), and its iterate
-    of smallest residual otherwise.
+    Returns the roots, and None when every row stopped; otherwise per row
+    the scaled residual of the last iterate of a row that ran out of
+    max_iter steps, NaN for a row that stopped.
     """
-    # the rows still iterating, with their coefficients and current roots;
-    # once a row has missed the step test, also its best iterate so far
+    unit = np.sqrt(2 * (both.shape[2] - 1)) * np.finfo(float).eps / 2.0
+    # the rows still iterating, their coefficients, current roots and
+    # whether their previous iterate after the start was within the bound
     rows = np.arange(z.shape[0])
     za = z
-    best = best_res = None
-    for _ in range(max_iter):
+    stop = was_within = np.zeros(z.shape[0], dtype=bool)
+    for i in range(max_iter):
         pz, dpz = horner(both[:, :, None], za)
+        if i > 0:  # the start does not count
+            bound = unit * horner(np.abs(both[0])[:, None], np.abs(za))
+            # inf <= inf does not count either
+            within = ((np.abs(pz) <= bound) & (bound < np.inf)).all(axis=1)
+            stop, was_within = within & was_within, within
         dpz[dpz == 0.0] = 1e-300
         w = pz / dpz
         # the companion start can repeat a multiple root exactly; such pairs,
@@ -231,32 +241,22 @@ def _aberth_steps(
         denom = 1.0 - w * s
         denom[np.abs(denom) < 1e-300] = 1e-300
         step = w / denom
+        # a row that stops on the bound keeps its iterate
+        step[stop] = 0.0
         za = za - step
-        done = (np.abs(step).max(axis=1)
-                <= tol * (1.0 + np.abs(za).max(axis=1)))
+        done = stop | (np.abs(step).max(axis=1)
+                       <= tol * (1.0 + np.abs(za).max(axis=1)))
         if done.all():
             z[rows] = za
             return z, None
-        res = _scaled_residual_rows(both[0], za)
-        if best is None:
-            best, best_res = za, res
-        else:
-            better = res < best_res
-            best = np.where(better[:, None], za, best)
-            best_res = np.where(better, res, best_res)
         if done.any():
             z[rows[done]] = za[done]
             keep = ~done
             rows, both, za = rows[keep], both[:, keep], za[keep]
-            best, best_res = best[keep], best_res[keep]
-    res = _scaled_residual_rows(both[0], za)
-    if best is not None:
-        worse = res > np.sqrt(tol)
-        za = np.where(worse[:, None], best, za)
-        res = np.where(worse, best_res, res)
+            was_within = was_within[keep]
     z[rows] = za
     out = np.full(z.shape[0], np.nan)
-    out[rows] = res
+    out[rows] = _scaled_residual_rows(both[0], za)
     return z, out
 
 

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .model import (
     SECTOR_CACHE_SIZE,
     ModelSpec,
@@ -174,10 +173,12 @@ def sector_matrices(model: ModelSpec, sector: SectorLabels) -> SectorMatrices:
     H = sum_i w_i N_i + g' (r(P0 + kappa))^s
         + g prod_i k_i^{k_i/2} (Pplus + Pminus) + constant_shift.
 
-    The ladder bands, the occupations and the spin powers come from
-    sector_levels (cached per model shape and sector); each call
-    combines them with w, g', g and constant_shift and returns arrays of
-    its own.
+    H is exactly symmetric: the amplitude below the diagonal at level n and
+    the one above it at level n + 1 are square roots of the same exact
+    product (_ladder_amplitudes).  The ladder bands, the occupations and
+    the spin powers come from sector_levels (cached per model shape and
+    sector); each call combines them with w, g', g and constant_shift and
+    returns arrays of its own.
     """
     validate_model(model)
     levels = sector_levels(model, sector)
@@ -193,14 +194,6 @@ def sector_matrices(model: ModelSpec, sector: SectorLabels) -> SectorMatrices:
     for ki in model.k:
         coupling *= float(ki) ** (ki / 2.0)
     h += coupling * levels.band
-
-    scale = max(np.abs(h).max(), 1.0)
-    asym = np.abs(h - h.T).max(initial=0.0)
-    if asym > DEFAULT_TOLS.symmetry * scale:
-        raise AssertionError(
-            f"sector H asymmetry {asym:.3e} exceeds {DEFAULT_TOLS.symmetry:g}")
-    h = (h + h.T) / 2.0
-
     return SectorMatrices(h)
 
 

@@ -51,21 +51,21 @@ TOLS = DEFAULT_TOLS
 
 def aberth_reference(c, z, tol, max_iter):
     """The 1-D Aberth loop from the starting roots z: the roots, and whether
-    the step test held.  A row still moving after max_iter steps returns
-    its last iterate if its scaled residual is within sqrt(tol), else its
-    iterate of smallest scaled residual."""
+    the row stopped.  It stops when the step test holds, or at the second of
+    two successive iterates after the start whose every |p(z)| is within
+    sqrt(2n) u sum |c_k||z|^k, u = eps / 2 (a non-finite bound never is); a
+    row still moving after max_iter steps returns its last iterate."""
     deg = c.size - 1
     dc = c[1:] * np.arange(1, deg + 1)
-
-    def scaled(z):
-        num = np.abs(poly_eval(c, z))
-        den = poly_eval(np.abs(c), np.abs(z)).real
-        worst = np.max(num / np.where(den == 0.0, 1.0, den))
-        return np.inf if np.isnan(worst) else worst
-
-    best = best_res = None
-    for _ in range(max_iter):
+    unit = np.sqrt(2 * deg) * np.finfo(float).eps / 2.0
+    was_within = False
+    for i in range(max_iter):
         pz = poly_eval(c, z)
+        bound = unit * poly_eval(np.abs(c), np.abs(z))
+        within = bool(np.all((np.abs(pz) <= bound) & np.isfinite(bound)))
+        if within and was_within:
+            return z, True
+        was_within = within and i > 0
         dpz = poly_eval(dc, z)
         dpz = np.where(dpz == 0.0, 1e-300, dpz)
         w = pz / dpz
@@ -78,10 +78,7 @@ def aberth_reference(c, z, tol, max_iter):
         z = z - step
         if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(z))):
             return z, True
-        res = scaled(z)
-        if best is None or res < best_res:
-            best, best_res = z, res
-    return (z if scaled(z) <= np.sqrt(tol) else best), False
+    return z, False
 
 
 def roots_reference(coeffs, tol=TOLS.roots, max_iter=200):
@@ -620,27 +617,74 @@ def test_stacked_sectors_report_the_first_failure_in_the_given_order(monkeypatch
         ArithmeticError, "small")
 
 
-# the couplings of the two_mode_tc request that CI runs with --tol-roots 1e-300
+# the couplings of the two_mode_tc request that CI runs with --tol-eigen 1e-300
 TC_PARAMS = {"w1": 0.9, "w2": 1.3, "g_prime": 0.4, "g": 0.6}
 
 
-def test_stacked_sectors_raise_the_first_root_failure(capsys):
-    # with a root tolerance far below roundoff no Aberth row of degree >= 2
-    # settles; solve_sectors raises what the first failing sector, in the
-    # given order, raises alone, and the CLI exits 3 with that message
+def unsettle_aberth_rows(monkeypatch):
+    """Make the solver's root finder report every row of degree >= 2, each
+    row that goes through the Aberth iteration, as unsettled: every sector
+    of dimension >= 3 then fails at the root stage."""
+    inner = bethe._root_stack
+
+    def root_stack(c, tol):
+        roots, unsettled = inner(c, tol)
+        return roots, unsettled | (c.shape[1] > 2)
+
+    monkeypatch.setattr(bethe, "_root_stack", root_stack)
+
+
+def test_a_root_tolerance_below_roundoff_still_settles(capsys):
+    # every row stops at roundoff, whatever the step test asks; the roots
+    # may move within their rounding error, the energies and flags do not
+    argv = ["spectrum", "--preset", "two_mode_tc", "--j", "3", "--max-bosons", "4",
+            "--format", "json"]
+    argv += [f"--param={key}={value!r}" for key, value in TC_PARAMS.items()]
+    reports = []
+    for extra in ([], ["--tol-roots", "1e-300"]):
+        assert main(argv + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out)["sectors"])
+    flags = ("E", "verified", "degenerate_roots", "refined")
+    default, tight = ([(entry["labels"], [[st[key] for key in flags]
+                                          for st in entry["states"]])
+                       for entry in report] for report in reports)
+    assert tight == default
+    assert sum(len(states) for _, states in default) == 294
+
+
+def test_a_root_cluster_is_not_stopped_while_it_converges():
+    # the top state of this sector (an acceptance sweep draw) has twelve
+    # roots between 0.028 and 0.041 that its coefficients cannot separate;
+    # its Aberth iterates meet Horner's worst-case bound, gamma_2n sum
+    # |c_k||z|^k, two steps after the start, where the Newton polish stalls
+    # and the state would come back unverified with a complex root sum
+    model = model_for_j("tavis_cummings", {"w": -1.4170222858705828,
+                                           "g_prime": 1.863411732402761,
+                                           "g": -0.10980871723563715}, 6)
+    (sec,) = [s for s in enumerate_sectors(
+        model, Fraction(6), DEFAULT_GRIDS["tavis_cummings"].max_total_bosons)
+        if s.dim == 13 and s.kappa == 5]
+    for st in solve_sector(model, sec):
+        total = st.roots.sum()
+        assert st.verified and abs(total.imag) <= 1e-9 * max(abs(total), 1.0)
+
+
+def test_stacked_sectors_raise_the_first_root_failure(monkeypatch, capsys):
+    # no Aberth row settles; solve_sectors raises what the first failing
+    # sector, in the given order, raises alone, and the CLI exits 3 with
+    # that message
+    unsettle_aberth_rows(monkeypatch)
     model = model_for_j("two_mode_tc", TC_PARAMS, 3)
     sectors = enumerate_sectors(model, Fraction(3), 4)
-    tols = replace(TOLS, roots=1e-300)
     alone = []
     for sec in sectors:
         try:
-            solve_sector(model, sec, tols=tols)
+            solve_sector(model, sec)
         except ConvergenceError as exc:
             alone.append((type(exc), str(exc)))
     assert alone and alone[0][1] == "Aberth-Ehrlich iteration did not converge"
-    assert first_failure(lambda: solve_sectors(model, sectors, tols=tols)) == alone[0]
-    argv = ["spectrum", "--preset", "two_mode_tc", "--j", "3", "--max-bosons", "4",
-            "--tol-roots", "1e-300"]
+    assert first_failure(lambda: solve_sectors(model, sectors)) == alone[0]
+    argv = ["spectrum", "--preset", "two_mode_tc", "--j", "3", "--max-bosons", "4"]
     argv += [f"--param={key}={value!r}" for key, value in TC_PARAMS.items()]
     assert main(argv) == 3
     out, err = capsys.readouterr()
@@ -651,8 +695,8 @@ def test_stacked_sectors_raise_the_first_failure_whatever_its_stage(monkeypatch)
     # two sectors of one dimension: the one given first fails at the root
     # stage, the one given after it already when its action is built; the
     # error of the one given first is raised
+    unsettle_aberth_rows(monkeypatch)
     model = model_for_j("two_mode_tc", TC_PARAMS, 3)
-    tols = replace(TOLS, roots=1e-300)
     late, early = [sec for sec in enumerate_sectors(model, Fraction(3), 4)
                    if sec.dim == 4][:2]
     inner = bethe.monomial_action
@@ -663,21 +707,24 @@ def test_stacked_sectors_raise_the_first_failure_whatever_its_stage(monkeypatch)
         return inner(mdl, sec)
 
     monkeypatch.setattr(bethe, "monomial_action", action)
-    roots_error = first_failure(lambda: solve_sector(model, late, tols=tols))
+    roots_error = first_failure(lambda: solve_sector(model, late))
     assert roots_error == (ConvergenceError, "Aberth-Ehrlich iteration did not converge")
-    assert first_failure(lambda: solve_sectors(model, [late, early], tols=tols)) == (
-        roots_error)
-    assert first_failure(lambda: solve_sectors(model, [early, late], tols=tols)) == (
+    assert first_failure(lambda: solve_sectors(model, [late, early])) == roots_error
+    assert first_failure(lambda: solve_sectors(model, [early, late])) == (
         OverflowError, "setup")
 
 
-@pytest.mark.parametrize("field", ["eigen", "roots"])
-def test_a_failing_request_solves_each_sector_at_most_once(monkeypatch, field):
+@pytest.mark.parametrize("stage", ["eigen", "roots"])
+def test_a_failing_request_solves_each_sector_at_most_once(monkeypatch, stage):
     # the sectors that reach the solve, whether alone or in a group, on a
     # request whose sectors fail at the eigensolve or at the root stage
     model = model_for_j("two_mode_tc", TC_PARAMS, 3)
     sectors = enumerate_sectors(model, Fraction(3), 4)
-    tols = replace(TOLS, **{field: 1e-300})
+    tols = TOLS
+    if stage == "eigen":
+        tols = replace(TOLS, eigen=1e-300)
+    else:
+        unsettle_aberth_rows(monkeypatch)
     reached = []
     inner = bethe._solve_group
 

@@ -219,6 +219,35 @@ class TestPolynomialRoots:
             with pytest.raises(ConvergenceError):
                 polynomial_roots([1e300, 1e300, 1e300, 1.0])
 
+    @pytest.mark.parametrize("row", [
+        # (z - 1)^2 (z - 9.30...): an exact double root
+        np.convolve([1.0, -2.0, 1.0], [-9.304156551010252, 1.0]),
+        # a twisted row of the acceptance sweep (seed 101): eight real roots
+        # between -0.081 and -0.048, too ill-conditioned for the step test,
+        # which alone runs it 200 steps from each of its two starts
+        np.array([1.9021088073487666e-10, 2.5294963661602987e-08,
+                  1.4663655476351507e-06, 4.839792707246264e-05,
+                  0.0009946910110867839, 0.01303492693055482,
+                  0.10635788140401663, 0.49400863728338623, 1.0]),
+    ])
+    def test_a_row_at_roundoff_stops_after_two_iterates(self, monkeypatch, row):
+        # at roundoff for two successive iterates, a row stops: one
+        # evaluation of p and p' at the start and two, with the bound, at
+        # each of the two iterates
+        calls = []
+        inner = linalg.horner
+
+        def counted(c, z):
+            calls.append(z.shape)
+            return inner(c, z)
+
+        monkeypatch.setattr(linalg, "horner", counted)
+        roots, unsettled = linalg._root_stack(row[None].astype(complex),
+                                              DEFAULT_TOLS.roots)
+        assert not unsettled[0] and len(calls) <= 5
+        monkeypatch.undo()
+        assert linalg._scaled_residual_rows(row[None], roots)[0] <= 1e-15
+
 
 @settings(max_examples=40, deadline=None)
 @given(roots=st.lists(

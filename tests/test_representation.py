@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinboson.representation as rep
+from spinboson import verify
 from spinboson.config import DEFAULT_TOLS
 from spinboson.linalg import jacobi_eigen
 from spinboson.model import (
@@ -81,6 +82,14 @@ class TestSectorMatrices:
         np.testing.assert_allclose(Pminus, Pplus.T, atol=1e-12)
         assert np.count_nonzero(np.diag(Pplus)) == 0
         assert np.count_nonzero(P0 - np.diag(np.diag(P0))) == 0
+        # H is built exactly symmetric and never symmetrized: the amplitudes
+        # on either side of the diagonal are square roots of one exact product
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            model, sec = verify._random_model_sector(rng)
+            h = sector_matrices(model, sec).H
+            assert np.array_equal(h, h.T)
+            assert np.count_nonzero(np.triu(h, 2)) == 0
 
     def test_simple_spectrum_for_nonzero_coupling(self):
         model = two_site_model(0.5, 0.8)
