@@ -297,17 +297,19 @@ def _energies_from_roots(
     roots: np.ndarray,
     tops: np.ndarray,
     tols: Tolerances,
+    skip: np.ndarray | bool = False,
 ) -> tuple[np.ndarray, list[str | None]]:
     """The closed-form energies of the root sets roots[g, i] of sector
     sectors[g] of models[g], for G sectors with one n_top, and per sector
     the message of the error energy_from_roots raises for its first failing
-    root set (None when every root set passes).  tops[g] is the z^N row of
-    sector g's monomial action.  One root sum, one set of psi coefficients
-    and one ratio product serve the whole stack, and each energy and message
-    equals, bit for bit, that of energy_from_roots on its root set alone.
+    root set not marked in skip (None when every such root set passes).
+    tops[g] is the z^N row of sector g's monomial action.  One root sum, one
+    set of psi coefficients and one ratio product serve the whole stack, and
+    each energy and message equals, bit for bit, that of energy_from_roots
+    on its root set alone.
     """
     sums = roots.sum(axis=-1)
-    imag_bad = np.abs(sums.imag) > 1e-9 * _at_least_one(np.abs(sums))
+    imag_bad = _off_real(sums)
     energies = np.array([
         np.broadcast_to(closed_form_energy(model, sector, row), row.shape)
         for model, sector, row in zip(models, sectors, sums)], dtype=float)
@@ -316,7 +318,7 @@ def _energies_from_roots(
     ratio_bad = (np.abs(ratios - energies)
                  > tols.energy_cross * _at_least_one(np.abs(energies)))
     errors: list[str | None] = [None] * len(sectors)
-    for g, i in zip(*np.nonzero(imag_bad | ratio_bad)):
+    for g, i in zip(*np.nonzero((imag_bad | ratio_bad) & ~skip)):
         if errors[g] is not None:
             continue
         if imag_bad[g, i]:
@@ -326,6 +328,11 @@ def _energies_from_roots(
             errors[g] = (f"energy formula {float(energies[g, i]):.12g} disagrees "
                          f"with coefficient ratio {complex(ratios[g, i]):.12g}")
     return energies, errors
+
+
+def _off_real(sums: np.ndarray) -> np.ndarray:
+    """Per root sum: whether its imaginary part is non-negligible."""
+    return np.abs(sums.imag) > 1e-9 * _at_least_one(np.abs(sums))
 
 
 def _at_least_one(values: np.ndarray) -> np.ndarray:
@@ -531,8 +538,7 @@ def _group_roots(
         return (np.zeros((n_sectors, 1, 0), dtype=complex),
                 np.zeros(n_sectors, dtype=bool))
     coeffs = _twisted_coeffs(monos[:, :dim], values)
-    roots, unsettled = _root_stack(coeffs.reshape(-1, dim).astype(complex),
-                                   tols.roots)
+    roots, unsettled = _root_stack(coeffs.reshape(-1, dim), tols.roots)
     return (roots.reshape(n_sectors, dim, dim - 1),
             unsettled.reshape(n_sectors, dim).any(axis=1))
 

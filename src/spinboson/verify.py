@@ -27,6 +27,7 @@ import numpy as np
 from .bethe import (
     BetheState,
     _energies_from_roots,
+    _off_real,
     energy_from_roots,
     liouville_ratio,
     root_scale,
@@ -189,9 +190,9 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
     multiset deviation of its root energies from its eigenvalues and from
     its Fock spectrum, its number of non-degenerate states, the largest
     of their scaled residuals that is not NaN (None when there is none)
-    and the failure lines of those above tols.bae.  Each scaled residual
-    is the one the state carries from its solve; a sector of dimension 1
-    has no roots and gets no certificate.
+    and the failure lines of those above tols.bae and of the unverified
+    states whose root sum is not real.  Each scaled residual is the one a
+    state carries from its solve; a sector of dimension 1 has no roots.
 
     The sectors of one dimension are checked together, whatever their
     preset, draw or j: one _energies_from_roots, one eigensolve per Fock
@@ -206,9 +207,13 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
         items = [swept[i] for i in where]
         n_top = dim - 1
         roots = np.array([[st.roots for st in item.states] for item in items])
+        # an unverified state whose root sum is not real fails its certificate
+        # and leaves the energy cross-checks: its z^N ratio has the same fault
+        off_real = _off_real(roots.sum(axis=-1)) & ~np.array(
+            [[st.verified for st in item.states] for item in items])
         energies, messages = _energies_from_roots(
             [item.model for item in items], [item.sector for item in items],
-            roots, np.array([item.mono[n_top] for item in items]), tols)
+            roots, np.array([item.mono[n_top] for item in items]), tols, off_real)
         errors = [None if msg is None else ValueError(msg) for msg in messages]
 
         # oracle equivalence for the sectors with a Fock block
@@ -247,11 +252,13 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
             worst = np.fmax.reduce(scaled, axis=1)
             for g in np.flatnonzero(~np.isnan(worst)).tolist():
                 residual[g] = float(worst[g])
-            for g, i in zip(*np.nonzero(scaled > tols.bae)):
+            for g, i in zip(*np.nonzero((scaled > tols.bae) | off_real)):
                 item = items[g]
+                what = (f"root sum {complex(roots[g, i].sum())} is not real"
+                        if off_real[g, i] else f"{scaled[g, i]:.2e}")
                 residual_failures[g].append(
                     f"residual: {item.name} j={item.j} p={item.sector.p} state "
-                    f"{item.states[i].eigen_index}: {scaled[g, i]:.2e}")
+                    f"{item.states[i].eigen_index}: {what}")
         n_live = live.sum(axis=1).tolist()
         for g, i in enumerate(where):
             out[i] = (errors[g], dev[g], n_live[g], residual[g], residual_failures[g])

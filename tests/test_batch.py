@@ -81,16 +81,26 @@ def aberth_reference(c, z, tol, max_iter):
     return z, False
 
 
+def companion_eigvals(c):
+    """The eigenvalues of numpy.roots' companion matrix of the ascending row
+    c, in c's arithmetic; a zero constant term stays in and gives an exact
+    zero root."""
+    deg = c.size - 1
+    comp = np.diag(np.ones(deg - 1, dtype=c.dtype), -1)
+    comp[0] = -c[deg - 1 :: -1] / c[deg]
+    return np.linalg.eigvals(comp).astype(complex)
+
+
 def roots_reference(coeffs, tol=TOLS.roots, max_iter=200):
-    """One polynomial: numpy.roots start, in real arithmetic when every
-    coefficient is real, then the 1-D Aberth loop; a real row whose steps do
-    not settle starts again from numpy.roots in complex arithmetic."""
-    c = np.asarray(coeffs, dtype=complex)
-    real = not np.any(c.imag)
-    z, settled = aberth_reference(
-        c, np.roots(c[::-1].real if real else c[::-1]).astype(complex), tol, max_iter)
-    if real and not settled:
-        z, _ = aberth_reference(c, np.roots(c[::-1]).astype(complex), tol, max_iter)
+    """One real polynomial: companion start in real arithmetic, then the 1-D
+    Aberth loop; a row whose steps do not settle starts again from the
+    companion in complex arithmetic."""
+    c = np.asarray(coeffs, dtype=float)
+    z, settled = aberth_reference(c.astype(complex), companion_eigvals(c), tol,
+                                  max_iter)
+    if not settled:
+        z, _ = aberth_reference(c.astype(complex),
+                                companion_eigvals(c.astype(complex)), tol, max_iter)
     order = np.lexsort((z.imag, z.real))
     return z[order]
 
@@ -293,18 +303,20 @@ def row_roots_reference(row):
         return np.zeros(0, dtype=complex)
     if c.size == 2:
         return np.array([-c[0] / c[1]])
-    return roots_reference(c)
+    return roots_reference(c.real)
 
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 7, 12, 24])
 def test_stacked_roots_equal_row_calls(deg):
     rng = np.random.default_rng(deg)
-    rows = random_rows(rng, 9, deg).astype(complex)
-    rows[1] += 1j * random_rows(rng, 1, deg)[0]  # a complex row
+    rows = random_rows(rng, 9, deg)
+    zeros = np.zeros(9, dtype=int)
     if deg >= 1:
-        rows[2, 0] = 0.0       # numpy.roots deflates this row's zero root
+        rows[2, 0] = 0.0       # the companion gives this row a zero root
+        zeros[2] = 1
     if deg >= 2:
-        rows[5, :2] = 0.0      # and this row's double zero root
+        rows[5, :2] = 0.0      # and this row a double zero root
+        zeros[5] = 2
         # (z - 1)^2 times a random monic: a cluster
         rows[7] = np.convolve([1.0, -2.0, 1.0], random_rows(rng, 1, deg - 2)[0])
     stacked, unsettled = linalg._root_stack(rows, TOLS.roots)
@@ -315,33 +327,29 @@ def test_stacked_roots_equal_row_calls(deg):
         assert single.shape == (deg,) and single.dtype == complex
         assert np.array_equal(stacked[i], single)
         assert np.array_equal(single, row_roots_reference(row))
+        # a zero constant term gives exact zero roots
+        assert np.count_nonzero(single == 0.0) == zeros[i]
         # trailing zeros of a 1-D call are dropped first
         padded = np.concatenate([row, np.zeros(2)])
         assert np.array_equal(polynomial_roots(padded), single)
 
 
-def test_real_and_complex_rows_start_apart():
-    # real rows share one real companion eigensolve and complex rows one
-    # complex eigensolve, so a row's start and roots depend on that row
-    # alone, not on its neighbours or on the dtype it arrives in
+def test_each_row_starts_from_its_own_companion():
+    # every row shares one real companion eigensolve, yet a row's start and
+    # roots depend on that row alone, not on its neighbours
     rng = np.random.default_rng(11)
     deg = 6
-    rows = random_rows(rng, 8, deg).astype(complex)
-    rows[[1, 4]] += 1j * random_rows(rng, 2, deg)
-    rows[[2, 4], 0] = 0.0      # a real and a complex row left to numpy.roots
+    rows = random_rows(rng, 8, deg)
+    rows[[2, 4], 0] = 0.0      # zero constant terms stay in the companion
     start = linalg._companion_start(rows)
     stacked = linalg._root_stack(rows, TOLS.roots)[0]
     for i, row in enumerate(rows):
-        real = not np.any(row.imag)
+        comp = np.zeros((deg, deg))
+        comp[np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        comp[0] = -row[deg - 1 :: -1] / row[deg]
+        assert np.array_equal(start[i], np.linalg.eigvals(comp))
         assert np.array_equal(start[i], linalg._companion_start(row[None])[0])
-        if real and row[0] != 0.0:
-            comp = np.zeros((deg, deg))
-            comp[np.arange(1, deg), np.arange(deg - 1)] = 1.0
-            comp[0] = -row.real[deg - 1 :: -1] / row.real[deg]
-            assert np.array_equal(start[i], np.linalg.eigvals(comp))
         assert np.array_equal(stacked[i], polynomial_roots(row))
-        if real:
-            assert np.array_equal(stacked[i], polynomial_roots(row.real))
 
 
 def test_a_real_row_held_on_the_real_axis_starts_again(monkeypatch):
@@ -1144,6 +1152,43 @@ def test_sweep_certificate_verdicts():
         f"{value:.2e}" for i, value in ((0, 3 * bae), (3, 2 * bae))]
     assert one_out == (None, 0.0, 1, None, [])
     assert b_out == (None, 0.0, 4, None, [])
+
+
+@pytest.mark.parametrize("verified", [False, True], ids=["unverified", "verified"])
+def test_sweep_reports_a_root_sum_off_the_real_axis(monkeypatch, verified):
+    # one state gets a root moved by 1e-3j; unverified, it is one
+    # certificate failure line of its sector and every other count stays,
+    # verified, the root-sum cross-check raises
+    clean = verify._sweep_presets(3, 1, TOLS)
+    inner = verify.solve_sector
+    moved = []
+
+    def solve(model, sector, *args, **kwargs):
+        states = inner(model, sector, *args, **kwargs)
+        if not moved and sector.n_top >= 2:
+            st = states[1]
+            roots = st.roots.copy()
+            roots[0] += 1e-3j
+            states[1] = replace(st, roots=roots, verified=verified)
+            moved.append((sector, st.eigen_index))
+        return states
+
+    monkeypatch.setattr(verify, "solve_sector", solve)
+    if verified:
+        with pytest.raises(ValueError,
+                           match="root sum has non-negligible imaginary part"):
+            verify._sweep_presets(3, 1, TOLS)
+        return
+    data = verify._sweep_presets(3, 1, TOLS)
+    (sector, index), = moved
+    lines = [line for line in data["failures"] if line not in clean["failures"]]
+    assert len(lines) == 1
+    assert lines[0].startswith("residual: ")
+    assert f"p={sector.p} state {index}: root sum " in lines[0]
+    assert lines[0].endswith("is not real")
+    assert not verify.check_bae_certificate(data).passed
+    data["failures"].remove(lines[0])
+    assert data == clean
 
 
 def test_stacked_energy_core_equals_sector_calls():

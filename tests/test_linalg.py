@@ -184,16 +184,22 @@ class TestPolynomialRoots:
         assert clustered(out)
 
     def test_recovers_known_factors(self):
+        # a real polynomial: two real roots and two conjugate pairs
         rng = np.random.default_rng(5)
-        true = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        coeffs = np.array([1.0 + 0.0j])
-        for root in true:
-            shifted = np.concatenate(([0.0 + 0.0j], coeffs))
-            shifted[:-1] -= root * coeffs
-            coeffs = shifted
+        pairs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        true = np.concatenate([rng.standard_normal(2) + 0j, pairs, pairs.conj()])
+        coeffs = np.array([1.0])
+        for root in true[:2].real:
+            coeffs = np.convolve(coeffs, [-root, 1.0])
+        for root in pairs:
+            coeffs = np.convolve(coeffs, [abs(root) ** 2, -2.0 * root.real, 1.0])
         got = polynomial_roots(coeffs)
         order = np.lexsort((true.imag, true.real))
         np.testing.assert_allclose(got, true[order], atol=1e-9)
+
+    def test_rejects_complex_coefficients(self):
+        with pytest.raises(ValueError, match="real"):
+            polynomial_roots([1.0 + 1.0j, 0.0, 1.0])
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -218,6 +224,22 @@ class TestPolynomialRoots:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError):
                 polynomial_roots([1e300, 1e300, 1e300, 1.0])
+
+    def test_an_overflowing_row_leaves_at_once(self, monkeypatch):
+        # the iterate of this row turns non-finite at its first step from
+        # each of its two starts, and a non-finite iterate never turns
+        # finite again: one evaluation of p and p' per start
+        calls = []
+        inner = linalg.horner
+
+        def counted(c, z):
+            calls.append(z.shape)
+            return inner(c, z)
+
+        monkeypatch.setattr(linalg, "horner", counted)
+        with pytest.raises(ConvergenceError):
+            polynomial_roots([1e300, 1e300, 1e300, 1.0])
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("row", [
         # (z - 1)^2 (z - 9.30...): an exact double root
@@ -250,12 +272,17 @@ class TestPolynomialRoots:
 
 
 @settings(max_examples=40, deadline=None)
-@given(roots=st.lists(
-    st.complex_numbers(min_magnitude=0.0, max_magnitude=4.0,
-                       allow_nan=False, allow_infinity=False),
-    min_size=1, max_size=7))
-def test_vieta_relations(roots):
-    roots = np.asarray(roots)
+@given(
+    real=st.lists(st.floats(min_value=-4.0, max_value=4.0), max_size=3),
+    pairs=st.lists(
+        st.complex_numbers(min_magnitude=0.0, max_magnitude=4.0,
+                           allow_nan=False, allow_infinity=False),
+        max_size=2))
+def test_vieta_relations(real, pairs):
+    # a real polynomial: real roots and conjugate pairs
+    roots = np.concatenate([np.asarray(real) + 0j, pairs, np.conj(pairs)])
+    if roots.size == 0:
+        return
     if roots.size > 1:
         diff = np.abs(roots[:, None] - roots[None, :])
         np.fill_diagonal(diff, np.inf)
@@ -263,11 +290,11 @@ def test_vieta_relations(roots):
         # separated roots
         if np.min(diff) < 1e-3:
             return
-    coeffs = np.array([1.0 + 0.0j])
-    for root in roots:
-        shifted = np.concatenate(([0.0 + 0.0j], coeffs))
-        shifted[:-1] -= root * coeffs
-        coeffs = shifted
+    coeffs = np.array([1.0])
+    for root in real:
+        coeffs = np.convolve(coeffs, [-root, 1.0])
+    for root in pairs:
+        coeffs = np.convolve(coeffs, [abs(root) ** 2, -2.0 * root.real, 1.0])
     got = polynomial_roots(coeffs)
     n = roots.size
     scale = max(1.0, float(np.max(np.abs(roots))) ** n)
