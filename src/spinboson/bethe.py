@@ -680,6 +680,9 @@ def solve_sectors(
     return out
 
 
+# a sector that overflows (in the eigensolve check, its twisted coefficients
+# or its certificate) fails or is flagged by the non-finite values themselves
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_group(
     model: ModelSpec,
     sectors: list[SectorLabels],

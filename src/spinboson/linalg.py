@@ -12,7 +12,8 @@ solves many sectors at once, calls the cores and reads every sector's
 outcome from one call.  The root core takes real rows (a sector's monic
 rows are real), starts them from one real companion eigensolve (LAPACK
 dgeev) and polishes them in one Aberth loop, each row as it would be alone;
-a row that does not settle starts once more from the complex eigensolve.
+a row that does not settle restarts from the complex eigensolve, unless its
+first step left the float range (as a row with a non-finite companion does).
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def polynomial_roots(coeffs, tol: float = DEFAULT_TOLS.roots) -> np.ndarray:
     c = np.asarray(coeffs)
     if c.ndim != 1 or np.iscomplexobj(c):
         raise ValueError(f"expected one row of real coefficients, got {c.dtype} {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
     nz = np.flatnonzero(c)
     if nz.size == 0:
         raise ValueError("zero polynomial has no well-defined roots")
@@ -132,18 +135,23 @@ def _root_stack(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return roots, np.zeros(c.shape[0], dtype=bool)
 
 
-def _companion_start(c: np.ndarray, real_arithmetic: bool = True) -> np.ndarray:
+def _companion_start(c: np.ndarray) -> np.ndarray:
     """Starting roots of each row: the eigenvalues of numpy.roots' companion
-    matrix (a zero constant term gives an exact zero root), from one real
-    eigvals call (LAPACK dgeev), so a row's start depends on that row alone;
-    real_arithmetic=False casts the rows to complex and calls zgeev."""
+    matrix (a zero constant term gives an exact zero root), from one eigvals
+    call in the rows' arithmetic (LAPACK dgeev for real rows, zgeev for
+    complex ones), so a row's start depends on that row alone.  A row whose
+    companion is not finite starts at NaN, which its first step finds dead."""
     deg = c.shape[1] - 1
-    if not real_arithmetic:
-        c = c.astype(complex)
     comp = np.zeros((c.shape[0], deg, deg), dtype=c.dtype)
     comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
     comp[:, 0, :] = -c[:, deg - 1 :: -1] / c[:, deg:]
-    return np.linalg.eigvals(comp).astype(complex, copy=False)
+    try:
+        return np.linalg.eigvals(comp).astype(complex, copy=False)
+    except np.linalg.LinAlgError:  # numpy rejects a stack with a non-finite matrix
+        finite = np.isfinite(comp[:, 0]).all(axis=1)
+        z = np.full((c.shape[0], deg), np.nan, dtype=complex)
+        z[finite] = np.linalg.eigvals(comp[finite])
+        return z
 
 
 def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -157,6 +165,11 @@ def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return result
 
 
+# an iterate far from the roots can overflow the evaluations of p, p' and
+# the bound, and a row that overflowed before it came here has p' and a
+# companion that are not finite; a non-finite value already counts as a
+# miss, so numpy's floating-point warnings are silenced for the whole call
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _aberth(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sorted roots of each row of c (degree >= 2, nonzero leading
     coefficients), and per row whether it did not settle (_root_stack)."""
@@ -164,28 +177,24 @@ def _aberth(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     both = np.zeros((2,) + c.shape, dtype=complex)
     both[0] = c
     both[1, :, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
-    z, res = _aberth_steps(both, _companion_start(c), tol, _MAX_STEPS)
+    z, res = _aberth_steps(both, _companion_start(c), tol)
     # From a real start a row's iterates stay symmetric about the real axis,
     # so they cannot reach a conjugate pair of roots, nor a pair two real
     # roots; a row that does not settle starts again from the complex
     # eigensolve, which breaks the symmetry.  States verify through it: the
     # largest bose_hubbard j = 40 sector of random_params rng 1 restarts 4
-    # rows and verifies 30 of its 81 states, 28 without the restart.
-    again = ~np.isnan(res)
+    # rows and verifies 30 of its 81 states, 28 without the restart.  A row
+    # whose first step overflowed (inf) would overflow again: it is final.
+    again = res < np.inf
     if again.any():
         z[again], res[again] = _aberth_steps(
-            both[:, again], _companion_start(c[again], real_arithmetic=False),
-            tol, _MAX_STEPS)
+            both[:, again], _companion_start(c[again].astype(complex)), tol)
     # by real part, then imaginary part; stable, so equal roots keep their order
     return np.sort(z, axis=-1, kind="stable"), res > np.sqrt(tol)
 
 
-# an iterate far from the roots can overflow the evaluations of p, p' and
-# the bound; a non-finite value already counts as a miss, so numpy's
-# floating-point warnings are silenced for the whole call
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _aberth_steps(
-    both: np.ndarray, z: np.ndarray, tol: float, max_iter: int
+    both: np.ndarray, z: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aberth-Ehrlich steps on each row of starting roots z, whose p and p'
     coefficients are both[0] and both[1], until the row stops: when its step
@@ -195,11 +204,12 @@ def _aberth_steps(
     Accuracy and Stability, 2.8 and 5.1), below which a root cluster's
     steps only wander.  The worst-case bound gamma_2n sum |c_k||z|^k,
     sqrt(2n) times wider, also holds while a cluster still converges.  A row
-    whose iterate leaves the float range, which it never re-enters, dies.
+    whose iterate leaves the float range, which it never re-enters, is dropped.
 
     Returns the roots and per row NaN for a row that stopped, inf for a row
-    that died and, for a row that ran out of max_iter steps, the scaled
-    residual of its last iterate.
+    whose first step left the float range, the largest float for one that
+    left it later and, for a row that ran out of its _MAX_STEPS steps, the
+    scaled residual of its last iterate.
     """
     unit = np.sqrt(2 * (both.shape[2] - 1)) * np.finfo(float).eps / 2.0
     res = np.full(z.shape[0], np.nan)
@@ -208,7 +218,7 @@ def _aberth_steps(
     rows = np.arange(z.shape[0])
     za = z
     stop = was_within = np.zeros(z.shape[0], dtype=bool)
-    for i in range(max_iter):
+    for i in range(_MAX_STEPS):
         pz, dpz = horner(both[:, :, None], za)
         if i > 0:  # the start does not count
             bound = unit * horner(np.abs(both[0])[:, None], np.abs(za))
@@ -232,7 +242,7 @@ def _aberth_steps(
         done = stop | (np.abs(step).max(axis=1) <= tol * (1.0 + size))
         if not size.max() < np.inf:
             dead = ~(done | (size < np.inf))
-            res[rows[dead]] = np.inf
+            res[rows[dead]] = np.inf if i == 0 else np.finfo(float).max
             done |= dead
         if done.all():
             z[rows] = za
@@ -258,13 +268,9 @@ def _scaled_residual_rows(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return worst
 
 
-def newton_solve(
-    f,
-    x0,
-    tol: float = DEFAULT_TOLS.newton,
-    max_iter: int = 50,
-) -> np.ndarray:
-    """Damped Newton for f: R^n -> R^n with a forward-difference Jacobian.
+def newton_solve(f, x0, tol: float = DEFAULT_TOLS.newton) -> np.ndarray:
+    """Damped Newton for f: R^n -> R^n with a forward-difference Jacobian,
+    at most 50 steps.
 
     The step is halved until ||f|| decreases; never returns a point with
     ||f||_inf > tol (raises ConvergenceError instead).
@@ -274,7 +280,7 @@ def newton_solve(
     if fx.shape != x.shape:
         raise ValueError("f must map R^n to R^n")
 
-    for _ in range(max_iter):
+    for _ in range(50):
         norm = np.max(np.abs(fx), initial=0.0)
         if norm <= tol:
             return x
@@ -305,4 +311,4 @@ def newton_solve(
 
     if np.max(np.abs(fx), initial=0.0) <= tol:
         return x
-    raise ConvergenceError(f"Newton did not reach tol={tol:g} in {max_iter} iterations")
+    raise ConvergenceError(f"Newton did not reach tol={tol:g} in 50 iterations")

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 from typing import Iterator, Sequence
 
 Rational = Fraction
@@ -105,6 +106,10 @@ def validate_model(spec: ModelSpec) -> ModelSpec:
     for i, ki in enumerate(spec.k):
         if ki < 1:
             raise ValueError(f"k[{i}] must be a positive integer, got {ki}")
+    if not all(map(isfinite, (*spec.w, spec.g_prime, spec.g, spec.constant_shift))):
+        raise ValueError(
+            f"couplings must be finite, got w={spec.w}, g_prime={spec.g_prime}, "
+            f"g={spec.g}, constant_shift={spec.constant_shift}")
     return spec
 
 

@@ -10,6 +10,7 @@ equation and the eigenvectors.
 """
 
 import json
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -94,11 +95,13 @@ def companion_eigvals(c):
 def roots_reference(coeffs, tol=TOLS.roots, max_iter=200):
     """One real polynomial: companion start in real arithmetic, then the 1-D
     Aberth loop; a row whose steps do not settle starts again from the
-    companion in complex arithmetic."""
+    companion in complex arithmetic, unless its first step left the float
+    range."""
     c = np.asarray(coeffs, dtype=float)
-    z, settled = aberth_reference(c.astype(complex), companion_eigvals(c), tol,
-                                  max_iter)
-    if not settled:
+    start = companion_eigvals(c)
+    z, settled = aberth_reference(c.astype(complex), start, tol, max_iter)
+    first = aberth_reference(c.astype(complex), start, tol, 1)[0]
+    if not settled and np.isfinite(first).all():
         z, _ = aberth_reference(c.astype(complex),
                                 companion_eigvals(c.astype(complex)), tol, max_iter)
     order = np.lexsort((z.imag, z.real))
@@ -352,6 +355,43 @@ def test_each_row_starts_from_its_own_companion():
         assert np.array_equal(stacked[i], polynomial_roots(row))
 
 
+def test_a_non_finite_row_dies_alone():
+    # a row whose companion is not finite starts at NaN and dies at its
+    # first step, without a second start; the other rows get the roots of
+    # their one-row calls, and no floating-point warning leaves the stack
+    rows = random_rows(np.random.default_rng(12), 6, 7)
+    rows[1, 3] = np.nan
+    rows[4, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked, unsettled = linalg._root_stack(rows, TOLS.roots)
+    assert unsettled.tolist() == [False, True, False, False, True, False]
+    for i in (0, 2, 3, 5):
+        assert np.array_equal(stacked[i], polynomial_roots(rows[i]))
+
+
+def test_a_row_that_leaves_the_float_range_late_starts_again():
+    # three twisted rows of the largest bose_hubbard j = 60 sector of
+    # random_params rng 2 leave the float range a few steps after the real
+    # start; unlike a row whose first step does, they start again from the
+    # complex eigensolve, and settle there
+    j = 60
+    model = model_for_j("bose_hubbard",
+                        random_params("bose_hubbard", np.random.default_rng(2)), j)
+    sec = sector_from_reference(model, Fraction(j), ReferenceState(Fraction(-j)))
+    values = jacobi_eigen(sector_matrices(model, sec).H)
+    with np.errstate(over="ignore"):
+        rows = bethe._twisted_coeffs(monomial_action(model, sec)[0][: sec.dim],
+                                     values)[[70, 81, 120]]
+    both = np.zeros((2,) + rows.shape, dtype=complex)
+    both[0] = rows
+    both[1, :, :-1] = rows[:, 1:] * np.arange(1, rows.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = linalg._aberth_steps(both, linalg._companion_start(rows), TOLS.roots)[1]
+    assert (res == np.finfo(float).max).all()
+    assert not linalg._root_stack(rows, TOLS.roots)[1].any()
+
+
 def test_a_real_row_held_on_the_real_axis_starts_again(monkeypatch):
     # (z - 2)(z^2 + 1): from real starting roots a real row's Aberth steps
     # stay real and cannot reach the pair -i, i; the row starts again from
@@ -359,12 +399,12 @@ def test_a_real_row_held_on_the_real_axis_starts_again(monkeypatch):
     row = np.array([-2.0, 1.0, -2.0, 1.0])
     real_start = np.array([[-0.5, 0.5, 2.5]], dtype=complex)
     both = np.array([[row], [[1.0, -4.0, 3.0, 0.0]]], dtype=complex)
-    assert linalg._aberth_steps(both, real_start.copy(), TOLS.roots, 200)[1] is not None
+    assert linalg._aberth_steps(both, real_start.copy(), TOLS.roots)[1] is not None
 
     companion_start = linalg._companion_start
 
-    def start(c, real_arithmetic=True):
-        return real_start.copy() if real_arithmetic else companion_start(c, False)
+    def start(c):
+        return real_start.copy() if c.dtype == float else companion_start(c)
 
     monkeypatch.setattr(linalg, "_companion_start", start)
     roots = polynomial_roots(row)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +17,7 @@ from spinboson.bethe import (
     solve_sector,
 )
 from spinboson.config import DEFAULT_TOLS
-from spinboson.linalg import jacobi_eigen, polynomial_roots
+from spinboson.linalg import ConvergenceError, jacobi_eigen, polynomial_roots
 from spinboson.model import (
     ModelSpec,
     ReferenceState,
@@ -284,6 +285,21 @@ class TestRegressions:
         data = _sweep_presets(seed, 1, DEFAULT_TOLS)
         assert data["failures"] == []
         assert data["worst_match"] <= DEFAULT_TOLS.match
+
+    def test_a_sector_with_non_finite_rows_fails_quietly(self):
+        # bose_hubbard at j = 90 with the couplings of random_params rng 0:
+        # twisted rows of its largest sector overflow, so their companions
+        # are not finite; each such row dies alone, and the sector fails with
+        # the root finder's error and no floating-point warning
+        j = 90
+        params = random_params("bose_hubbard", np.random.default_rng(0))
+        model = model_for_j("bose_hubbard", params, j)
+        sec = sector_from_reference(model, Fraction(j),
+                                    ReferenceState(Fraction(-j), ()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="Aberth"):
+                solve_sector(model, sec)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lmg_largest_sector_at_j20(self, seed):

@@ -372,6 +372,16 @@ class TestUsageErrors:
         assert err.count("error:") == 1
         assert err.strip().splitlines()[-1].startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_exits_one(self, capsys, value):
+        # a model with a non-finite coupling cannot be built from the input
+        code, out, err = run_cli(capsys, "spectrum", "--preset", "lmg",
+                                 "--param", f"g={value}", "--param", "g_prime=1",
+                                 "--j", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_rotor_j_differs_from_the_j_flag(self, capsys):
         # the rotor's Casimir offset is taken at --j; a --param j that differs
         # once shifted every energy by (a+b)/2 (j'(j'+1) - j(j+1))

@@ -50,6 +50,14 @@ class TestValidateModel:
         with pytest.raises(ValueError):
             validate_model(ModelSpec(**kwargs))
 
+    @pytest.mark.parametrize("field", ["w", "g_prime", "g", "constant_shift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_couplings_rejected(self, field, value):
+        kwargs = dict(M=1, r=1, s=1, k=(1,), w=(1.0,), g_prime=1.0, g=0.1)
+        kwargs[field] = (value,) if field == "w" else value
+        with pytest.raises(ValueError, match="finite"):
+            validate_model(ModelSpec(**kwargs))
+
     def test_bad_packet_size_rejected(self):
         with pytest.raises(ValueError, match="k\\[0\\]"):
             validate_model(ModelSpec(M=1, r=1, s=1, k=(0,), w=(1.0,),
