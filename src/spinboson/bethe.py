@@ -10,7 +10,11 @@ certificates are computed once per sector on a stack of states; only states
 whose certificate misses, or whose roots do not verify, fall back, one at a
 time, to Newton on the root equations (refine widens that to every state
 with a certificate), and a state keeps Newton's roots only if they certify
-no worse and their closed-form energy pins its eigenvalue.  The monomial
+no worse and their closed-form energy pins its eigenvalue.  The residuals
+are holomorphic in the roots, so Newton works in the complex roots, and
+the certificate core evaluates its N Jacobian columns as one stack of
+perturbed root sets; a clustered root set's residuals are NaN, which
+Newton never accepts.  The monomial
 action and the P_d come from operators.monomial_action, which combines
 cached coupling-free pieces without building the operator.  The coupled root
 equations
@@ -462,32 +466,22 @@ def _scaled_bae_residuals(
 
 
 def _polish_roots(
-    model: ModelSpec,
-    sector: SectorLabels,
     roots: np.ndarray,
     polys: list[np.ndarray],
     scale: float,
     tols: Tolerances,
 ) -> np.ndarray | None:
-    """Newton on the coupled root equations, to tols.newton x scale, the
-    residual_scale of the starting roots; None when it fails."""
-    n = roots.size
-
-    def residual_map(x: np.ndarray) -> np.ndarray:
-        candidate = x[:n] + 1j * x[n:]
-        try:
-            res = bae_residuals(model, sector, candidate, polys, tols.cluster)
-        except ValueError:
-            return np.full(2 * n, 1e6)
-        return np.concatenate([res.real, res.imag])
-
+    """Newton on the coupled root equations from one root set, to
+    tols.newton x scale, the residual_scale of the starting roots; None when
+    it fails.  The residuals are holomorphic in the roots, and one
+    _scaled_bae_residuals call evaluates a stack of root sets; a clustered
+    root set's residuals are NaN, which Newton never accepts."""
     try:
-        x = newton_solve(residual_map,
-                         np.concatenate([roots.real, roots.imag]),
-                         tol=tols.newton * scale)
+        refined = newton_solve(
+            lambda z: _scaled_bae_residuals(z, [polys], tols.cluster)[0],
+            roots, tol=tols.newton * scale)
     except ConvergenceError:
         return None
-    refined = x[:n] + 1j * x[n:]
     order = np.lexsort((refined.imag, refined.real))
     return refined[order]
 
@@ -588,8 +582,8 @@ def _recover_states(
     retry = np.isfinite(scaled) & (refine | (scaled > 1e-2 * tols.bae) | ~verified)
     for g, i in zip(*np.nonzero(retry)):
         sector, sector_polys = sectors[g], polys[g]
-        polished = _polish_roots(model, sector, roots[g, i], sector_polys,
-                                 float(scale[g, i]), tols)
+        polished = _polish_roots(roots[g, i], sector_polys, float(scale[g, i]),
+                                 tols)
         if polished is None:
             continue
         cand = polished[None]

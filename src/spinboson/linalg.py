@@ -1,6 +1,7 @@
 """Dense numerics: symmetric eigenvalues (LAPACK via numpy.linalg.eigvalsh),
 Aberth-Ehrlich root polish from companion-matrix eigenvalues, one stacked
-Horner evaluation, damped Newton with a forward-difference Jacobian.
+Horner evaluation, damped Newton for a holomorphic map of a stack of points,
+whose complex forward-difference Jacobian takes one call of the map.
 
 Each public routine takes one item (jacobi_eigen one square matrix,
 polynomial_roots one real coefficient row), checks its own result against a
@@ -39,8 +40,10 @@ def jacobi_eigen(a: np.ndarray, tol: float = DEFAULT_TOLS.eigen) -> np.ndarray:
     exactly symmetric matrices.  The eigenvalues w of a symmetric A obey
     sum(w) = tr A and sum(w^2) = ||A||_F^2 exactly; with b = max(||A||_F, 1),
     ConvergenceError is raised when the first misses by more than tol * b,
-    the second by more than tol * b^2, or either is not finite.  This is the
-    one-matrix case of _eigen_stack.
+    the second by more than tol * b^2, or either is not finite.  Both are
+    checked on A and w divided by a power of two no smaller than max |A|,
+    so an entry near the float range does not overflow the squares.  This
+    is the one-matrix case of _eigen_stack.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,10 +63,18 @@ def _eigen_stack(
     one entry for a single matrix)."""
     values = eigvalsh(a)
     flat = a.reshape(a.shape[:-2] + (-1,))
-    norm_sq = (flat * flat).sum(axis=-1)
-    bound = np.sqrt(np.maximum(norm_sq, 1.0))
-    trace_miss = np.abs(values.sum(axis=-1) - a.trace(axis1=-2, axis2=-1))
-    norm_miss = np.abs((values * values).sum(axis=-1) - norm_sq)
+    # The identities are checked on A / 2^e and w / 2^e, 2^e >= max |A|, and
+    # against the bound b / 2^e, so that the squares cannot overflow.
+    # Division by a power of two is exact, so each verdict, and each miss
+    # scaled back in the message, is that of the unscaled check.
+    e = np.maximum(np.frexp(np.abs(flat).max(axis=-1, initial=0.0))[1], 0)
+    a_e = np.ldexp(a, -e[..., None, None])
+    values_e = np.ldexp(values, -e[..., None])
+    flat_e = a_e.reshape(flat.shape)
+    norm_sq = (flat_e * flat_e).sum(axis=-1)
+    bound = np.sqrt(np.maximum(norm_sq, np.ldexp(1.0, -2 * e)))
+    trace_miss = np.abs(values_e.sum(axis=-1) - a_e.trace(axis1=-2, axis2=-1))
+    norm_miss = np.abs((values_e * values_e).sum(axis=-1) - norm_sq)
     margin = tol * bound
     missed = ~((trace_miss <= margin) & (norm_miss <= margin * bound))
     # exactly symmetric input, the usual case, needs no tolerance test
@@ -77,8 +88,11 @@ def _eigen_stack(
         if unsymmetric.reshape(-1)[i]:
             errors[i] = ValueError("matrix is not symmetric")
             continue
-        trace_i, norm_i, bound_i = (
-            float(part.reshape(-1)[i]) for part in (trace_miss, norm_miss, bound))
+        e_i = e.reshape(-1)[i]
+        with np.errstate(over="ignore"):  # a miss past the float range reads inf
+            trace_i, norm_i, bound_i = (
+                float(np.ldexp(part.reshape(-1)[i], k * e_i))
+                for part, k in ((trace_miss, 1), (norm_miss, 2), (bound, 1)))
         errors[i] = ConvergenceError(
             f"eigenvalues miss the trace by {trace_i:.3e} and the squared "
             f"norm by {norm_i:.3e} (tol {tol:g}, scale {bound_i:.3e})")
@@ -268,31 +282,30 @@ def _scaled_residual_rows(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return worst
 
 
-def newton_solve(f, x0, tol: float = DEFAULT_TOLS.newton) -> np.ndarray:
-    """Damped Newton for f: R^n -> R^n with a forward-difference Jacobian,
-    at most 50 steps.
+def newton_solve(f, z0, tol: float = DEFAULT_TOLS.newton) -> np.ndarray:
+    """Damped Newton for a holomorphic f: C^n -> C^n, at most 50 steps.
 
-    The step is halved until ||f|| decreases; never returns a point with
-    ||f||_inf > tol (raises ConvergenceError instead).
+    f takes a (k, n) stack of points and returns their (k, n) values.  The
+    Jacobian comes from complex forward differences at the n points
+    z + diag(h), h = 1e-7 (1 + |z|), all in one f call.  The step is halved
+    until ||f|| = max(|Re f|, |Im f|) decreases, one point per try; a NaN
+    value never counts as a decrease.  Never returns a point with
+    ||f|| > tol (raises ConvergenceError instead).
     """
-    x = np.array(x0, dtype=float)
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        raise ValueError("f must map R^n to R^n")
+    z = np.array(z0, dtype=complex)
+    fz = np.asarray(f(z[None]), dtype=complex)
+    if fz.shape != (1, z.size):
+        raise ValueError("f must map a (k, n) stack of points to (k, n) values")
+    fz = fz[0]
 
     for _ in range(50):
-        norm = np.max(np.abs(fx), initial=0.0)
+        norm = _inf_norm(fz)
         if norm <= tol:
-            return x
-        n = x.size
-        jac = np.empty((n, n))
-        for jcol in range(n):
-            h = 1e-7 * (1.0 + abs(x[jcol]))  # forward-difference step
-            xh = x.copy()
-            xh[jcol] += h
-            jac[:, jcol] = (np.asarray(f(xh), dtype=float) - fx) / h
+            return z
+        h = 1e-7 * (1.0 + np.abs(z))  # forward-difference steps
+        jac = ((np.asarray(f(z + np.diag(h)), dtype=complex) - fz) / h[:, None]).T
         try:
-            delta = np.linalg.solve(jac, -fx)
+            delta = np.linalg.solve(jac, -fz)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -300,15 +313,20 @@ def newton_solve(f, x0, tol: float = DEFAULT_TOLS.newton) -> np.ndarray:
 
         lam = 1.0
         while lam > 1e-8:
-            x_new = x + lam * delta
-            f_new = np.asarray(f(x_new), dtype=float)
-            if np.max(np.abs(f_new), initial=0.0) < norm:
-                x, fx = x_new, f_new
+            z_new = z + lam * delta
+            f_new = np.asarray(f(z_new[None]), dtype=complex)[0]
+            if _inf_norm(f_new) < norm:
+                z, fz = z_new, f_new
                 break
             lam /= 2.0
         else:
             raise ConvergenceError("line search found no decrease")
 
-    if np.max(np.abs(fx), initial=0.0) <= tol:
-        return x
+    if _inf_norm(fz) <= tol:
+        return z
     raise ConvergenceError(f"Newton did not reach tol={tol:g} in 50 iterations")
+
+
+def _inf_norm(v: np.ndarray) -> float:
+    """max(|Re v|, |Im v|) of a complex vector; NaN when an entry is NaN."""
+    return np.max(np.abs(np.concatenate([v.real, v.imag])), initial=0.0)

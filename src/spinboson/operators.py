@@ -129,22 +129,6 @@ class EulerOperator:
     def max_abs_coeff(self) -> float:
         return max((np.max(np.abs(p)) for p in self.terms.values()), default=0.0)
 
-    def apply_to_coeffs(self, coeffs) -> np.ndarray:
-        """Coefficients of (self psi) given the coefficients of psi."""
-        c = np.asarray(coeffs)
-        n_in = c.size
-        out_len = n_in + max((p.size - 1 - d for d, p in self.terms.items()),
-                             default=0)
-        out = np.zeros(max(out_len, 1), dtype=np.result_type(c, float))
-        for d, pd in self.terms.items():
-            for n in range(d, n_in):
-                if c[n] == 0:
-                    continue
-                fall = factorial(n) // factorial(n - d)
-                base = n - d
-                out[base : base + pd.size] += c[n] * fall * pd
-        return out
-
     def divide_by_z(self, rtol: float = 1e-12) -> "EulerOperator":
         """Left-divide by z, i.e. strip one power of z off every coefficient.
 
@@ -161,20 +145,6 @@ class EulerOperator:
                 )
             out[d] = pd[1:]
         return EulerOperator(out)
-
-    def allclose(self, other: "EulerOperator", rtol: float = 1e-10) -> bool:
-        scale = max(self.max_abs_coeff(), other.max_abs_coeff(), 1.0)
-        for d in set(self.terms) | set(other.terms):
-            a = self.terms.get(d, np.zeros(0))
-            b = other.terms.get(d, np.zeros(0))
-            n = max(a.size, b.size)
-            pa = np.zeros(n)
-            pb = np.zeros(n)
-            pa[: a.size] = a
-            pb[: b.size] = b
-            if np.max(np.abs(pa - pb), initial=0.0) > rtol * scale:
-                return False
-        return True
 
     def __repr__(self) -> str:
         parts = [f"D^{d}: {list(p)}" for d, p in sorted(self.terms.items())]

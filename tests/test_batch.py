@@ -122,10 +122,9 @@ def scaled_residual_reference(model, sector, roots, polys):
     return res, float(np.max(np.abs(res))) / residual_scale(polys, roots)
 
 
-def polish(model, sector, roots, polys):
+def polish(roots, polys):
     """The Newton polish from roots, to the tolerance of their residual scale."""
-    return bethe._polish_roots(model, sector, roots, polys,
-                               residual_scale(polys, roots), TOLS)
+    return bethe._polish_roots(roots, polys, residual_scale(polys, roots), TOLS)
 
 
 def verify_reference(mono, psi, energy):
@@ -156,7 +155,7 @@ def state_reference(model, sector, value, index, polys, mono):
 
     refined, ok = False, verified(roots)
     if np.isfinite(scaled) and (scaled > 1e-2 * TOLS.bae or not ok):
-        polished = polish(model, sector, roots, polys)
+        polished = polish(roots, polys)
         if polished is not None:
             cand_res, cand_scaled = scaled_residual_reference(
                 model, sector, polished, polys)
@@ -261,7 +260,7 @@ def pin_rejected(model, sector, states):
                 st.verified
                 and residual <= 1e-2 * TOLS.bae * residual_scale(polys, st.roots)):
             continue
-        cand = polish(model, sector, st.roots, polys)
+        cand = polish(st.roots, polys)
         if cand is None:
             continue
         cand_scaled = scaled_residual_reference(model, sector, cand, polys)[1]
@@ -860,7 +859,7 @@ def test_a_state_whose_energy_misses_its_eigenvalue_is_not_verified():
     caught = []
     for i in rejected:
         st = states[i]
-        cand = polish(model, sec, st.roots, polys)
+        cand = polish(st.roots, polys)
         eigen_ok = bethe._verify_eigen_equation(
             mono, poly_from_roots(cand[None]), np.array([st.energy]), TOLS.match)[0]
         if eigen_ok and min_root_distance(cand) > TOLS.bae_guard * root_scale(cand):

@@ -9,6 +9,7 @@ from spinboson.bethe import (
     _elem_sym,
     _polish_roots,
     bae_residuals,
+    closed_form_energy,
     energy_from_roots,
     liouville_ratio,
     poly_from_roots,
@@ -318,6 +319,25 @@ class TestRegressions:
         assert np.max(np.abs(energies - ref)) <= DEFAULT_TOLS.match * max(
             1.0, float(np.max(np.abs(ref))))
 
+    def test_tavis_cummings_largest_sector_at_j20(self):
+        # dimension 41: the Newton polish is what verifies most of these
+        # states (15 verify without it); 31 of 41 verify with one and with
+        # two OpenBLAS threads.  A polished root set is kept only when its
+        # closed-form energy pins the eigenvalue.
+        j = 20
+        params = random_params("tavis_cummings", np.random.default_rng(3000))
+        model = model_for_j("tavis_cummings", params, j)
+        sec = sector_from_reference(model, Fraction(j),
+                                    ReferenceState(Fraction(-j), (2 * j,)))
+        assert sec.dim == 41
+        states = solve_sector(model, sec)
+        assert sum(st.verified for st in states) >= 31
+        refined = [st for st in states if st.refined]
+        assert refined
+        for st in refined:
+            energy = closed_form_energy(model, sec, complex(st.roots.sum()))
+            assert abs(energy - st.energy) <= DEFAULT_TOLS.match * max(1.0, abs(st.energy))
+
 
 class TestNewtonRefine:
     def test_fixed_point_of_recovered_roots(self):
@@ -326,7 +346,7 @@ class TestNewtonRefine:
                                     ReferenceState(Fraction(-3, 2)))
         polys = extract_polynomials(build_hamiltonian_operator(model, sec))
         state = solve_sector(model, sec)[1]
-        polished = _polish_roots(model, sec, state.roots, polys,
+        polished = _polish_roots(state.roots, polys,
                                  residual_scale(polys, state.roots), DEFAULT_TOLS)
         assert polished is not None
         np.testing.assert_allclose(
@@ -340,8 +360,8 @@ class TestNewtonRefine:
         polys = extract_polynomials(build_hamiltonian_operator(model, sec))
         state = solve_sector(model, sec)[0]
         seed = state.roots + 1e-3
-        polished = _polish_roots(model, sec, seed, polys,
-                                 residual_scale(polys, seed), DEFAULT_TOLS)
+        polished = _polish_roots(seed, polys, residual_scale(polys, seed),
+                                 DEFAULT_TOLS)
         assert polished is not None
         got = np.sort_complex(polished)
         want = np.sort_complex(state.roots)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +457,17 @@ class TestNumericalFailure:
         assert out == ""
         assert err.startswith("numerical failure:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_a_coupling_near_the_float_range_fails_in_the_root_finder(self, capsys):
+        # at g = 1e300 the eigensolve's identities are checked on the scaled
+        # matrix and pass; the roots do not settle, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum", "--preset", "tavis_cummings",
+                                     "--param", "w=1", "--param", "g_prime=1",
+                                     "--param", "g=1e300", "--j", "3")
+        assert code == 3 and out == ""
+        assert err == "numerical failure: Aberth-Ehrlich iteration did not converge\n"
 
     def test_refine_keeps_a_state_whose_polish_misses_the_pin(self, capsys):
         # dim 25: Newton polishes one state's roots onto a root set whose

@@ -59,6 +59,14 @@ class TestJacobiEigen:
         np.testing.assert_allclose(np.sort(roots.real), jacobi_eigen(a),
                                    rtol=1e-7, atol=1e-7)
 
+    def test_entries_near_the_float_range(self):
+        # the squares of 1e200 overflow; the identities are checked on the
+        # matrix divided by a power of two, so it passes with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = jacobi_eigen(np.array([[0.0, 1e200], [1e200, 0.0]]))
+        np.testing.assert_array_equal(values, [-1e200, 1e200])
+
     def test_empty_and_single(self):
         assert jacobi_eigen(np.zeros((0, 0))).shape == (0,)
         np.testing.assert_allclose(jacobi_eigen(np.array([[4.0]])), [4.0])
@@ -325,26 +333,61 @@ def test_vieta_relations(real, pairs):
 
 
 class TestNewtonSolve:
+    # f takes a (k, n) stack of points and returns their (k, n) values
+
     def test_scalar_quadratic(self):
-        out = newton_solve(lambda x: np.array([x[0] ** 2 - 4.0]), np.array([3.0]))
+        out = newton_solve(lambda z: z ** 2 - 4.0, np.array([3.0]))
         np.testing.assert_allclose(out, [2.0], atol=1e-9)
 
     def test_linear_system(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
         b = np.array([3.0, 5.0])
-        out = newton_solve(lambda x: a @ x - b, np.zeros(2))
+        out = newton_solve(lambda z: z @ a.T - b, np.zeros(2))
         np.testing.assert_allclose(out, np.linalg.solve(a, b), atol=1e-9)
 
+    def test_one_step_on_a_linear_map_calls_f_three_times(self):
+        # the start, the Jacobian (one stack of n points) and one line-search
+        # try, which lands on the root to the Jacobian's rounding error,
+        # about eps |f| / h = 1e-8 here: below the tolerance given
+        a = np.array([[2.0, 1.0j], [1.0, 3.0]])
+        b = np.array([3.0, 5.0 - 1.0j])
+        shapes = []
+
+        def f(z):
+            shapes.append(z.shape)
+            return z @ a.T - b
+
+        out = newton_solve(f, np.zeros(2), tol=1e-6)
+        np.testing.assert_allclose(out, np.linalg.solve(a, b), atol=1e-6)
+        assert shapes == [(1, 2), (2, 2), (1, 2)]
+
     def test_singular_jacobian(self):
-        with pytest.raises(ConvergenceError):
-            newton_solve(lambda x: np.array([x[0] * 0.0 + 1.0]), np.array([1.0]))
+        with pytest.raises(ConvergenceError, match="singular Jacobian"):
+            newton_solve(lambda z: z * 0.0 + 1.0, np.array([1.0]))
 
     def test_never_returns_above_tolerance(self):
-        # a system with no root: must raise, not return
+        # z^2 + 1 is real on the real axis, so from a real start every step
+        # is real and never reaches +-i: it must raise, not return
         with pytest.raises(ConvergenceError):
-            newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]), np.array([0.7]))
+            newton_solve(lambda z: z ** 2 + 1.0, np.array([0.7]))
+
+    def test_complex_root_from_complex_start(self):
+        out = newton_solve(lambda z: z ** 2 + 1.0, np.array([0.7 + 0.5j]))
+        np.testing.assert_allclose(out, [1j], atol=1e-9)
+
+    def test_nan_value_is_no_decrease(self):
+        # the full first step lands where f is NaN; the line search halves it
+        def f(z):
+            return np.where(z.real > 3.0, np.nan, z ** 2 - 1.0)
+
+        out = newton_solve(f, np.array([0.1]))
+        np.testing.assert_allclose(out, [1.0], atol=1e-9)
 
     def test_respects_tolerance(self):
-        f = lambda x: np.array([np.cos(x[0]) - x[0]])
+        f = lambda z: np.cos(z) - z
         out = newton_solve(f, np.array([1.0]), tol=1e-12)
-        assert abs(f(out)[0]) <= 1e-12
+        assert abs(f(out[None])[0, 0]) <= 1e-12
+
+    def test_rejects_a_map_of_other_shape(self):
+        with pytest.raises(ValueError, match="stack"):
+            newton_solve(lambda z: z.sum(axis=1), np.zeros(2))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -24,10 +25,40 @@ def D(order: int = 1) -> EulerOperator:
     return EulerOperator({order: [1.0]})
 
 
+def apply_to_coeffs(op: EulerOperator, coeffs) -> np.ndarray:
+    """Coefficients of (op psi) given the coefficients of psi, term by term
+    in op.terms order."""
+    c = np.asarray(coeffs)
+    n_in = c.size
+    out_len = n_in + max((p.size - 1 - d for d, p in op.terms.items()), default=0)
+    out = np.zeros(max(out_len, 1), dtype=np.result_type(c, float))
+    for d, pd in op.terms.items():
+        for n in range(d, n_in):
+            if c[n] == 0:
+                continue
+            fall = factorial(n) // factorial(n - d)
+            base = n - d
+            out[base : base + pd.size] += c[n] * fall * pd
+    return out
+
+
+def allclose(a: EulerOperator, b: EulerOperator) -> bool:
+    """Whether every coefficient polynomial of a and b agrees to 1e-10 times
+    their largest coefficient (at least 1)."""
+    scale = max(a.max_abs_coeff(), b.max_abs_coeff(), 1.0)
+    for d in set(a.terms) | set(b.terms):
+        pa, pb = a.coefficient(d), b.coefficient(d)
+        n = max(pa.size, pb.size)
+        if np.max(np.abs(np.pad(pa, (0, n - pa.size)) - np.pad(pb, (0, n - pb.size))),
+                  initial=0.0) > 1e-10 * scale:
+            return False
+    return True
+
+
 def act_on_monomial(op: EulerOperator, n: int) -> np.ndarray:
     basis = np.zeros(n + 1)
     basis[n] = 1.0
-    return op.apply_to_coeffs(basis)
+    return apply_to_coeffs(op, basis)
 
 
 def ops_equal_on_monomials(a: EulerOperator, b: EulerOperator, n_max=8, tol=1e-12):
@@ -45,40 +76,37 @@ def ops_equal_on_monomials(a: EulerOperator, b: EulerOperator, n_max=8, tol=1e-1
 
 class TestCompose:
     def test_leibniz(self):
-        assert (D() @ Z([0, 1])).allclose(
-            EulerOperator({0: [1.0], 1: [0.0, 1.0]}))
+        assert allclose(D() @ Z([0, 1]), EulerOperator({0: [1.0], 1: [0.0, 1.0]}))
 
     def test_euler_square(self):
         zd = Z([0, 1]) @ D()
-        assert (zd @ zd).allclose(
-            EulerOperator({1: [0.0, 1.0], 2: [0.0, 0.0, 1.0]}))
+        assert allclose(zd @ zd, EulerOperator({1: [0.0, 1.0], 2: [0.0, 0.0, 1.0]}))
 
     def test_higher_order(self):
         lhs = EulerOperator({2: [0, 0, 1]}) @ EulerOperator({1: [0, 1]})
         expected = EulerOperator({3: [0, 0, 0, 1.0], 2: [0, 0, 2.0]})
         # oracle: both sides act identically on monomials
         assert ops_equal_on_monomials(lhs, expected, n_max=3)
-        assert lhs.allclose(expected)
+        assert allclose(lhs, expected)
 
     def test_associativity_on_sample(self):
         a = EulerOperator({0: [0.5, 1.0], 2: [0, 0, 2.0]})
         b = EulerOperator({1: [1.0, 0, -1.0]})
         c = EulerOperator({0: [0, 1.0], 1: [2.0]})
-        assert ((a @ b) @ c).allclose(a @ (b @ c))
+        assert allclose((a @ b) @ c, a @ (b @ c))
 
 
 class TestAddScale:
     def test_add_cancels(self):
         zd = EulerOperator({1: [0, 1]})
-        assert (zd + (-1.0) * zd).allclose(EulerOperator.zero())
+        assert allclose(zd + (-1.0) * zd, EulerOperator.zero())
 
     def test_scale_zero(self):
-        assert (0.0 * EulerOperator({2: [1, 2, 3]})).allclose(
-            EulerOperator.zero())
+        assert allclose(0.0 * EulerOperator({2: [1, 2, 3]}), EulerOperator.zero())
 
     def test_commutator_of_d_and_z_is_identity(self):
         got = D() @ Z([0, 1]) + (-1.0) * (Z([0, 1]) @ D())
-        assert got.allclose(EulerOperator.identity())
+        assert allclose(got, EulerOperator.identity())
 
 
 @st.composite
@@ -97,8 +125,8 @@ def random_operator(draw):
 def test_compose_matches_sequential_action(a, b, n):
     basis = np.zeros(n + 1)
     basis[n] = 1.0
-    via_compose = (a @ b).apply_to_coeffs(basis)
-    via_steps = a.apply_to_coeffs(b.apply_to_coeffs(basis))
+    via_compose = apply_to_coeffs(a @ b, basis)
+    via_steps = apply_to_coeffs(a, apply_to_coeffs(b, basis))
     m = max(via_compose.size, via_steps.size)
     pa, pb = np.zeros(m), np.zeros(m)
     pa[: via_compose.size] = via_compose
@@ -109,7 +137,7 @@ def test_compose_matches_sequential_action(a, b, n):
 def test_divide_by_z_requires_vanishing_constant():
     ok = EulerOperator({0: [0.0, 2.0], 1: [0.0, 0.0, 3.0]})
     divided = ok.divide_by_z()
-    assert divided.allclose(EulerOperator({0: [2.0], 1: [0.0, 3.0]}))
+    assert allclose(divided, EulerOperator({0: [2.0], 1: [0.0, 3.0]}))
     with pytest.raises(ValueError, match="remainder"):
         EulerOperator({0: [1.0, 2.0]}).divide_by_z()
 
@@ -210,7 +238,7 @@ class TestExtractPolynomials:
         h = build_hamiltonian_operator(model, sec)
         rebuilt = EulerOperator(
             {d: p for d, p in enumerate(extract_polynomials(h)) if p.size})
-        assert rebuilt.allclose(h)
+        assert allclose(rebuilt, h)
 
 
 class TestApplyToMonomials:
