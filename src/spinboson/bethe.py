@@ -31,21 +31,23 @@ of H psi.  Each state carries the scaled residual it was judged by, max
 without scaling again.
 
 solve_sectors solves many sectors of one model: the sectors of one
-dimension whose P_d have the same sizes share one stacked eigensolve, one
-set of twisted coefficients, one root-finder call and one certificate and
-verification pass.  Every step works matrix by matrix or row by row, so
-each sector's states equal, bit for bit, what solve_sector gives for that
-sector alone; solve_sector is the one-sector case of the same code.  The
-stacked eigensolve and root finder report their outcome per matrix and per
-row (linalg._eigen_stack, linalg._root_stack), so a group knows which of
-its sectors fail, and with which error, from the one pass: a failed sector
-leaves the later stages and no sector is solved twice.
+dimension, whatever the sizes of their P_d, share one stacked eigensolve,
+one set of twisted coefficients, one root-finder call and one certificate
+and verification pass.  Sectors with no roots to recover (dimension 1, or
+g = 0) share one construction instead: state k is the monomial z^k.  Every
+step works matrix by matrix or row by row, so each sector's states equal,
+bit for bit, what solve_sector gives for that sector alone; solve_sector
+is the one-sector case of the same code.  The stacked eigensolve and root
+finder report their outcome per matrix and per row (linalg._eigen_stack,
+linalg._root_stack), so a group knows which of its sectors fail, and with
+which error, from the one pass: a failed sector leaves the later stages and
+no sector is solved twice.
 
 The public checks take one root set each (energy_from_roots, bae_residuals,
 residual_scale, root_scale) and raise ValueError on any other shape; the
 stacks live in private cores.  _scaled_bae_residuals certifies the root
-sets of many sectors with the same P_d sizes at once, and bae_residuals is
-its raising one-root-set case; residual_scale evaluates one root set's
+sets of many sectors of one dimension at once, and bae_residuals is its
+raising one-root-set case; residual_scale evaluates one root set's
 scale alone, as an independent check of the stacked one.
 _energies_from_roots gives the closed-form energies and the z^N-ratio
 cross-check of the root sets of many sectors of one dimension, from any
@@ -177,14 +179,14 @@ def bae_residuals(
     return residuals[0]
 
 
-def _residuals_from(polys: list[np.ndarray], at_roots: np.ndarray,
+def _residuals_from(order: int, at_roots: np.ndarray,
                     diff: np.ndarray) -> np.ndarray:
     """The root-equation residuals of each row of roots (at least one root,
-    no two equal), given P_i at the roots in at_roots[i - 1] and
+    no two equal), given P_1..P_order at the roots in at_roots[i - 1] and
     diff = roots[..., :, None] - roots[..., None, :]; diff's diagonal is
-    overwritten."""
+    overwritten.  Every term is added: a zero P_i reads exactly 0 at the
+    roots, so its term adds nothing."""
     n = diff.shape[-1]
-    order = len(polys) - 1
 
     # e[k - 1] holds, for each root mu, the elementary symmetric sum e_k of
     # 1/(a_mu - a_nu) over nu != mu (the zeroed diagonal adds nothing).
@@ -204,11 +206,9 @@ def _residuals_from(polys: list[np.ndarray], at_roots: np.ndarray,
             terms = np.zeros_like(inv)
             terms[..., 1:] = inv[..., 1:] * running[..., :-1]
 
-    res = (at_roots[0] if polys[1].size
-           else np.zeros(diff.shape[:-1], dtype=complex))
+    res = at_roots[0]
     for i in range(2, upto + 2):
-        if polys[i].size:
-            res = res + at_roots[i - 1] * factorial(i) * e[i - 2]
+        res = res + at_roots[i - 1] * factorial(i) * e[i - 2]
     return res
 
 
@@ -354,8 +354,8 @@ def _verify_eigen_equation(
     """Per row of psi (ascending coefficients, at most mono's width): whether
     the monomial action reproduces energies[row] * psi within tol, relative to
     the scales of the action, the energy and psi.  A (G, ...) stack of
-    actions takes (G, S, ...) rows and (G, S) energies, each sector's rows
-    judged against its own action."""
+    actions takes (G, S, ...) rows, or S rows shared by every sector, and
+    (G, S) energies, each sector's rows judged against its own action."""
     n_cols = mono.shape[-1]
     padded = psi
     if psi.shape[-1] < n_cols:
@@ -431,24 +431,29 @@ def _scaled_bae_residuals(
     row of roots (at least one root), with the row's smallest root distance
     and root_scale.
 
-    polys holds the P_i of G sectors whose P_i have the same sizes, and the
-    rows of roots are those sectors' root sets in G equal blocks, in order.
-    One root-difference matrix serves the distance, the cluster test and
-    the residuals, and one Horner pass gives every P_i at the roots and
-    every |P_i| at the root scale; the residual scale equals residual_scale
-    on the same rows.  A row whose roots lie within cluster_rtol x root_scale
-    of each other has no certificate: NaN residuals and an infinite scaled
-    residual.
+    polys holds the P_i of G sectors, and the rows of roots are those
+    sectors' root sets in G equal blocks, in order.  Every sector's
+    P_1..P_order is padded with zeros to one size, so a P_i a sector lacks
+    evaluates to exactly 0.  One root-difference matrix serves the distance,
+    the cluster test and the residuals, and one Horner pass gives every P_i
+    at the roots and every |P_i| at the root scale; the residual scale
+    equals residual_scale on the same rows.  A row whose roots lie within
+    cluster_rtol x root_scale of each other has no certificate: NaN
+    residuals and an infinite scaled residual.
     """
     n = roots.shape[1]
-    order = len(polys[0]) - 1
+    order = max(len(p) for p in polys) - 1
     diff = roots[:, :, None] - roots[:, None, :]
     gap = np.abs(diff)
     gap[:, np.arange(n), np.arange(n)] = np.inf
     dist = gap.min(axis=(1, 2))
     zscale = np.maximum(1.0, np.abs(roots).max(axis=1))
     # (G, order, K): each sector's P_1..P_order, evaluated on its own block
-    coeffs = np.array([_padded(p[1:]) for p in polys])
+    width = max([q.size for p in polys for q in p[1:]] + [1])
+    coeffs = np.zeros((len(polys), order, width))
+    for g, p in enumerate(polys):
+        for i, q in enumerate(p[1:]):
+            coeffs[g, i, : q.size] = q
     points = np.concatenate([roots, zscale[:, None]], axis=1)
     values = horner(np.concatenate([coeffs, np.abs(coeffs)], axis=1).swapaxes(0, 1)
                     [:, :, None, None], points.reshape(len(polys), -1, n + 1)
@@ -459,7 +464,7 @@ def _scaled_bae_residuals(
     ok = ~(dist <= cluster_rtol * zscale)
     if ok.any():
         rows = slice(None) if ok.all() else ok
-        residuals[rows] = res = _residuals_from(polys[0], values[:order, rows, :n],
+        residuals[rows] = res = _residuals_from(order, values[:order, rows, :n],
                                                 diff[rows])
         scaled[rows] = np.abs(res).max(axis=1) / scale[rows]
     return residuals, scaled, scale, dist, zscale
@@ -522,15 +527,13 @@ def _group_roots(
     monos: np.ndarray, values: np.ndarray, tols: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
     """The roots recovered from each eigenvalue values[g, i] of sector g of
-    a group of sectors of one dimension, shape (G, dim, dim - 1), and per
-    sector whether a row did not settle (polynomial_roots on that sector
-    alone raises): one set of twisted coefficients and one root-finder call
-    for all of them, each row as a call with that eigenvalue of that sector
-    alone gives it.  monos[g] is sector g's monomial action."""
+    a group of sectors of one dimension dim >= 2, shape (G, dim, dim - 1),
+    and per sector whether a row did not settle (polynomial_roots on that
+    sector alone raises): one set of twisted coefficients and one
+    root-finder call for all of them, each row as a call with that
+    eigenvalue of that sector alone gives it.  monos[g] is sector g's
+    monomial action."""
     n_sectors, dim = values.shape
-    if dim == 1:
-        return (np.zeros((n_sectors, 1, 0), dtype=complex),
-                np.zeros(n_sectors, dtype=bool))
     coeffs = _twisted_coeffs(monos[:, :dim], values)
     roots, unsettled = _root_stack(coeffs.reshape(-1, dim), tols.roots)
     return (roots.reshape(n_sectors, dim, dim - 1),
@@ -548,10 +551,10 @@ def _recover_states(
     refine: bool = False,
 ) -> list[list[BetheState]]:
     """The states of the eigenvalues values[g, i], with eigen_index i, of
-    each sector g of a group of one dimension, from the roots roots[g, i]
-    that _group_roots recovered from them; roots is updated in place with
-    the roots each state keeps.  monos[g] and polys[g] are sector g's
-    monomial action and P_d, whose sizes are the same in every sector.
+    each sector g of a group of one dimension dim >= 2, from the roots
+    roots[g, i] that _group_roots recovered from them; roots is updated in
+    place with the roots each state keeps.  monos[g] and polys[g] are
+    sector g's monomial action and P_d, of any sizes.
 
     The certificate and verification of every state come from one stacked
     pass.  A state whose scaled certificate exceeds 1e-2 * tols.bae, or
@@ -562,18 +565,7 @@ def _recover_states(
     to another state's roots, which only the energy tells apart.  Each
     state's flags and scaled residual are those of the roots it keeps.
     """
-    values = np.asarray(values, dtype=float)
     n_top = sectors[0].n_top
-    if n_top == 0:
-        return [
-            [BetheState(sector, idx, np.zeros(0, dtype=complex), float(value),
-                        np.zeros(0, dtype=complex), 0.0, False,
-                        bool(abs(mono[0, 0] - value)
-                             <= tols.match * max(1.0, abs(value))))
-             for idx, value in enumerate(row)]
-            for sector, row, mono in zip(sectors, values, monos)
-        ]
-
     residuals, scaled, scale, dist, zscale = (
         part.reshape(values.shape + part.shape[1:]) for part in
         _scaled_bae_residuals(roots.reshape(-1, n_top), polys, tols.cluster))
@@ -622,11 +614,14 @@ def solve_sector(
 ) -> list[BetheState]:
     """All dim eigenstates of the sector, sorted by energy.
 
-    For g = 0 the sector matrix is diagonal and the eigenfunctions are bare
-    monomials z^k rather than degree-N monics: each state then reports k
-    zero roots, a degeneracy flag for k >= 2, and no residual certificate.
-    refine sends every other state with a certificate through the Newton
-    polish of _recover_states, under the same acceptance rule.
+    A sector of dimension 1, or any sector at g = 0, has no roots to
+    recover: its eigenfunctions are bare monomials z^k rather than degree-N
+    monics (at g = 0 the sector matrix is diagonal, and its diagonal gives
+    the energies without an eigensolve).  Each state then reports k zero
+    roots, a degeneracy flag for k >= 2 and no residual certificate, and is
+    never refined.  refine sends every other state with a certificate
+    through the Newton polish of _recover_states, under the same acceptance
+    rule.
     """
     (solved,) = _solve_group(model, [sector], refine, tols)
     if isinstance(solved, Exception):
@@ -687,9 +682,11 @@ def _solve_group(
     sector its states, or the exception it raises alone.  That exception
     comes from building the sector's matrices, from its eigensolve or from
     a root row that does not settle; a failed sector takes no part in the
-    later stages.  The sectors whose P_d have the same sizes are solved
-    together: one stacked eigensolve, one _group_roots and one
-    _recover_states for them all."""
+    later stages.  The sectors are solved in one pass, whatever the sizes
+    of their P_d: one stacked eigensolve (none at g = 0 above dimension 1,
+    where the sector matrix is diagonal), then one _group_roots and one
+    _recover_states for them all, or, without roots to recover (dimension
+    1, or g = 0), one verification of the monomials."""
     solved: list = [None] * len(sectors)
     mats, actions = {}, {}
     for g, sector in enumerate(sectors):
@@ -698,53 +695,48 @@ def _solve_group(
             actions[g] = monomial_action(model, sector)
         except Exception as exc:
             solved[g] = exc
+    block = list(actions)
+    if not block:
+        return solved
     dim = sectors[0].dim
+    monos = np.array([actions[g][0] for g in block])
 
     if model.g == 0.0 and dim > 1:
-        for g, (mono, _) in actions.items():
-            energies = mats[g].diagonal().copy()
-            verified = _verify_eigen_equation(
-                mono, np.eye(dim, dtype=complex), energies, tols.match)
-            solved[g] = sorted((
-                BetheState(sectors[g], k, np.zeros(k, dtype=complex),
-                           float(energies[k]), np.full(k, np.nan, dtype=complex),
-                           0.0 if k == 0 else np.nan,
-                           degenerate_roots=k >= 2, verified=bool(verified[k]))
-                for k in range(dim)), key=lambda st: st.energy)
-        return solved
-
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for g, (_, polys) in actions.items():
-        blocks.setdefault(tuple(p.size for p in polys), []).append(g)
-    for block in blocks.values():
-        # a block of one sector passes its (n, n) matrix, which eigvalsh
-        # takes faster than a stack of one
-        values, errors = _eigen_stack(
-            mats[block[0]] if len(block) == 1 else np.array([mats[g] for g in block]),
-            tols.eigen)
-        values = values.reshape(len(block), dim)
-        monos = np.array([actions[g][0] for g in block])
-        # a failed sector leaves the later stages; without a failure the
-        # block's arrays go on as they are
-        if any(error is not None for error in errors):
+        values = np.array([mats[g].diagonal() for g in block])
+    else:
+        values, errors = _eigen_stack(np.array([mats[g] for g in block]), tols.eigen)
+        failed = np.array([error is not None for error in errors])
+        if failed.any():
             for g, error in zip(block, errors):
                 solved[g] = error
-            kept = np.array([error is None for error in errors])
-            block, values, monos = _kept(kept, block, values, monos)
+            block, values, monos = _kept(~failed, block, values, monos)
             if not block:
-                continue
+                return solved
+    if model.g == 0.0 or dim == 1:
+        # no roots to recover: state k is the monomial z^k, with k zero roots
+        # and no residual certificate, verified against the monomial action
+        verified = _verify_eigen_equation(monos, np.eye(dim, dtype=complex),
+                                          values, tols.match)
+        states = [
+            [BetheState(sectors[g], k, np.zeros(k, dtype=complex), energy,
+                        np.full(k, np.nan, dtype=complex), 0.0 if k == 0 else np.nan,
+                        degenerate_roots=k >= 2, verified=ok)
+             for k, (energy, ok) in enumerate(zip(row, sector_verified))]
+            for g, row, sector_verified in zip(block, values.tolist(),
+                                               verified.tolist())]
+    else:
         roots, unsettled = _group_roots(monos, values, tols)
         if unsettled.any():
             for g in _kept(unsettled, block)[0]:
                 solved[g] = ConvergenceError(_UNSETTLED)
             block, values, monos, roots = _kept(~unsettled, block, values, monos, roots)
             if not block:
-                continue
+                return solved
         states = _recover_states(
             model, [sectors[g] for g in block], values, roots, monos,
             [actions[g][1] for g in block], tols, refine)
-        for g, sector_states in zip(block, states):
-            solved[g] = sorted(sector_states, key=lambda st: st.energy)
+    for g, sector_states in zip(block, states):
+        solved[g] = sorted(sector_states, key=lambda st: st.energy)
     return solved
 
 

@@ -275,9 +275,8 @@ def _fock_spectra(mats: list[np.ndarray], tol: float):
     for k, mat in enumerate(mats):
         by_size.setdefault(len(mat), []).append(k)
     for ks in by_size.values():
-        stacked, stack_errors = _eigen_stack(
-            mats[ks[0]] if len(ks) == 1 else np.array([mats[k] for k in ks]), tol)
-        for k, row, error in zip(ks, stacked.reshape(len(ks), -1), stack_errors):
+        stacked, stack_errors = _eigen_stack(np.array([mats[k] for k in ks]), tol)
+        for k, row, error in zip(ks, stacked, stack_errors):
             values[k] = row if error is None else np.full(row.shape, np.nan)
             errors[k] = error
     return values, errors

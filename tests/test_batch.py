@@ -11,6 +11,7 @@ equation and the eigenvectors.
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -32,7 +33,12 @@ from spinboson.bethe import (
 from spinboson.cli import main
 from spinboson.config import DEFAULT_TOLS
 from spinboson.linalg import ConvergenceError, jacobi_eigen, polynomial_roots
-from spinboson.model import ReferenceState, enumerate_sectors, sector_from_reference
+from spinboson.model import (
+    ModelSpec,
+    ReferenceState,
+    enumerate_sectors,
+    sector_from_reference,
+)
 from spinboson.operators import (
     apply_to_monomials,
     build_hamiltonian_operator,
@@ -591,6 +597,43 @@ def test_stacked_sectors_equal_sector_calls(name, refine):
     assert model.M == 0 or "stacked group" in seen
 
 
+@pytest.mark.parametrize("model, j, max_bosons", [
+    (model_for_j("two_mode_tc", random_params("two_mode_tc", np.random.default_rng(0)),
+                 Fraction(1, 2)), Fraction(1, 2), 4),
+    (ModelSpec(M=2, r=2, s=2, k=(3, 2), w=(0.7, -1.1), g_prime=0.9, g=0.5),
+     Fraction(3), 6),
+], ids=["two_mode_tc", "k=(3,2)"])
+def test_a_dimension_is_one_pass_whatever_its_p_d_sizes(monkeypatch, model, j,
+                                                        max_bosons):
+    # the sectors of one dimension whose P_d differ in size (some lack a
+    # P_i) share one eigensolve and one _recover_states, and each still
+    # equals solve_sector on that sector alone, bit for bit
+    sectors = enumerate_sectors(model, j, max_bosons)
+    alone = [solve_sector(model, sec) for sec in sectors]
+    counts = Counter(sec.dim for sec in sectors)
+    sizes = {(sec.dim, tuple(p.size for p in monomial_action(model, sec)[1]))
+             for sec in sectors}
+    assert any(Counter(dim for dim, _ in sizes)[dim] > 1 for dim in counts if dim > 1)
+    eigen, recover = [], []
+    inner_eigen, inner_recover = bethe._eigen_stack, bethe._recover_states
+
+    def eigen_stack(a, tol):
+        eigen.append(a.shape)
+        return inner_eigen(a, tol)
+
+    def recover_states(mdl, secs, *args):
+        recover.append((secs[0].dim, len(secs)))
+        return inner_recover(mdl, secs, *args)
+
+    monkeypatch.setattr(bethe, "_eigen_stack", eigen_stack)
+    monkeypatch.setattr(bethe, "_recover_states", recover_states)
+    solved = solve_sectors(model, sectors)
+    assert sorted(eigen) == sorted((n, dim, dim) for dim, n in counts.items())
+    assert sorted(recover) == sorted((dim, n) for dim, n in counts.items() if dim > 1)
+    for states, want in zip(solved, alone):
+        assert_bitwise_states(states, want)
+
+
 def test_stacked_sectors_keep_the_given_order():
     model = model_for_j("two_mode_tc", random_params("two_mode_tc",
                                                      np.random.default_rng(4)), 3)
@@ -818,7 +861,7 @@ def test_fock_spectra_report_each_failing_matrix(monkeypatch):
 
     monkeypatch.setattr(verify, "_eigen_stack", stack)
     values, errors = verify._fock_spectra(mats, TOLS.eigen)
-    assert sorted(calls) == [(3, 3), (4, 4, 4)]
+    assert sorted(calls) == [(1, 3, 3), (4, 4, 4)]
     for mat, row, error in zip(mats, values, errors):
         want = outcome(lambda: jacobi_eigen(mat, TOLS.eigen))
         if error is None:

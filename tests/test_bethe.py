@@ -368,18 +368,27 @@ class TestNewtonRefine:
         np.testing.assert_allclose(got, want, atol=1e-7)
 
     def test_empty_state_passthrough(self):
-        model = tc_model()
-        sec = sector_from_reference(model, Fraction(1, 2),
-                                    ReferenceState(Fraction(-1, 2), (0,)))
-        plain = solve_sector(model, sec)
-        refined = solve_sector(model, sec, refine=True)
-        assert len(refined) == len(plain) == 1 and plain[0].roots.size == 0
-        for a, b in zip(refined, plain):
-            assert (a.eigen_index, a.energy, a.verified, a.degenerate_roots,
-                    a.refined) == (b.eigen_index, b.energy, b.verified,
-                                   b.degenerate_roots, b.refined)
-            assert np.array_equal(a.roots, b.roots)
-            assert np.array_equal(a.bae_residuals, b.bae_residuals)
+        # a dimension-1 sector has no roots to recover, at any g: its one
+        # state keeps the eigensolve's energy, empty roots and residuals and
+        # a certificate of 0.0, and refine leaves it as it is
+        for g in (0.1, 0.0):
+            model = tc_model(g=g)
+            sec = sector_from_reference(model, Fraction(1, 2),
+                                        ReferenceState(Fraction(-1, 2), (0,)))
+            plain = solve_sector(model, sec)
+            refined = solve_sector(model, sec, refine=True)
+            assert len(refined) == len(plain) == 1 and plain[0].roots.size == 0
+            for a, b in zip(refined, plain):
+                assert (a.eigen_index, a.energy, a.verified, a.degenerate_roots,
+                        a.refined) == (b.eigen_index, b.energy, b.verified,
+                                       b.degenerate_roots, b.refined)
+                assert np.array_equal(a.roots, b.roots)
+                assert np.array_equal(a.bae_residuals, b.bae_residuals)
+                assert (a.verified, a.degenerate_roots, a.refined) == (
+                    True, False, False)
+                assert a.roots.shape == a.bae_residuals.shape == (0,)
+                assert a.scaled_residual == 0.0
+                assert a.energy == sector_matrices(model, sec).H[0, 0]
 
     def test_solve_sector_with_refinement(self):
         model = two_site_model(0.5, 1.1)

@@ -5,12 +5,17 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinboson.bethe import solve_sector
 from spinboson.cli import main
+from spinboson.linalg import ConvergenceError
+from spinboson.model import enumerate_sectors
+from spinboson.presets import model_for_j
 
 
 def run_cli(capsys, *argv):
@@ -468,6 +473,32 @@ class TestNumericalFailure:
                                      "--param", "g=1e300", "--j", "3")
         assert code == 3 and out == ""
         assert err == "numerical failure: Aberth-Ehrlich iteration did not converge\n"
+
+    @pytest.mark.parametrize("g", ["0.5", "0"])
+    def test_a_dim_1_sector_past_the_float_range_fails_its_eigensolve(self, capsys, g):
+        # at j = 0 every sector has dimension 1; w = 1.7e308 puts inf on the
+        # diagonal of the occupation-2 and occupation-3 sectors, whose
+        # checked eigensolve fails at any g, with no warning on the way
+        model = model_for_j("tavis_cummings",
+                            {"w": 1.7e308, "g_prime": 1.0, "g": float(g)}, 0)
+        message = ("eigenvalues miss the trace by nan and the squared norm by "
+                   "nan (tol 1e-12, scale inf)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failing = []
+            for sec in enumerate_sectors(model, Fraction(0), 3):
+                assert sec.dim == 1
+                try:
+                    solve_sector(model, sec)
+                except ConvergenceError as exc:
+                    failing.append((sec.A, str(exc)))
+            code, out, err = run_cli(capsys, "spectrum", "--preset", "tavis_cummings",
+                                     "--param", "w=1.7e308", "--param", "g_prime=1",
+                                     "--param", f"g={g}", "--j", "0",
+                                     "--max-bosons", "3")
+        assert failing == [((Fraction(2),), message), ((Fraction(3),), message)]
+        assert code == 3 and out == ""
+        assert err == f"numerical failure: {message}\n"
 
     def test_refine_keeps_a_state_whose_polish_misses_the_pin(self, capsys):
         # dim 25: Newton polishes one state's roots onto a root set whose
