@@ -351,19 +351,14 @@ def _at_least_one(values: np.ndarray) -> np.ndarray:
 def _verify_eigen_equation(
     mono: np.ndarray, psi: np.ndarray, energies: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Per row of psi (ascending coefficients, at most mono's width): whether
-    the monomial action reproduces energies[row] * psi within tol, relative to
+    """Per row of psi (ascending coefficients, mono's width): whether the
+    monomial action reproduces energies[row] * psi within tol, relative to
     the scales of the action, the energy and psi.  A (G, ...) stack of
     actions takes (G, S, ...) rows, or S rows shared by every sector, and
     (G, S) energies, each sector's rows judged against its own action."""
-    n_cols = mono.shape[-1]
-    padded = psi
-    if psi.shape[-1] < n_cols:
-        padded = np.zeros(psi.shape[:-1] + (n_cols,), dtype=complex)
-        padded[..., : psi.shape[-1]] = psi
     # H psi - E psi; E psi has no z^(N+1) term
-    image = padded @ mono.swapaxes(-2, -1)
-    image[..., :n_cols] -= energies[..., None] * padded
+    image = psi @ mono.swapaxes(-2, -1)
+    image[..., : mono.shape[-1]] -= energies[..., None] * psi
     mono_scale = _at_least_one(np.abs(mono).max(axis=(-2, -1)))[..., None]
     scale = np.maximum(mono_scale, np.abs(energies))
     dev = (np.abs(image).max(axis=-1)

@@ -159,13 +159,12 @@ def _companion_start(c: np.ndarray) -> np.ndarray:
     comp = np.zeros((c.shape[0], deg, deg), dtype=c.dtype)
     comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
     comp[:, 0, :] = -c[:, deg - 1 :: -1] / c[:, deg:]
-    try:
-        return np.linalg.eigvals(comp).astype(complex, copy=False)
-    except np.linalg.LinAlgError:  # numpy rejects a stack with a non-finite matrix
-        finite = np.isfinite(comp[:, 0]).all(axis=1)
-        z = np.full((c.shape[0], deg), np.nan, dtype=complex)
-        z[finite] = np.linalg.eigvals(comp[finite])
-        return z
+    # numpy rejects a stack with a non-finite matrix; LAPACK solves each
+    # matrix of a stack alone, so leaving those rows out changes no start
+    finite = np.isfinite(comp[:, 0]).all(axis=1)
+    z = np.full((c.shape[0], deg), np.nan, dtype=complex)
+    z[finite] = np.linalg.eigvals(comp[finite])
+    return z
 
 
 def horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -59,10 +59,6 @@ class EulerOperator:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero() -> "EulerOperator":
-        return EulerOperator({})
-
-    @staticmethod
     def identity() -> "EulerOperator":
         return EulerOperator({0: [1.0]})
 
@@ -89,9 +85,6 @@ class EulerOperator:
             c[: b.size] += b
             out[d] = c
         return EulerOperator(out)
-
-    def __sub__(self, other: "EulerOperator") -> "EulerOperator":
-        return self + (-1.0) * other
 
     def __rmul__(self, scalar: float) -> "EulerOperator":
         return EulerOperator({d: scalar * p for d, p in self.terms.items()})

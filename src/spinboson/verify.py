@@ -39,7 +39,6 @@ from .model import (
     ModelSpec,
     ReferenceState,
     SectorLabels,
-    _level0_top,
     enumerate_sectors,
     sector_from_reference,
 )
@@ -61,7 +60,7 @@ from .presets import (
     random_couplings,
     random_params,
 )
-from .representation import FockBlock, check_algebra, fock_oracle
+from .representation import FockBlock, check_algebra, fock_oracle, sector_levels
 
 N_TOP_LIMIT = 12
 DEFAULT_SEED = 20240817
@@ -100,8 +99,10 @@ def multiset_close(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
 
 def _oracle_cap(model: ModelSpec, sectors) -> int:
     """Per-mode truncation covering every listed sector's largest occupation
-    (each mode is fullest at ladder level 0)."""
-    return max((_level0_top(model.k, sec) for sec in sectors), default=0)
+    (each mode is fullest at ladder level 0), read from the sector_levels
+    cache that the solve of the same sectors uses."""
+    return max((max(sector_levels(model, sec).occupations[0].tolist(), default=0)
+                for sec in sectors), default=0)
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,11 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
     state carries from its solve; a sector of dimension 1 has no roots.
 
     The sectors of one dimension are checked together, whatever their
-    preset, draw or j: one _energies_from_roots, one eigensolve per Fock
-    block size and one multiset_close.  Every value equals what the
-    per-sector checks give.
+    preset, draw or j: one _energies_from_roots, one eigensolve of their
+    Fock blocks and one multiset_close.  A Fock block whose size is not the
+    dimension is not diagonalized: its spectrum has another size, so its
+    sector's deviation is inf, as multiset_close gives it.  Every value
+    equals what the per-sector checks give.
     """
     out: list[tuple] = [()] * len(swept)
     by_dim: dict[int, list[int]] = {}
@@ -216,22 +219,22 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
             roots, np.array([item.mono[n_top] for item in items]), tols, off_real)
         errors = [None if msg is None else ValueError(msg) for msg in messages]
 
-        # oracle equivalence for the sectors with a Fock block
+        # oracle equivalence for the sectors with a Fock block of dim rows
         dev = [0.0] * len(items)
-        held = [g for g, item in enumerate(items) if item.block is not None]
+        held = []
+        for g, item in enumerate(items):
+            if item.block is not None:
+                if len(item.block.H) == dim:
+                    held.append(g)
+                else:
+                    dev[g] = np.inf
         if held:
-            fock, fock_errors = _fock_spectra([items[g].block.H for g in held],
-                                              tols.eigen)
+            fock, fock_errors = _eigen_stack(
+                np.array([items[g].block.H for g in held]), tols.eigen)
             sector_eig = np.array([[st.energy for st in items[g].states]
                                    for g in held])
-            if all(values.size == dim for values in fock):
-                devs = multiset_close(np.concatenate([energies[held]] * 2),
-                                      np.concatenate([sector_eig, fock]))
-            else:
-                devs = np.concatenate([
-                    multiset_close(energies[held], sector_eig),
-                    [multiset_close(energies[g], values)
-                     for g, values in zip(held, fock)]])
+            devs = multiset_close(np.concatenate([energies[held]] * 2),
+                                  np.concatenate([sector_eig, fock]))
             for g, error, to_sector, to_fock in zip(
                     held, fock_errors, devs[: len(held)].tolist(),
                     devs[len(held):].tolist()):
@@ -263,23 +266,6 @@ def _check_swept(swept: list[_Swept], tols: Tolerances) -> list[tuple]:
         for g, i in enumerate(where):
             out[i] = (errors[g], dev[g], n_live[g], residual[g], residual_failures[g])
     return out
-
-
-def _fock_spectra(mats: list[np.ndarray], tol: float):
-    """jacobi_eigen of each matrix, and the error each raises alone (None
-    when it passes), from one eigensolve per matrix size; a failing matrix
-    gets NaN values."""
-    values: list = [None] * len(mats)
-    errors: list = [None] * len(mats)
-    by_size: dict[int, list[int]] = {}
-    for k, mat in enumerate(mats):
-        by_size.setdefault(len(mat), []).append(k)
-    for ks in by_size.values():
-        stacked, stack_errors = _eigen_stack(np.array([mats[k] for k in ks]), tol)
-        for k, row, error in zip(ks, stacked, stack_errors):
-            values[k] = row if error is None else np.full(row.shape, np.nan)
-            errors[k] = error
-    return values, errors
 
 
 def check_oracle_equivalence(

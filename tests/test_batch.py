@@ -34,6 +34,7 @@ from spinboson.cli import main
 from spinboson.config import DEFAULT_TOLS
 from spinboson.linalg import ConvergenceError, jacobi_eigen, polynomial_roots
 from spinboson.model import (
+    SECTOR_CACHE_SIZE,
     ModelSpec,
     ReferenceState,
     enumerate_sectors,
@@ -835,44 +836,103 @@ def test_a_failing_request_solves_each_sector_at_most_once(monkeypatch, stage):
     assert len(reached) < len(sectors)
 
 
-def test_fock_spectra_report_each_failing_matrix(monkeypatch):
-    # two failing matrices of one size and a passing one of another: one
-    # eigensolve per size, and each matrix gets the values or the error of
-    # a jacobi_eigen call with that matrix alone
-    rng = np.random.default_rng(41)
-    mats = []
-    for n, corner in ((4, 0.0), (4, 2.0), (3, 0.0), (4, 0.0), (4, 3.0)):
-        a = rng.standard_normal((n, n))
-        mats.append((a + a.T) / 2.0)
-        mats[-1][0, 0] = corner
+def swept_tc(blocks=None):
+    """The _Swept items of every sector of a tavis_cummings j = 2 model (one
+    sector of each dimension 1 to 4, seven of dimension 5), each with its
+    Fock block unless blocks maps its sector to another."""
+    j = Fraction(2)
+    model = model_for_j("tavis_cummings",
+                        random_params("tavis_cummings", np.random.default_rng(1)), j)
+    sectors = enumerate_sectors(model, j, 6)
+    oracle = {blk.labels: blk
+              for blk in fock_oracle(model, j, verify._oracle_cap(model, sectors))}
+    oracle.update(blocks or {})
+    return [verify._Swept("tc", j, model, sec, solve_sector(model, sec),
+                          monomial_action(model, sec)[0], oracle[sec])
+            for sec in sectors]
 
-    def shifted(m):
-        values = np.linalg.eigvalsh(m)
-        values[..., -1] += 1e-6 * m[..., 0, 0]
-        return values
 
-    monkeypatch.setattr(linalg, "eigvalsh", shifted)
+def record_eigen_stacks(monkeypatch):
+    """The stacks verify._eigen_stack is called with, from now on."""
     calls = []
     inner = verify._eigen_stack
 
     def stack(a, tol):
-        calls.append(a.shape)
+        calls.append(a)
         return inner(a, tol)
 
     monkeypatch.setattr(verify, "_eigen_stack", stack)
-    values, errors = verify._fock_spectra(mats, TOLS.eigen)
-    assert sorted(calls) == [(1, 3, 3), (4, 4, 4)]
-    for mat, row, error in zip(mats, values, errors):
-        want = outcome(lambda: jacobi_eigen(mat, TOLS.eigen))
-        if error is None:
-            assert np.array_equal(row, want)
-        else:
-            with pytest.raises(ConvergenceError) as alone:
-                jacobi_eigen(mat, TOLS.eigen)
-            assert (type(error), str(error)) == (ConvergenceError, str(alone.value))
-            assert np.isnan(row).all() and row.shape == (len(mat),)
-    assert [error is not None for error in errors] == [False, True, False, False, True]
-    assert str(errors[1]) != str(errors[4])
+    return calls
+
+
+def test_swept_fock_blocks_report_each_failing_matrix(monkeypatch):
+    # the patched eigenvalues of a Fock block whose corner exceeds 5 miss
+    # its trace: one eigensolve per dimension, each failing block's sector
+    # gets the error of a jacobi_eigen call with that block alone, and every
+    # other sector gets what the unpatched check gives it
+    swept = swept_tc()
+    clean = verify._check_swept(swept, TOLS)
+
+    def shifted(m):
+        values = np.linalg.eigvalsh(m)
+        corner = m[..., 0, 0]
+        values[..., -1] += 1e-6 * np.where(corner > 5.0, corner, 0.0)
+        return values
+
+    monkeypatch.setattr(linalg, "eigvalsh", shifted)
+    calls = record_eigen_stacks(monkeypatch)
+    out = verify._check_swept(swept, TOLS)
+    assert sorted(a.shape for a in calls) == [
+        (1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (7, 5, 5)]
+    failing = [item.block.H[0, 0] > 5.0 for item in swept]
+    assert sum(failing) == 5
+    for item, fails, got, want in zip(swept, failing, out, clean):
+        if not fails:
+            assert got == want and got[0] is None
+            continue
+        with pytest.raises(ConvergenceError) as alone:
+            jacobi_eigen(item.block.H, TOLS.eigen)
+        assert (type(got[0]), str(got[0])) == (ConvergenceError, str(alone.value))
+    assert len({str(got[0]) for got, fails in zip(out, failing) if fails}) == 5
+
+
+def test_a_fock_block_of_another_size_deviates_by_inf(monkeypatch):
+    # a Fock block whose size is not its sector's dimension has a spectrum
+    # of another size: its sector's deviation is inf without an eigensolve,
+    # and the other sectors of that dimension keep their values
+    clean_swept = swept_tc()
+    clean = verify._check_swept(clean_swept, TOLS)
+    g = next(g for g, item in enumerate(clean_swept) if item.sector.dim == 5)
+    sec, block = clean_swept[g].sector, clean_swept[g].block
+    wrong = replace(block, H=2.0 * block.H[:-1, :-1])
+    swept = swept_tc({sec: wrong})
+    calls = record_eigen_stacks(monkeypatch)
+    out = verify._check_swept(swept, TOLS)
+    assert not any(np.array_equal(m, wrong.H) for a in calls for m in a)
+    assert sorted(a.shape for a in calls) == [
+        (1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (6, 5, 5)]
+    assert out[g][1] == np.inf and out[g][0] is None
+    assert out[g][2:] == clean[g][2:]
+    assert out[:g] + out[g + 1:] == clean[:g] + clean[g + 1:]
+
+    # the sweep reports it as one match: line and a worst deviation of inf
+    inner = verify.fock_oracle
+    changed = []
+
+    def oracle(model, j, cap):
+        blocks = inner(model, j, cap)
+        for i, blk in enumerate(blocks):
+            if not changed and blk.labels.dim >= 2:
+                blocks[i] = replace(blk, H=blk.H[:-1, :-1])
+                changed.append((j, blk.labels))
+        return blocks
+
+    monkeypatch.setattr(verify, "fock_oracle", oracle)
+    data = verify._sweep_presets(3, 1, TOLS)
+    assert data["worst_match"] == np.inf
+    (j, labels), = changed
+    assert [f for f in data["failures"] if f.startswith("match:")] == [
+        f"match: {PRESET_NAMES[0]} j={j} sector p={labels.p}: dev inf"]
 
 
 # ---------------------------------------------------------------------------
@@ -1039,6 +1099,31 @@ def test_stacked_energy_checks_the_root_count():
         energy_from_roots(model, sec, np.zeros((2, sec.n_top)))
 
 
+def test_a_failing_polish_keeps_the_recovered_roots(monkeypatch):
+    # dim 33: unpatched, 11 states keep polished roots and 31 verify; with
+    # every Newton polish failing, no state is refined, 20 verify, each
+    # state that was not refined is the same bit for bit, and refine
+    # changes nothing
+    model = model_for_j("tavis_cummings",
+                        random_params("tavis_cummings", np.random.default_rng(3000)),
+                        16)
+    sec = largest_sector(model, 16)
+    states = solve_sector(model, sec)
+    assert (sec.dim, sum(st.refined for st in states),
+            sum(st.verified for st in states)) == (33, 11, 31)
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("line search found no decrease")
+
+    monkeypatch.setattr(bethe, "newton_solve", fail)
+    unpolished = solve_sector(model, sec)
+    assert not any(st.refined for st in unpolished)
+    assert sum(st.verified for st in unpolished) == 20
+    assert_same_states([st for st, was in zip(unpolished, states) if not was.refined],
+                       [st for st in states if not st.refined])
+    assert_same_states(solve_sector(model, sec, refine=True), unpolished)
+
+
 # ---------------------------------------------------------------------------
 # the acceptance sweep against its per-sector checking loop
 # ---------------------------------------------------------------------------
@@ -1098,7 +1183,14 @@ def sweep_reference(seed, n_draws, tols):
 
 
 def test_oracle_cap_equals_the_occupation_formula():
-    # the largest level-0 occupation k_i (A_i + q_i - 1/k_i^2) of any sector
+    # the largest level-0 occupation k_i (A_i + q_i - 1/k_i^2) of any sector,
+    # over the sweep's grids and over more sectors than the sector_levels
+    # cache holds
+    def want(model, sectors):
+        return max((int(ki * (ai + qi - Fraction(1, ki * ki)))
+                    for sec in sectors
+                    for ki, qi, ai in zip(model.k, sec.q, sec.A)), default=0)
+
     rng = np.random.default_rng(3)
     for name in PRESET_NAMES:
         grid = DEFAULT_GRIDS[name]
@@ -1106,11 +1198,13 @@ def test_oracle_cap_equals_the_occupation_formula():
         for j in grid.j_values:
             model = model_for_j(name, params, j)
             sectors = enumerate_sectors(model, j, grid.max_total_bosons)
-            want = max((int(ki * (ai + qi - Fraction(1, ki * ki)))
-                        for sec in sectors
-                        for ki, qi, ai in zip(model.k, sec.q, sec.A)), default=0)
-            assert verify._oracle_cap(model, sectors) == want
+            assert verify._oracle_cap(model, sectors) == want(model, sectors)
             assert verify._oracle_cap(model, []) == 0
+    model = model_for_j("two_mode_tc", {"w1": 0.9, "w2": 1.3, "g_prime": 0.4,
+                                        "g": 0.6}, Fraction(6))
+    sectors = enumerate_sectors(model, Fraction(6), 30)
+    assert len(sectors) == 1228 > SECTOR_CACHE_SIZE
+    assert verify._oracle_cap(model, sectors) == want(model, sectors)
 
 
 @pytest.mark.parametrize("seed, n_draws", [

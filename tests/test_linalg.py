@@ -391,3 +391,15 @@ class TestNewtonSolve:
     def test_rejects_a_map_of_other_shape(self):
         with pytest.raises(ValueError, match="stack"):
             newton_solve(lambda z: z.sum(axis=1), np.zeros(2))
+
+    def test_gives_up_after_50_iterations(self):
+        # each step halves z, so f = z^2 is 2^-100 after 50 steps
+        with pytest.raises(ConvergenceError,
+                           match=r"^Newton did not reach tol=1e-40 in 50 iterations$"):
+            newton_solve(lambda z: z ** 2, np.array([1.0]), tol=1e-40)
+
+    def test_non_finite_step(self):
+        # exp(800) overflows, so the forward difference inf - inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match=r"^non-finite Newton step$"):
+                newton_solve(lambda z: np.exp(800.0 * z) - 1.0, np.array([1.0]))

@@ -20,6 +20,11 @@ from spinboson.operators import (
 Z = EulerOperator.z_poly
 
 
+def zero() -> EulerOperator:
+    """The zero operator."""
+    return EulerOperator({})
+
+
 def D(order: int = 1) -> EulerOperator:
     """(d/dz)^order."""
     return EulerOperator({order: [1.0]})
@@ -99,10 +104,10 @@ class TestCompose:
 class TestAddScale:
     def test_add_cancels(self):
         zd = EulerOperator({1: [0, 1]})
-        assert allclose(zd + (-1.0) * zd, EulerOperator.zero())
+        assert allclose(zd + (-1.0) * zd, zero())
 
     def test_scale_zero(self):
-        assert allclose(0.0 * EulerOperator({2: [1, 2, 3]}), EulerOperator.zero())
+        assert allclose(0.0 * EulerOperator({2: [1, 2, 3]}), zero())
 
     def test_commutator_of_d_and_z_is_identity(self):
         got = D() @ Z([0, 1]) + (-1.0) * (Z([0, 1]) @ D())
