@@ -17,7 +17,6 @@ from .model import (
     parse_rational,
     sector_dimension,
     sector_from_reference,
-    validate_model,
 )
 from .operators import (
     EulerOperator,

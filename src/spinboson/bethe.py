@@ -158,13 +158,12 @@ def bae_residuals(
     sector: SectorLabels,
     roots: np.ndarray,
     polys: list[np.ndarray] | None = None,
-    cluster_rtol: float = DEFAULT_TOLS.cluster,
 ) -> np.ndarray:
     """Residual of each coupled root equation at one root set.
 
     Requires pairwise distinct roots (the derivation assumes simple poles);
-    raises ValueError when two roots are closer than cluster_rtol x scale,
-    the root sets _scaled_bae_residuals gives no certificate.
+    raises ValueError when two roots are closer than DEFAULT_TOLS.cluster x
+    scale, the root sets _scaled_bae_residuals gives no certificate.
     """
     roots = _root_set(roots)
     if roots.size != sector.n_top:
@@ -173,7 +172,8 @@ def bae_residuals(
         return np.zeros(0, dtype=complex)
     if polys is None:
         polys = monomial_action(model, sector)[1]
-    residuals, scaled, *_ = _scaled_bae_residuals(roots[None], [polys], cluster_rtol)
+    residuals, scaled, *_ = _scaled_bae_residuals(roots[None], [polys],
+                                                  DEFAULT_TOLS.cluster)
     if np.isinf(scaled[0]):
         raise ValueError("coincident roots: residuals are not defined")
     return residuals[0]

@@ -31,7 +31,6 @@ from .model import (
     parse_rational,
     sector_from_reference,
     sector_to_dict,
-    validate_model,
 )
 from .presets import PRESET_NAMES, PRESET_PARAMS, preset
 from .verify import DEFAULT_SEED, errata_report, run_verification
@@ -195,10 +194,10 @@ def _model_and_sectors(args: argparse.Namespace) -> tuple[ModelSpec, list]:
         if args.preset is None:
             m = args.model
             try:
-                model = validate_model(ModelSpec(
+                model = ModelSpec(
                     M=int(m["M"]), r=int(m["r"]), s=int(m["s"]), k=tuple(m["k"]),
                     w=tuple(m["w"]), g_prime=float(m["g_prime"]), g=float(m["g"]),
-                    constant_shift=float(m.get("constant_shift", 0.0))))
+                    constant_shift=float(m.get("constant_shift", 0.0)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(f"bad inline model: {exc}") from exc
         else:

@@ -72,7 +72,9 @@ class ModelSpec:
     in the diagonal spin term; k: boson packet sizes (one per mode);
     w: mode frequencies; g_prime, g: energy scales of the spin term and the
     coupling.  constant_shift is an additive constant (the asymmetric-rotor
-    preset folds its Casimir offset into it).
+    preset folds its Casimir offset into it).  Only members of the family
+    can be built: M >= 0, r, s >= 1, one packet size k_i >= 1 and one
+    frequency per mode, finite couplings; anything else raises ValueError.
     """
 
     M: int
@@ -87,29 +89,24 @@ class ModelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
-
-
-def validate_model(spec: ModelSpec) -> ModelSpec:
-    """Check the ModelSpec invariants; return the spec unchanged if they hold."""
-    if spec.M < 0:
-        raise ValueError(f"M must be non-negative, got {spec.M}")
-    if spec.r < 1:
-        raise ValueError(f"r must be a positive integer, got {spec.r}")
-    if spec.s < 1:
-        raise ValueError(f"s must be a positive integer, got {spec.s}")
-    if len(spec.k) != spec.M or len(spec.w) != spec.M:
-        raise ValueError(
-            f"k and w must each have M={spec.M} entries, "
-            f"got |k|={len(spec.k)}, |w|={len(spec.w)}"
-        )
-    for i, ki in enumerate(spec.k):
-        if ki < 1:
-            raise ValueError(f"k[{i}] must be a positive integer, got {ki}")
-    if not all(map(isfinite, (*spec.w, spec.g_prime, spec.g, spec.constant_shift))):
-        raise ValueError(
-            f"couplings must be finite, got w={spec.w}, g_prime={spec.g_prime}, "
-            f"g={spec.g}, constant_shift={spec.constant_shift}")
-    return spec
+        if self.M < 0:
+            raise ValueError(f"M must be non-negative, got {self.M}")
+        if self.r < 1:
+            raise ValueError(f"r must be a positive integer, got {self.r}")
+        if self.s < 1:
+            raise ValueError(f"s must be a positive integer, got {self.s}")
+        if len(self.k) != self.M or len(self.w) != self.M:
+            raise ValueError(
+                f"k and w must each have M={self.M} entries, "
+                f"got |k|={len(self.k)}, |w|={len(self.w)}"
+            )
+        for i, ki in enumerate(self.k):
+            if ki < 1:
+                raise ValueError(f"k[{i}] must be a positive integer, got {ki}")
+        if not all(map(isfinite, (*self.w, self.g_prime, self.g, self.constant_shift))):
+            raise ValueError(
+                f"couplings must be finite, got w={self.w}, g_prime={self.g_prime}, "
+                f"g={self.g}, constant_shift={self.constant_shift}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,6 @@ def sector_from_reference(
 
     entirely in rational arithmetic.
     """
-    validate_model(model)
     j = parse_rational(j)
     if not is_spin(j):
         raise ValueError(f"j must be a non-negative half-integer, got {j}")
@@ -323,7 +319,6 @@ def enumerate_sectors(
     computed once and kept in a cache bounded by ENUMERATION_CACHE_SIZE;
     every call returns a new list.
     """
-    validate_model(model)
     j = parse_rational(j)
     if not is_spin(j):
         raise ValueError(f"j must be a non-negative half-integer, got {j}")

@@ -156,15 +156,6 @@ def model_for_j(name: str, params: dict, j: Rational) -> ModelSpec:
     return preset(name, params)
 
 
-def random_couplings(
-    name: str, rng: np.random.Generator, j: Rational | None = None
-) -> ModelSpec:
-    """Preset with freshly drawn couplings (rotor needs j for its offset)."""
-    if name == "rigid_rotor" and j is None:
-        raise ValueError("rigid_rotor needs j to place its Casimir offset")
-    return model_for_j(name, random_params(name, rng), j if j is not None else Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # published closed forms
 # ---------------------------------------------------------------------------

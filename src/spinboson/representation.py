@@ -27,7 +27,6 @@ from .model import (
     level_occupations,
     occupation_grid,
     parse_rational,
-    validate_model,
 )
 from .operators import apply_to_monomials, build_hamiltonian_operator
 
@@ -180,7 +179,6 @@ def sector_matrices(model: ModelSpec, sector: SectorLabels) -> SectorMatrices:
     sector); each call combines them with w, g', g and constant_shift and
     returns arrays of its own.
     """
-    validate_model(model)
     levels = sector_levels(model, sector)
 
     diag = np.zeros(sector.dim)
@@ -272,7 +270,6 @@ class AlgebraDiagnostics:
 
 def check_algebra(model: ModelSpec, sector: SectorLabels) -> AlgebraDiagnostics:
     """Numerically check the ladder relations and annihilation conditions."""
-    validate_model(model)
     # one set of amplitudes gives the bands and the end conditions
     up, down = _ladder_amplitudes(model, sector)
     P0, Pplus, Pminus = _ladder_matrices(model, sector, up, down)
@@ -408,7 +405,6 @@ def fock_oracle(
     (_grouped_basis decides it from the basis alone).  Only complete blocks
     are returned, and only their H is built.
     """
-    validate_model(model)
     j = parse_rational(j)
     if boson_cap < 0:
         raise ValueError("boson_cap must be >= 0")

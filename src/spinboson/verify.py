@@ -57,7 +57,6 @@ from .presets import (
     preset,
     published_energy,
     published_polynomials,
-    random_couplings,
     random_params,
 )
 from .representation import FockBlock, check_algebra, fock_oracle, sector_levels
@@ -400,7 +399,7 @@ def check_published_regression(
     for name in PRESET_NAMES:
         grid = DEFAULT_GRIDS[name]
         for j in grid.j_values[: 8]:
-            model = random_couplings(name, rng, j=j)
+            model = model_for_j(name, random_params(name, rng), j)
             for sec in enumerate_sectors(model, j, grid.max_total_bosons):
                 if sec.n_top > N_TOP_LIMIT:
                     continue
@@ -434,20 +433,9 @@ def check_published_regression(
                     if dev > tols.energy_cross:
                         failures.append(f"{name} j={j}: energy dev {dev:.2e}")
 
-    errata_lines = []
-    errata_ok = True
-    for erratum in ERRATA:
-        printed, corrected = erratum.check()
-        confirmed = printed > erratum.printed_min and corrected < erratum.corrected_max
-        errata_ok &= confirmed
-        errata_lines.append(
-            f"{erratum.key}: printed fails at {printed:.1e}, "
-            f"corrected passes at {corrected:.1e}"
-        )
-        if not confirmed:
-            failures.append(f"erratum {erratum.key} not confirmed")
-
-    passed = not failures and worst_poly <= tols.published and errata_ok
+    failures += [f"erratum {row['key']} not confirmed"
+                 for row in errata_report() if not row["confirmed"]]
+    passed = not failures and worst_poly <= tols.published
     detail = (f"worst poly dev {worst_poly:.2e} (tol {tols.published:g}), worst "
               f"energy dev {worst_energy:.2e} (tol {tols.energy_cross:g}); "
               f"{len(ERRATA)} errata confirmed")
@@ -539,7 +527,7 @@ def check_liouville_constancy(
         name = str(rng.choice(PRESET_NAMES))
         grid = DEFAULT_GRIDS[name]
         j = grid.j_values[int(rng.integers(2, len(grid.j_values)))]
-        model = random_couplings(name, rng, j=j)
+        model = model_for_j(name, random_params(name, rng), j)
         sectors = [s for s in enumerate_sectors(model, j, grid.max_total_bosons)
                    if 2 <= s.n_top <= N_TOP_LIMIT]
         if not sectors:

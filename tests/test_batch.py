@@ -125,7 +125,7 @@ def min_root_distance(roots):
 def scaled_residual_reference(model, sector, roots, polys):
     if min_root_distance(roots) <= TOLS.cluster * root_scale(roots):
         return np.full(roots.size, np.nan, dtype=complex), float("inf")
-    res = bae_residuals(model, sector, roots, polys, TOLS.cluster)
+    res = bae_residuals(model, sector, roots, polys)
     return res, float(np.max(np.abs(res))) / residual_scale(polys, roots)
 
 

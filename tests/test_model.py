@@ -1,5 +1,8 @@
+import contextlib
 import copy
 import dataclasses
+import io
+import json
 import pickle
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinboson.cli import main
 from spinboson.model import (
     ModelSpec,
     _sector_labels,
@@ -20,8 +24,8 @@ from spinboson.model import (
     sector_dimension,
     sector_from_reference,
     sector_to_dict,
-    validate_model,
 )
+from spinboson.presets import model_for_j, preset
 from spinboson.representation import _grouped_basis
 
 
@@ -29,26 +33,43 @@ def tc_model(w=1.0, gp=0.5, g=0.1):
     return ModelSpec(M=1, r=1, s=1, k=(1,), w=(w,), g_prime=gp, g=g)
 
 
+def raised(build):
+    """The message of the ValueError build() raises."""
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    return str(excinfo.value)
+
+
+def inline_model_error(tmp_path, model):
+    """The message of the one error line `spectrum` prints for a config whose
+    inline "model" is rejected."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": model, "j": "1"}))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["spectrum", "--config", str(path)]) == 1
+    (line,) = err.getvalue().splitlines()
+    prefix = "error: bad inline model: "
+    assert line.startswith(prefix)
+    return line[len(prefix):]
+
+
 class TestValidateModel:
     def test_tavis_cummings_shape_accepted(self):
-        spec = tc_model()
-        assert validate_model(spec) is spec
+        assert tc_model().k == (1,)
 
     def test_length_mismatch_rejected(self):
-        bad = ModelSpec(M=2, r=1, s=1, k=(1,), w=(1.0, 2.0), g_prime=1.0, g=0.1)
         with pytest.raises(ValueError, match="M=2"):
-            validate_model(bad)
+            ModelSpec(M=2, r=1, s=1, k=(1,), w=(1.0, 2.0), g_prime=1.0, g=0.1)
 
     def test_pure_spin_model_accepted(self):
-        spec = ModelSpec(M=0, r=2, s=1, k=(), w=(), g_prime=1.0, g=0.2)
-        assert validate_model(spec) is spec
+        assert ModelSpec(M=0, r=2, s=1, k=(), w=(), g_prime=1.0, g=0.2).k == ()
 
     @pytest.mark.parametrize("field,value", [("r", 0), ("s", 0), ("M", -1)])
     def test_nonpositive_integers_rejected(self, field, value):
         kwargs = dict(M=0, r=1, s=1, k=(), w=(), g_prime=1.0, g=0.1)
         kwargs[field] = value
         with pytest.raises(ValueError):
-            validate_model(ModelSpec(**kwargs))
+            ModelSpec(**kwargs)
 
     @pytest.mark.parametrize("field", ["w", "g_prime", "g", "constant_shift"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -56,12 +77,33 @@ class TestValidateModel:
         kwargs = dict(M=1, r=1, s=1, k=(1,), w=(1.0,), g_prime=1.0, g=0.1)
         kwargs[field] = (value,) if field == "w" else value
         with pytest.raises(ValueError, match="finite"):
-            validate_model(ModelSpec(**kwargs))
+            ModelSpec(**kwargs)
 
     def test_bad_packet_size_rejected(self):
         with pytest.raises(ValueError, match="k\\[0\\]"):
-            validate_model(ModelSpec(M=1, r=1, s=1, k=(0,), w=(1.0,),
-                                     g_prime=1.0, g=0.1))
+            ModelSpec(M=1, r=1, s=1, k=(0,), w=(1.0,), g_prime=1.0, g=0.1)
+
+    @pytest.mark.parametrize("reported,message", [
+        (lambda tmp_path: raised(lambda: ModelSpec(
+            M=1, r=0, s=1, k=(1,), w=(1.0,), g_prime=1.0, g=0.1)),
+         "r must be a positive integer, got 0"),
+        (lambda tmp_path: raised(lambda: preset(
+            "lmg", {"g_prime": 1.0, "g": float("nan")})),
+         "couplings must be finite, got w=(), g_prime=1.0, g=nan, "
+         "constant_shift=0.0"),
+        (lambda tmp_path: raised(lambda: model_for_j(
+            "rigid_rotor", {"a": 1.0, "b": 1.0, "c": float("inf")}, Fraction(1))),
+         "couplings must be finite, got w=(), g_prime=inf, g=0.0, "
+         "constant_shift=2.0"),
+        (lambda tmp_path: raised(lambda: dataclasses.replace(tc_model(), k=(1, 2))),
+         "k and w must each have M=1 entries, got |k|=2, |w|=1"),
+        (lambda tmp_path: inline_model_error(tmp_path, {
+            "M": 1, "r": 1, "s": 1, "k": [0], "w": [1.0], "g_prime": 1.0, "g": 0.1}),
+         "k[0] must be a positive integer, got 0"),
+    ], ids=["direct", "preset", "model_for_j", "replace", "inline_config"])
+    def test_every_construction_path_is_checked(self, tmp_path, reported, message):
+        # a ModelSpec outside the family cannot be built by any route
+        assert reported(tmp_path) == message
 
 
 class TestLambdaOf:

@@ -11,10 +11,11 @@ from spinboson.presets import (
     DEFAULT_GRIDS,
     ERRATA,
     PRESET_NAMES,
+    model_for_j,
     preset,
     published_energy,
     published_polynomials,
-    random_couplings,
+    random_params,
 )
 from spinboson.representation import sector_matrices
 
@@ -113,7 +114,7 @@ class TestPublishedPolynomials:
         rng = np.random.default_rng(hash(name) % 2**32)
         grid = DEFAULT_GRIDS[name]
         for j in grid.j_values[1:6]:
-            model = random_couplings(name, rng, j=j)
+            model = model_for_j(name, random_params(name, rng), j)
             for sec in enumerate_sectors(model, j, grid.max_total_bosons):
                 built = extract_polynomials(build_hamiltonian_operator(model, sec))
                 pub = published_polynomials(name, model, sec)
@@ -140,7 +141,7 @@ class TestPublishedEnergy:
         rng = np.random.default_rng(hash(name) % 2**31)
         grid = DEFAULT_GRIDS[name]
         for j in grid.j_values[1:5]:
-            model = random_couplings(name, rng, j=j)
+            model = model_for_j(name, random_params(name, rng), j)
             for sec in enumerate_sectors(model, j, grid.max_total_bosons):
                 for state in solve_sector(model, sec):
                     if state.degenerate_roots:
