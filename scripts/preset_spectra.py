@@ -56,9 +56,7 @@ def main() -> None:
             print(f"  {'E (roots)':>14}  {'E (diag)':>14}  {'diff':>9}  "
                   f"{'max |residual|':>14}")
             for st, ev in zip(states, eig):
-                e_roots = (energy_from_roots(model, sec, st.roots)
-                           if not (model.g == 0.0 and st.roots.size)
-                           else st.energy)
+                e_roots = energy_from_roots(model, sec, st.roots)
                 res = st.max_residual()
                 res_txt = f"{res:14.3e}" if np.isfinite(res) else "     (cluster)"
                 print(f"  {e_roots:14.9f}  {ev:14.9f}  {abs(e_roots - ev):9.2e}"

@@ -6,15 +6,18 @@ RECOVERS the roots: diagonalize the sector matrix for its eigenvalues, get
 each eigenvalue's monomial coefficients from a twisted ratio recurrence on
 the tridiagonal monomial action, and factorize.  All N+1 states of a sector
 share the coefficient polynomials P_d, so their coefficients, roots and
-certificates are computed once per sector on a stack of states; only states
-whose certificate misses, or whose roots do not verify, fall back, one at a
-time, to Newton on the root equations (refine widens that to every state
-with a certificate), and a state keeps Newton's roots only if they certify
-no worse and their closed-form energy pins its eigenvalue.  The residuals
-are holomorphic in the roots, so Newton works in the complex roots, and
-the certificate core evaluates its N Jacobian columns as one stack of
-perturbed root sets; a clustered root set's residuals are NaN, which
-Newton never accepts.  The monomial
+verdicts are computed once per sector on a stack of states.  A root set's
+verdict is its certificate, its energy pin (the closed-form energy lies
+within tolerance of the eigenvalue) and its verification (pin, and H psi =
+E psi).  Only states whose certificate misses, or whose roots do not
+verify, fall back to Newton on the root equations (refine widens that to
+every state with a certificate).  Newton runs one state at a time, but the
+polished root sets get one more stacked verdict, and a state keeps
+Newton's roots only if they certify no worse and pass the pin.  The
+residuals are holomorphic in the roots, so Newton works in the complex
+roots, and the certificate core evaluates its N Jacobian columns as one
+stack of perturbed root sets; a clustered root set's residuals are NaN,
+which Newton never accepts.  The monomial
 action and the P_d come from operators.monomial_action, which combines
 cached coupling-free pieces without building the operator.  The coupled root
 equations
@@ -32,16 +35,16 @@ without scaling again.
 
 solve_sectors solves many sectors of one model: the sectors of one
 dimension, whatever the sizes of their P_d, share one stacked eigensolve,
-one set of twisted coefficients, one root-finder call and one certificate
-and verification pass.  Sectors with no roots to recover (dimension 1, or
-g = 0) share one construction instead: state k is the monomial z^k.  Every
-step works matrix by matrix or row by row, so each sector's states equal,
-bit for bit, what solve_sector gives for that sector alone; solve_sector
-is the one-sector case of the same code.  The stacked eigensolve and root
-finder report their outcome per matrix and per row (linalg._eigen_stack,
-linalg._root_stack), so a group knows which of its sectors fail, and with
-which error, from the one pass: a failed sector leaves the later stages and
-no sector is solved twice.
+one set of twisted coefficients, one root-finder call and one verdict on
+the recovered roots (and one on any polished roots).  Sectors with no
+roots to recover (dimension 1, or g = 0) share one construction instead:
+state k is the monomial z^k.  Every step works matrix by matrix or row by
+row, so each sector's states equal, bit for bit, what solve_sector gives
+for that sector alone; solve_sector is the one-sector case of the same
+code.  The stacked eigensolve and root finder report their outcome per
+matrix and per row (linalg._eigen_stack, linalg._root_stack), so a group
+knows which of its sectors fail, and with which error, from the one pass:
+a failed sector leaves the later stages and no sector is solved twice.
 
 The public checks take one root set each (energy_from_roots, bae_residuals,
 residual_scale, root_scale) and raise ValueError on any other shape; the
@@ -486,36 +489,33 @@ def _polish_roots(
     return refined[order]
 
 
-def _pinned(
-    model: ModelSpec,
-    sectors: list[SectorLabels],
-    roots: np.ndarray,
-    values: np.ndarray,
-    tols: Tolerances,
-) -> np.ndarray:
-    """Per root set roots[g, i] of sector g: whether its closed-form energy
-    lies within tols.match of E = values[g, i] (the energy pin)."""
-    sums = roots.sum(axis=-1)
-    energies = np.array([closed_form_energy(model, sector, row)
-                         for sector, row in zip(sectors, sums)])
-    return (np.abs(energies - values)
-            <= tols.match * np.maximum(1.0, np.abs(values)))
-
-
-def _verified(
+def _judged(
     model: ModelSpec,
     sectors: list[SectorLabels],
     roots: np.ndarray,
     values: np.ndarray,
     monos: np.ndarray,
+    polys: list[list[np.ndarray]],
     tols: Tolerances,
-) -> np.ndarray:
-    """Per root set roots[g, i] of sector g: whether prod (z - root)
-    reproduces H psi = E psi under sector g's monomial action monos[g] and
-    its closed-form energy passes the energy pin."""
-    return (_pinned(model, sectors, roots, values, tols)
-            & _verify_eigen_equation(monos, poly_from_roots(roots), values,
-                                     tols.match))
+) -> tuple[np.ndarray, ...]:
+    """The verdict on the root sets roots[g, i] of sector g, for E =
+    values[g, i]: the residuals, scaled residual, residual scale, smallest
+    root distance and root scale of _scaled_bae_residuals, then whether the
+    closed-form energy lies within tols.match of E (the energy pin), and
+    whether the set passes the pin and prod (z - root) reproduces H psi =
+    E psi under sector g's monomial action monos[g] (verified).  Each part
+    has the (G, S) shape of values in front."""
+    certificate = (
+        part.reshape(values.shape + part.shape[1:]) for part in
+        _scaled_bae_residuals(roots.reshape(-1, roots.shape[-1]), polys,
+                              tols.cluster))
+    energies = np.array([closed_form_energy(model, sector, row)
+                         for sector, row in zip(sectors, roots.sum(axis=-1))])
+    pinned = (np.abs(energies - values)
+              <= tols.match * np.maximum(1.0, np.abs(values)))
+    verified = pinned & _verify_eigen_equation(monos, poly_from_roots(roots),
+                                               values, tols.match)
+    return (*certificate, pinned, verified)
 
 
 def _group_roots(
@@ -551,53 +551,44 @@ def _recover_states(
     place with the roots each state keeps.  monos[g] and polys[g] are
     sector g's monomial action and P_d, of any sizes.
 
-    The certificate and verification of every state come from one stacked
+    The recovered roots of every state are judged in one stacked _judged
     pass.  A state whose scaled certificate exceeds 1e-2 * tols.bae, or
     whose roots do not verify, is polished by Newton on the root equations,
-    one at a time; refine polishes every state that has a certificate.  A
-    state keeps the polished roots when their scaled residual is no larger
-    and their closed-form energy passes the energy pin: Newton can converge
-    to another state's roots, which only the energy tells apart.  Each
-    state's flags and scaled residual are those of the roots it keeps.
+    one at a time; refine polishes every state that has a certificate.  If
+    any polish converged, one more _judged pass takes the group with the
+    polished rows in place.  A state keeps the polished roots when their
+    scaled residual is no larger and their closed-form energy passes the
+    energy pin: Newton can converge to another state's roots, which only
+    the energy tells apart.  Each state's flags and scaled residual are
+    those of the roots it keeps.
     """
-    n_top = sectors[0].n_top
-    residuals, scaled, scale, dist, zscale = (
-        part.reshape(values.shape + part.shape[1:]) for part in
-        _scaled_bae_residuals(roots.reshape(-1, n_top), polys, tols.cluster))
-    verified = _verified(model, sectors, roots, values, monos, tols)
+    residuals, scaled, scale, dist, zscale, _, verified = _judged(
+        model, sectors, roots, values, monos, polys, tols)
     refined = np.zeros(values.shape, dtype=bool)
     retry = np.isfinite(scaled) & (refine | (scaled > 1e-2 * tols.bae) | ~verified)
+    polished = roots.copy()
     for g, i in zip(*np.nonzero(retry)):
-        sector, sector_polys = sectors[g], polys[g]
-        polished = _polish_roots(roots[g, i], sector_polys, float(scale[g, i]),
-                                 tols)
-        if polished is None:
-            continue
-        cand = polished[None]
-        cand_res, cand_scaled, _, cand_dist, cand_zscale = _scaled_bae_residuals(
-            cand, [sector_polys], tols.cluster)
-        value = values[g : g + 1, i : i + 1]
-        if (cand_scaled[0] <= scaled[g, i]
-                and _pinned(model, [sector], cand[None], value, tols)[0, 0]):
-            roots[g, i], residuals[g, i], refined[g, i] = polished, cand_res[0], True
-            scaled[g, i], dist[g, i], zscale[g, i] = (
-                cand_scaled[0], cand_dist[0], cand_zscale[0])
-            verified[g, i] = _verified(model, [sector], cand[None], value,
-                                       monos[g : g + 1], tols)[0, 0]
+        cand = _polish_roots(roots[g, i], polys[g], float(scale[g, i]), tols)
+        if cand is not None:
+            polished[g, i], refined[g, i] = cand, True
+    if refined.any():
+        cand_res, cand_scaled, _, cand_dist, cand_zscale, cand_pinned, cand_ok = (
+            _judged(model, sectors, polished, values, monos, polys, tols))
+        refined &= (cand_scaled <= scaled) & cand_pinned
+        for kept, cand in zip((roots, residuals, scaled, dist, zscale, verified),
+                              (polished, cand_res, cand_scaled, cand_dist,
+                               cand_zscale, cand_ok)):
+            kept[refined] = cand[refined]
 
     finite = np.isfinite(residuals.view(float)).all(axis=-1)
     degenerate = (dist <= tols.bae_guard * zscale) | ~finite
     scaled[~finite] = np.nan
     # each state holds its own row of the stacked roots and residuals
     return [
-        [BetheState(sector, i, row, value, res, cert, degen, ok, refined=polish)
-         for i, (row, value, res, cert, degen, ok, polish) in enumerate(zip(
-             sector_roots, sector_values, sector_residuals, sector_scaled,
-             sector_degenerate, sector_verified, sector_refined))]
-        for sector, sector_roots, sector_values, sector_residuals, sector_scaled,
-        sector_degenerate, sector_verified, sector_refined in zip(
-            sectors, roots, values.tolist(), residuals, scaled.tolist(),
-            degenerate.tolist(), verified.tolist(), refined.tolist())
+        [BetheState(sector, i, *fields) for i, fields in enumerate(zip(*rows))]
+        for sector, *rows in zip(sectors, roots, values.tolist(), residuals,
+                                 scaled.tolist(), degenerate.tolist(),
+                                 verified.tolist(), refined.tolist())
     ]
 
 
@@ -634,7 +625,10 @@ def solve_sectors(
     list equals, bit for bit, what solve_sector returns for that sector alone.
 
     The sectors of one dimension are solved together by _solve_group; a
-    dimension with one sector goes through solve_sector.  Every sector is
+    dimension with one sector goes through the module-level solve_sector.
+    That fork is kept for the benchmark, which traces solve_sector and not
+    solve_sectors: without it perfbench/test_counts.py reads 0 solve_sector
+    calls on the `spectrum` workload.  Every sector is
     solved at most once, and the sectors given after the first failure
     found so far are skipped: the error raised is the one the first failing
     sector, in the order given, raises alone.

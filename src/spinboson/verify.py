@@ -275,7 +275,8 @@ def check_oracle_equivalence(
     """Verdict on the energies of a _sweep_presets(seed, n_draws, tols) dict."""
     match_fail = [f for f in data["failures"] if f.startswith("match:")]
     passed = not match_fail and data["worst_match"] <= tols.match
-    detail = (f"{data['n_sectors']} sectors x {n_draws} draws, "
+    detail = (f"{data['n_sectors']} sectors over {n_draws} "
+              f"draw{'s' * (n_draws != 1)}, "
               f"worst deviation {data['worst_match']:.2e} (tol {tols.match:g})")
     if match_fail:
         detail += f"; first failure: {match_fail[0]}"

@@ -977,11 +977,37 @@ def test_a_state_whose_energy_misses_its_eigenvalue_is_not_verified():
     roots = np.array([st.roots for st in refined])
     energies = np.array([st.energy for st in refined])
     assert energies.tolist() == [st.energy for st in states]
-    pinned = bethe._pinned(model, [sec], roots[None], energies[None], TOLS)[0]
-    assert all(pin for st, pin in zip(refined, pinned) if st.refined)
-    assert ([st.verified for st in refined]
-            == bethe._verified(model, [sec], roots[None], energies[None],
-                               mono[None], TOLS)[0].tolist())
+    *_, pinned, verified = bethe._judged(model, [sec], roots[None], energies[None],
+                                         mono[None], [polys], TOLS)
+    assert all(pin for st, pin in zip(refined, pinned[0]) if st.refined)
+    assert [st.verified for st in refined] == verified[0].tolist()
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+def test_a_group_is_judged_in_at_most_two_stacked_passes(monkeypatch, refine):
+    # the recovered roots get one stacked verdict, and the polished roots of
+    # the group one more: the eigen-equation check and the closed-form energy
+    # run twice per solve, however many states Newton polished
+    model = model_for_j("tavis_cummings",
+                        random_params("tavis_cummings", np.random.default_rng(3000)),
+                        16)
+    sec = largest_sector(model, 16)
+    alone = solve_sector(model, sec, refine=refine)
+    assert any(st.refined for st in alone)
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(bethe, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(bethe, name, wrapper)
+
+    counted("_verify_eigen_equation")
+    counted("closed_form_energy")
+    assert_bitwise_states(solve_sector(model, sec, refine=refine), alone)
+    assert calls == {"_verify_eigen_equation": 2, "closed_form_energy": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -634,6 +634,14 @@ class TestVerifyCommand:
         assert "FAIL" in out
         assert "errata registry:" in out
 
+    def test_oracle_equivalence_counts_the_sectors_of_every_draw(self, capsys):
+        # n_sectors already totals every draw: one draw sweeps 292 sectors
+        code, out, _ = run_cli(capsys, "verify", "--draws", "1", "--format", "json")
+        assert code == 0
+        (check,) = [c for c in json.loads(out)["checks"]
+                    if c["name"] == "oracle equivalence"]
+        assert check["detail"].startswith("292 sectors over 1 draw, ")
+
 
 def _state_dict(state):
     """A state's entry in the JSON report, as its dict form."""
